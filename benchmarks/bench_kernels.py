@@ -1,9 +1,15 @@
 """Timing comparison of the pure-Python and compiled crossing kernels.
 
-Runs the same projection scans through every available backend and
-reports per-call time and relative speedup.  Representative workloads:
-Hamiltonian cycles of random straight-line K_n for a few n, plus
-triangle pairs (the linking-number workload).
+Benchmarks the kernel layer only: the same per-cycle projection scans
+run through every available backend, reporting per-call time and
+relative speedup.  Representative inputs: Hamiltonian cycles of random
+straight-line K_n for a few n, plus triangle pairs.
+
+`verify` and `census` read their diagrams from one whole-graph crossing
+table per frame, so this kernel runs there only on frames where the
+whole graph is not generic; the `invariant` subcommand still runs it on
+every frame.  Speed claims about those commands come from the
+end-to-end benchmark, `perfbench/run.py`.
 
 Usage: python benchmarks/bench_kernels.py [--repeat 200] [--sizes 6,7,8,9]
 """

@@ -1,6 +1,7 @@
 """Pure-Python exact segment-pair kernel.
 
-Given one or two closed integer polygons and an integer projection frame,
+Given one or two closed integer polygons (or, through `scan_segments`,
+any segments between integer corners) and an integer projection frame,
 finds every transverse crossing of the projected segments, with exact
 rational crossing parameters, over/under resolution by exact height
 comparison, and the crossing sign.  Also performs the genericity checks
@@ -48,40 +49,51 @@ def find_crossings(polys, u, v, d):
     """Scan the projected segment pairs of one or two closed polygons.
 
     Returns (status, payload): payload is the crossing list when status is
-    OK, else a small witness tuple naming the violation.
+    OK, else a small witness tuple naming the violation.  Corners are
+    numbered through the polygons in order, and segment s runs from
+    corner s to the next corner of its polygon.
+    """
+    points: list = []
+    curve_of: list[int] = []
+    nxt: list[int] = []
+    for ci, poly in enumerate(polys):
+        base = len(points)
+        m = len(poly)
+        points.extend(poly)
+        curve_of.extend([ci] * m)
+        nxt.extend(base + (i + 1) % m for i in range(m))
+    status, payload = scan_segments(points, range(len(points)), nxt, u, v, d)
+    if status == FAIL_DEGENERATE_SEGMENT:
+        return (status, (curve_of[payload], payload))
+    return (status, payload)
+
+
+def scan_segments(points, seg_a, seg_b, u, v, d):
+    """Scan projected segments given by the indices of their corners.
+
+    Segment s runs from corner seg_a[s] to corner seg_b[s]; segments may
+    share corners, and two that do are never tested for a crossing.  This
+    is the body of `find_crossings` and of the whole-graph scan in
+    `projection.crossing_table`, so both apply exactly the same checks.
+    Returns (status, payload) as `find_crossings` does, with segment
+    indices in the crossings and witnesses; a degenerate segment's
+    witness is its index alone.
     """
     ux, uy, uz = u
     vx, vy, vz = v
     dx, dy, dz = d
 
-    # Projected corners (px, py) and heights h, as flat lists; curve_of
-    # and index ranges recover the polygon structure.
-    px: list[int] = []
-    py: list[int] = []
-    ph: list[int] = []
-    curve_of: list[int] = []
-    starts: list[int] = []
-    for ci, poly in enumerate(polys):
-        starts.append(len(px))
-        for (x, y, z) in poly:
-            px.append(ux * x + uy * y + uz * z)
-            py.append(vx * x + vy * y + vz * z)
-            ph.append(dx * x + dy * y + dz * z)
-            curve_of.append(ci)
+    # Projected corners (px, py) and heights h, as flat lists.
+    px = [ux * x + uy * y + uz * z for x, y, z in points]
+    py = [vx * x + vy * y + vz * z for x, y, z in points]
+    ph = [dx * x + dy * y + dz * z for x, y, z in points]
     nv = len(px)
+    ns = len(seg_b)
 
-    # Segment s runs from corner s to corner nxt[s] (cyclic per polygon).
-    nxt: list[int] = [0] * nv
-    for ci, poly in enumerate(polys):
-        base = starts[ci]
-        m = len(poly)
-        for i in range(m):
-            nxt[base + i] = base + (i + 1) % m
-
-    for s in range(nv):
-        t = nxt[s]
-        if px[s] == px[t] and py[s] == py[t]:
-            return (FAIL_DEGENERATE_SEGMENT, (curve_of[s], s))
+    for s in range(ns):
+        a, b = seg_a[s], seg_b[s]
+        if px[a] == px[b] and py[a] == py[b]:
+            return (FAIL_DEGENERATE_SEGMENT, s)
 
     for a in range(nv):
         for b in range(a + 1, nv):
@@ -90,11 +102,11 @@ def find_crossings(polys, u, v, d):
 
     for w in range(nv):
         wx, wy = px[w], py[w]
-        for s in range(nv):
-            t = nxt[s]
-            if w == s or w == t:
+        for s in range(ns):
+            a, b = seg_a[s], seg_b[s]
+            if w == a or w == b:
                 continue
-            ax, ay, bx, by = px[s], py[s], px[t], py[t]
+            ax, ay, bx, by = px[a], py[a], px[b], py[b]
             ex, ey = bx - ax, by - ay
             rx, ry = wx - ax, wy - ay
             if ex * ry - ey * rx != 0:
@@ -104,22 +116,22 @@ def find_crossings(polys, u, v, d):
                 return (FAIL_VERTEX_ON_SEGMENT, (w, s))
 
     crossings = []
-    for si in range(nv):
-        ti = nxt[si]
-        ax, ay = px[si], py[si]
-        e1x, e1y = px[ti] - ax, py[ti] - ay
-        for sj in range(si + 1, nv):
-            tj = nxt[sj]
-            if sj in (si, ti) or tj in (si, ti):
+    for si in range(ns):
+        a, b = seg_a[si], seg_b[si]
+        ax, ay = px[a], py[a]
+        e1x, e1y = px[b] - ax, py[b] - ay
+        for sj in range(si + 1, ns):
+            c, e = seg_a[sj], seg_b[sj]
+            if c == a or c == b or e == a or e == b:
                 continue  # segments sharing a corner never cross transversally
-            cx, cy = px[sj], py[sj]
-            e2x, e2y = px[tj] - cx, py[tj] - cy
+            cx, cy = px[c], py[c]
+            e2x, e2y = px[e] - cx, py[e] - cy
             c1 = e1x * (cy - ay) - e1y * (cx - ax)
-            c2 = e1x * (py[tj] - ay) - e1y * (px[tj] - ax)
+            c2 = e1x * (py[e] - ay) - e1y * (px[e] - ax)
             if (c1 > 0) == (c2 > 0) or c1 == 0 or c2 == 0:
                 continue
             c3 = e2x * (ay - cy) - e2y * (ax - cx)
-            c4 = e2x * (py[ti] - cy) - e2y * (px[ti] - cx)
+            c4 = e2x * (py[b] - cy) - e2y * (px[b] - cx)
             if (c3 > 0) == (c4 > 0) or c3 == 0 or c4 == 0:
                 continue
             cr = e1x * e2y - e1y * e2x  # det(d_i, d_j); nonzero after the
@@ -129,8 +141,8 @@ def find_crossings(polys, u, v, d):
             den = cr
             if den < 0:
                 den, tnum, snum = -den, -tnum, -snum
-            hi = ph[si] * den + tnum * (ph[ti] - ph[si])
-            hj = ph[sj] * den + snum * (ph[tj] - ph[sj])
+            hi = ph[a] * den + tnum * (ph[b] - ph[a])
+            hj = ph[c] * den + snum * (ph[e] - ph[c])
             if hi == hj:
                 return (FAIL_INTERSECT_3D, (si, sj))
             i_over = 1 if hi > hj else 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -237,8 +237,3 @@ def cycle_count_complete(n: int, k: int) -> int:
     from math import comb, factorial
 
     return comb(n, k) * factorial(k - 1) // 2
-
-
-def iter_vertex_subsets(g: SimpleGraph, size: int) -> Iterator[tuple[int, ...]]:
-    """Ascending enumeration of vertex subsets of the given size."""
-    return combinations(g.vertices, size)

@@ -17,16 +17,23 @@ disagreement is an engine defect, raised as InvariantContractError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from itertools import count
+from typing import Callable, Iterable
 
-from .errors import InvariantContractError, OracleLimitExceeded
+from .errors import (
+    GenericityExhausted,
+    GenericityFailure,
+    InvariantContractError,
+    OracleLimitExceeded,
+)
 from .geometry import IntPoint
 from .projection import (
     FRAME_RETRY_LIMIT,
     GaussDiagram,
+    GraphProjection,
     LinkDiagram,
     Passage,
-    diagram_for,
+    curve_source,
     gauss_diagram,
 )
 
@@ -344,19 +351,32 @@ def _audit_link(d: LinkDiagram, value: int) -> None:
 
 
 def _verified_value(
-    curves: Sequence[tuple[IntPoint, ...]],
+    diagram_at: Callable[[int], LinkDiagram],
     evaluate: Callable[[LinkDiagram], int],
     audit: Callable[[LinkDiagram, int], None] | None,
-    seed,
     verify_frames: int,
     retry_limit: int,
 ) -> tuple[int, int, int, bool]:
+    """Evaluate on frames 0, 1, ... until `verify_frames` more agree.
+
+    `diagram_at(index)` gives the diagram at one frame or raises
+    GenericityFailure; GenericityExhausted is raised once `retry_limit`
+    frames have failed in total.
+    """
     value = None
     first_count = 0
     first_index = 0
     audited = False
     accepted = 0
-    for dia, index in diagram_for(curves, seed, retry_limit):
+    failures = 0
+    for index in count():
+        try:
+            dia = diagram_at(index)
+        except GenericityFailure as exc:
+            failures += 1
+            if failures >= retry_limit:
+                raise GenericityExhausted(failures, exc) from exc
+            continue
         v = evaluate(dia)
         if value is None:
             value, first_count, first_index = v, dia.crossing_count, index
@@ -373,6 +393,41 @@ def _verified_value(
     return value, first_count, first_index, audited
 
 
+def _evaluator(components: int, audit: bool):
+    if components == 1:
+        return _a2_of_diagram, _audit_knot if audit else None
+    return linking_number, _audit_link if audit else None
+
+
+def cycle_invariant(
+    graph: GraphProjection,
+    cycles: tuple[tuple[int, ...], ...],
+    verify_frames: int = 1,
+    retry_limit: int = FRAME_RETRY_LIMIT,
+    audit: bool = False,
+) -> tuple[int, int, int, bool, bool]:
+    """(value, crossing count, frame index, audited, fell back) for a cycle.
+
+    `cycles` is one cycle's vertex tuple (a2) or two disjoint ones (lk).
+    Diagrams are read from the whole-graph tables; "fell back" is true
+    when some frame used was not whole-graph generic, so the cycles were
+    projected on their own there.  Every other field equals what
+    `knot_invariant` / `link_invariant` return for the cycles' points
+    with the frame seed of `graph`.
+    """
+    fell_back = False
+
+    def diagram_at(index: int) -> LinkDiagram:
+        nonlocal fell_back
+        fell_back = fell_back or graph.tables[index] is None
+        return graph.diagram(cycles, index)
+
+    evaluate, check = _evaluator(len(cycles), audit)
+    return _verified_value(diagram_at, evaluate, check, verify_frames, retry_limit) + (
+        fell_back,
+    )
+
+
 def knot_invariant(
     points: tuple[IntPoint, ...],
     seed,
@@ -381,13 +436,9 @@ def knot_invariant(
     audit: bool = False,
 ) -> tuple[int, int, int, bool]:
     """(a2, crossing count, frame index, audited) for one closed polygon."""
+    evaluate, check = _evaluator(1, audit)
     return _verified_value(
-        (points,),
-        _a2_of_diagram,
-        _audit_knot if audit else None,
-        seed,
-        verify_frames,
-        retry_limit,
+        curve_source((points,), seed), evaluate, check, verify_frames, retry_limit
     )
 
 
@@ -400,11 +451,7 @@ def link_invariant(
     audit: bool = False,
 ) -> tuple[int, int, int, bool]:
     """(lk, crossing count, frame index, audited) for a curve pair."""
+    evaluate, check = _evaluator(2, audit)
     return _verified_value(
-        (points_a, points_b),
-        linking_number,
-        _audit_link if audit else None,
-        seed,
-        verify_frames,
-        retry_limit,
+        curve_source((points_a, points_b), seed), evaluate, check, verify_frames, retry_limit
     )

@@ -10,6 +10,17 @@ deterministic frame sequence.
 
 Every numeric decision in this pipeline is an integer sign test, so an
 accepted diagram is certified correct, not approximately correct.
+
+An embedded graph is projected once per frame (`crossing_table`): one
+scan over all segments of all edges applies the same checks to the
+whole graph.  Each check is a condition on a single segment, a pair of
+corners, a corner against a segment, or the crossings of one segment, so
+it can only gain violations as segments are added.  A frame that is
+generic for the whole graph is therefore generic for every cycle and
+cycle pair in it, and their diagrams are restrictions of the one table
+(`CrossingTable.restrict`), identical to what `project` returns.  Where
+the graph is not generic, cycles are projected on their own at that
+frame (`GraphProjection.diagram`).
 """
 
 from __future__ import annotations
@@ -18,11 +29,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from random import Random
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from . import kernels
+from . import _pykernels, kernels
 from .errors import GenericityExhausted, GenericityFailure
-from .geometry import IntPoint, _cross, _dot, _is_zero
+from .geometry import IntPoint, SpatialEmbedding, _cross, _dot, _is_zero
+from .graphs import Cycle
 
 FRAME_RETRY_LIMIT = 64
 
@@ -94,22 +106,6 @@ def frame_sequence(seed) -> Iterator[ProjectionFrame]:
         yield frame_from_direction(d)
 
 
-@dataclass(frozen=True)
-class Crossing:
-    """One transverse crossing of a regular diagram.
-
-    Segments are global indices into the concatenated walk of all
-    components; parameters locate the crossing exactly within each
-    segment, strictly between its ends.
-    """
-
-    over_segment: int
-    under_segment: int
-    sign: int
-    over_param: Fraction
-    under_param: Fraction
-
-
 Passage = tuple[int, int]  # (crossing id, 1 if passing over else 0)
 
 
@@ -119,15 +115,12 @@ class LinkDiagram:
 
     `passages[c]` lists, in traversal order from component c's basepoint,
     the crossings met along c with an over/under flag; `signs[i]` is the
-    sign of crossing i.  `components` keeps the projected source polygons
-    when the diagram came from geometry, and is None for diagrams built
-    combinatorially (the skein oracle needs only passages and signs).
+    sign of crossing i.  Passages and signs are all any invariant, or the
+    skein oracle, reads.
     """
 
     passages: tuple[tuple[Passage, ...], ...]
     signs: tuple[int, ...]
-    crossings: tuple[Crossing, ...] | None = None
-    components: tuple[tuple[IntPoint, ...], ...] | None = None
 
     @property
     def component_count(self) -> int:
@@ -136,16 +129,6 @@ class LinkDiagram:
     @property
     def crossing_count(self) -> int:
         return len(self.signs)
-
-    def writhe_partition(self) -> tuple[int, int]:
-        """(sum of self-crossing signs, sum of mutual-crossing signs)."""
-        comp_of: dict[int, set[int]] = {}
-        for ci, ps in enumerate(self.passages):
-            for cid, _ in ps:
-                comp_of.setdefault(cid, set()).add(ci)
-        self_sum = sum(self.signs[c] for c, cs in comp_of.items() if len(cs) == 1)
-        mutual_sum = sum(self.signs[c] for c, cs in comp_of.items() if len(cs) == 2)
-        return self_sum, mutual_sum
 
 
 def project(curves: Sequence[tuple[IntPoint, ...]], frame: ProjectionFrame) -> LinkDiagram:
@@ -170,20 +153,26 @@ def project(curves: Sequence[tuple[IntPoint, ...]], frame: ProjectionFrame) -> L
     return _assemble(polys, payload)
 
 
-def _assemble(polys, raw) -> LinkDiagram:
-    nseg = sum(len(p) for p in polys)
-    on_segment: list[list[tuple[int, int, int]]] = [[] for _ in range(nseg)]
-    for idx, (si, sj, tn, sn, den, i_over, sign) in enumerate(raw):
-        on_segment[si].append((tn, den, idx))
-        on_segment[sj].append((sn, den, idx))
+def _segment_orders(nseg: int, raw) -> list[list[int]]:
+    """Indices of the raw crossings along each segment, in parameter order.
 
-    # Exact parameter sort along each segment; a tie is two crossings at
-    # one diagram point, which a generic frame must not produce.
+    The sort is exact; a tie is two crossings at one diagram point, which
+    a generic frame must not produce.
+    """
+    on_segment: list[list[tuple[Fraction, int]]] = [[] for _ in range(nseg)]
+    for idx, (si, sj, tn, sn, den, _, _) in enumerate(raw):
+        on_segment[si].append((Fraction(tn, den), idx))
+        on_segment[sj].append((Fraction(sn, den), idx))
     for s, items in enumerate(on_segment):
-        items.sort(key=lambda it: Fraction(it[0], it[1]))
-        for (n1, d1, a), (n2, d2, b) in zip(items, items[1:]):
-            if n1 * d2 == n2 * d1:
+        items.sort()
+        for (t1, a), (t2, b) in zip(items, items[1:]):
+            if t1 == t2:
                 raise GenericityFailure("triple-point", (s, a, b))
+    return [[idx for _, idx in items] for items in on_segment]
+
+
+def _assemble(polys, raw) -> LinkDiagram:
+    orders = _segment_orders(sum(len(p) for p in polys), raw)
 
     seg_of_curve: list[range] = []
     base = 0
@@ -197,28 +186,17 @@ def _assemble(polys, raw) -> LinkDiagram:
     for ci, segs in enumerate(seg_of_curve):
         ps: list[Passage] = []
         for s in segs:
-            for _, _, idx in on_segment[s]:
+            for idx in orders[s]:
                 cid = relabel.setdefault(idx, len(relabel))
                 over = 1 if (raw[idx][5] == 1) == (raw[idx][0] == s) else 0
                 ps.append((cid, over))
         passages.append(tuple(ps))
 
     signs = [0] * len(raw)
-    crossings: list[Crossing | None] = [None] * len(raw)
-    for idx, (si, sj, tn, sn, den, i_over, sign) in enumerate(raw):
-        cid = relabel.setdefault(idx, len(relabel))
-        signs[cid] = sign
-        if i_over:
-            crossings[cid] = Crossing(si, sj, sign, Fraction(tn, den), Fraction(sn, den))
-        else:
-            crossings[cid] = Crossing(sj, si, sign, Fraction(sn, den), Fraction(tn, den))
+    for idx, crossing in enumerate(raw):
+        signs[relabel[idx]] = crossing[6]
 
-    diagram = LinkDiagram(
-        passages=tuple(passages),
-        signs=tuple(signs),
-        crossings=tuple(crossings),
-        components=polys,
-    )
+    diagram = LinkDiagram(passages=tuple(passages), signs=tuple(signs))
     if diagram.component_count == 2:
         mutual = sum(
             1
@@ -250,6 +228,180 @@ def diagram_for(
             last = exc
             if failures >= retry_limit:
                 raise GenericityExhausted(failures, last) from exc
+
+
+def curve_source(
+    curves: Sequence[tuple[IntPoint, ...]], seed
+) -> Callable[[int], LinkDiagram]:
+    """Diagram of the curves at frame `index` of `frame_sequence(seed)`.
+
+    The returned callable projects afresh on every call and raises
+    GenericityFailure where that frame is not generic for the curves.
+    """
+    frames = frame_sequence(seed)
+    seen: list[ProjectionFrame] = []
+
+    def diagram_at(index: int) -> LinkDiagram:
+        while len(seen) <= index:
+            seen.append(next(frames))
+        return project(curves, seen[index])
+
+    return diagram_at
+
+
+# ---------------------------------------------------------------------------
+# Whole-graph crossing tables
+
+Edge = tuple[int, int]
+# (crossing id, other strand's edge, 1 if this strand passes over else 0,
+#  sign with both edges oriented from the smaller vertex to the larger)
+EdgePass = tuple[int, Edge, int, int]
+
+
+@dataclass(frozen=True)
+class CrossingTable:
+    """Every crossing of a whole embedded graph at one generic frame.
+
+    `forward[edge]` lists the crossings met along edge (i, j), i < j,
+    walked from i to j: its segments in order and each segment's
+    crossings in parameter order.  `backward[edge]` is the same list for
+    the walk from j to i.
+    """
+
+    forward: dict[Edge, tuple[EdgePass, ...]]
+    backward: dict[Edge, tuple[EdgePass, ...]]
+
+    def restrict(self, cycles: Sequence[tuple[int, ...]]) -> LinkDiagram:
+        """The diagram of one cycle or a disjoint pair, as `project` builds it.
+
+        Each cycle is walked from its first vertex along its vertex
+        order, as `cycle_points_scaled` lists its points.  Only crossings
+        between edges of the given cycles are kept, relabelled by first
+        encounter.  Reversing a strand flips its direction in the sign's
+        determinant, so a sign is the table's sign times the orientation
+        factor (+1 or -1) of each of its two edges.
+        """
+        factor: dict[Edge, int] = {}
+        walks = []
+        for vs in cycles:
+            steps = []
+            for a, b in zip(vs, vs[1:] + vs[:1]):
+                if a < b:
+                    factor[(a, b)] = 1
+                    steps.append((self.forward[(a, b)], 1))
+                else:
+                    factor[(b, a)] = -1
+                    steps.append((self.backward[(b, a)], -1))
+            walks.append(steps)
+        relabel: dict[int, int] = {}
+        signs: list[int] = []
+        passages = []
+        for steps in walks:
+            ps: list[Passage] = []
+            for items, f in steps:
+                for gid, other, over, sign in items:
+                    g = factor.get(other)
+                    if g is None:
+                        continue
+                    cid = relabel.get(gid)
+                    if cid is None:
+                        cid = relabel[gid] = len(signs)
+                        signs.append(sign * f * g)
+                    ps.append((cid, over))
+            passages.append(tuple(ps))
+        return LinkDiagram(tuple(passages), tuple(signs))
+
+
+def crossing_table(e: SpatialEmbedding, frame: ProjectionFrame) -> CrossingTable:
+    """Scan every segment pair of the embedded graph through one frame.
+
+    Runs the per-cycle kernel's scan (`_pykernels.scan_segments`) on all
+    segments of all edges, each oriented from its smaller vertex, and
+    raises GenericityFailure at the first check that fails.  Two
+    segments that meet at a crossing's height raise the condition
+    "intersect-3d" rather than ValueError: the frame is then only not
+    whole-graph generic, and a per-cycle `project` reports the touch for
+    the cycles that contain it.
+    """
+    vertices = sorted(e.scaled_positions)
+    corner_of = {v: k for k, v in enumerate(vertices)}
+    points = [e.scaled_positions[v] for v in vertices]
+    seg_edge: list[Edge] = []
+    seg_a: list[int] = []
+    seg_b: list[int] = []
+    for edge in sorted(e.graph.edges):
+        chain = [corner_of[edge[0]]]
+        for p in e.scaled_paths.get(edge, ()):
+            chain.append(len(points))
+            points.append(p)
+        chain.append(corner_of[edge[1]])
+        seg_edge.extend([edge] * (len(chain) - 1))
+        seg_a.extend(chain[:-1])
+        seg_b.extend(chain[1:])
+    status, raw = _pykernels.scan_segments(
+        points, seg_a, seg_b, frame.axis_u, frame.axis_v, frame.direction
+    )
+    if status != kernels.OK:
+        raise GenericityFailure(_FAIL_NAMES.get(status, "intersect-3d"), raw)
+
+    forward: dict[Edge, list[EdgePass]] = {edge: [] for edge in e.graph.edges}
+    for s, order in enumerate(_segment_orders(len(seg_edge), raw)):
+        passes = forward[seg_edge[s]]
+        for gid in order:
+            si, sj, _, _, _, i_over, sign = raw[gid]
+            other, over = (sj, i_over) if si == s else (si, 1 - i_over)
+            passes.append((gid, seg_edge[other], over, sign))
+    return CrossingTable(
+        forward={edge: tuple(ps) for edge, ps in forward.items()},
+        backward={edge: tuple(reversed(ps)) for edge, ps in forward.items()},
+    )
+
+
+class GraphProjection:
+    """Whole-graph crossing tables along one embedding's frame sequence.
+
+    Holds the frames 0..last of `frame_sequence(seed)` and, per frame,
+    its `CrossingTable`, or None where the graph is not generic.  The
+    prefix stops at the (verify_frames + 1)-th generic frame, or once
+    verify_frames + retry_limit frames have been tried: a record
+    accepts at every generic frame and gives up after retry_limit
+    failures, so no record can look past that prefix.
+    """
+
+    def __init__(self, e: SpatialEmbedding, seed, verify_frames: int, retry_limit: int):
+        self.embedding = e
+        self.frames: list[ProjectionFrame] = []
+        self.tables: list[CrossingTable | None] = []
+        self.rejects: dict[str, int] = {}
+        wanted = max(verify_frames, 0) + 1
+        budget = wanted + max(retry_limit, 1) - 1
+        generic = 0
+        for frame in frame_sequence(seed):
+            try:
+                table = crossing_table(e, frame)
+                generic += 1
+            except GenericityFailure as exc:
+                table = None
+                self.rejects[exc.condition] = self.rejects.get(exc.condition, 0) + 1
+            self.frames.append(frame)
+            self.tables.append(table)
+            if generic >= wanted or len(self.frames) >= budget:
+                break
+
+    def curves(self, cycles: Sequence[tuple[int, ...]]) -> tuple[tuple[IntPoint, ...], ...]:
+        return tuple(self.embedding.cycle_points_scaled(Cycle(vs)) for vs in cycles)
+
+    def diagram(self, cycles: Sequence[tuple[int, ...]], index: int) -> LinkDiagram:
+        """The cycles' diagram at frame `index`.
+
+        At a whole-graph generic frame this is the table's restriction;
+        elsewhere it is the per-cycle `project` at that same frame, which
+        may raise GenericityFailure.
+        """
+        table = self.tables[index]
+        if table is not None:
+            return table.restrict(cycles)
+        return project(self.curves(cycles), self.frames[index])
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial
 from multiprocessing import Pool
 
@@ -47,11 +48,10 @@ from .graphs import (
 from .invariants import (
     InvariantRecord,
     classify_triangle_triangle,
-    knot_invariant,
-    link_invariant,
+    cycle_invariant,
     stick_bound_a2,
 )
-from .projection import FRAME_RETRY_LIMIT
+from .projection import FRAME_RETRY_LIMIT, GraphProjection
 
 HAMILTONIAN_CEILING = 10
 WITNESS_CAP = 128
@@ -67,14 +67,18 @@ def default_threads() -> int:
     return 1
 
 
-def _knot_task(args):
-    points, seed, verify_frames, retry_limit, audit = args
-    return knot_invariant(points, seed, verify_frames, retry_limit, audit)
+# Set in each pool worker by its initializer: the record function with
+# the analysis's whole-graph tables bound in, shipped once per worker.
+_worker_record = None
 
 
-def _link_task(args):
-    pa, pb, seed, verify_frames, retry_limit, audit = args
-    return link_invariant(pa, pb, seed, verify_frames, retry_limit, audit)
+def _init_worker(record) -> None:
+    global _worker_record
+    _worker_record = record
+
+
+def _record_task(cycles):
+    return _worker_record(cycles)
 
 
 class EmbeddingAnalysis:
@@ -84,6 +88,9 @@ class EmbeddingAnalysis:
     identity that needs them.  Work is data-parallel over cycles with a
     deterministic reduction order (sorted canonical keys), so sums do
     not depend on the worker count.
+
+    Diagrams are read from whole-graph crossing tables, one per frame,
+    built on the first request for records and freed with the analysis.
     """
 
     def __init__(
@@ -107,6 +114,8 @@ class EmbeddingAnalysis:
         self._links: dict[tuple, tuple[InvariantRecord, ...]] = {}
         self.audited_knots = 0
         self.audited_links = 0
+        self._projection: GraphProjection | None = None
+        self._fallback_records = 0
 
     @property
     def n(self) -> int:
@@ -116,12 +125,41 @@ class EmbeddingAnalysis:
     def graph(self) -> SimpleGraph:
         return self.embedding.graph
 
-    def _run(self, worker, tasks):
-        if self.threads > 1 and len(tasks) > 16:
-            chunk = max(1, len(tasks) // (self.threads * 8))
-            with Pool(self.threads) as pool:
-                return pool.map(worker, tasks, chunksize=chunk)
-        return [worker(t) for t in tasks]
+    @property
+    def stats(self) -> dict:
+        """Whole-graph frames tried and rejected, and per-cycle fallbacks.
+
+        Counts only, the same for every worker count; they never enter
+        the reports.
+        """
+        g = self._projection
+        return {
+            "graph_frames_tried": 0 if g is None else len(g.frames),
+            "graph_frame_rejects": {} if g is None else dict(sorted(g.rejects.items())),
+            "fallback_records": self._fallback_records,
+        }
+
+    def _invariants(self, subjects: list[tuple[tuple[int, ...], ...]]):
+        """`cycle_invariant` of each subject, counting fallbacks in the stats."""
+        if self._projection is None:
+            self._projection = GraphProjection(
+                self.embedding, self.seed, self.verify_frames, self.retry_limit
+            )
+        record = partial(
+            cycle_invariant,
+            self._projection,
+            verify_frames=self.verify_frames,
+            retry_limit=self.retry_limit,
+            audit=self.audit,
+        )
+        if self.threads > 1 and len(subjects) > 16:
+            chunk = max(1, len(subjects) // (self.threads * 8))
+            with Pool(self.threads, initializer=_init_worker, initargs=(record,)) as pool:
+                results = pool.map(_record_task, subjects, chunksize=chunk)
+        else:
+            results = [record(s) for s in subjects]
+        self._fallback_records += sum(r[4] for r in results)
+        return results
 
     def knot_records(
         self, k: int, subgraph: SimpleGraph | None = None, tag: str = ""
@@ -136,20 +174,9 @@ class EmbeddingAnalysis:
                 f"Hamiltonian sums above n={HAMILTONIAN_CEILING} need the override"
             )
         cycles = enumerate_cycles(g, k)
-        e = self.embedding
-        tasks = [
-            (
-                e.cycle_points_scaled(c),
-                self.seed,
-                self.verify_frames,
-                self.retry_limit,
-                self.audit,
-            )
-            for c in cycles
-        ]
         out = []
-        for c, (value, ncross, fidx, audited) in zip(
-            cycles, self._run(_knot_task, tasks)
+        for c, (value, ncross, fidx, audited, _) in zip(
+            cycles, self._invariants([(c.vertices,) for c in cycles])
         ):
             self.audited_knots += 1 if audited else 0
             rec = InvariantRecord(
@@ -186,22 +213,10 @@ class EmbeddingAnalysis:
         if key in self._links:
             return self._links[key]
         pairs = enumerate_disjoint_pairs(self.graph, *key)
-        e = self.embedding
-        tasks = [
-            (
-                e.cycle_points_scaled(p.first),
-                e.cycle_points_scaled(p.second),
-                self.seed,
-                self.verify_frames,
-                self.retry_limit,
-                self.audit,
-            )
-            for p in pairs
-        ]
         out = []
         rectilinear = self.embedding.rectilinear
-        for p, (value, ncross, fidx, audited) in zip(
-            pairs, self._run(_link_task, tasks)
+        for p, (value, ncross, fidx, audited, _) in zip(
+            pairs, self._invariants([(p.first.vertices, p.second.vertices) for p in pairs])
         ):
             self.audited_links += 1 if audited else 0
             rec = InvariantRecord(
@@ -842,10 +857,6 @@ def verify_embedding(
     for ident in selection:
         reports.append(_VERIFIERS[ident](analysis=a, raise_on_fail=raise_on_fail))
     return reports, a
-
-
-def _is_passed(rep) -> bool:
-    return bool(rep.passed)
 
 
 def census(e: SpatialEmbedding, analysis: EmbeddingAnalysis | None = None, **kw) -> CensusReport:
