@@ -17,15 +17,9 @@ disagreement is an engine defect, raised as InvariantContractError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
 from typing import Callable, Iterable
 
-from .errors import (
-    GenericityExhausted,
-    GenericityFailure,
-    InvariantContractError,
-    OracleLimitExceeded,
-)
+from .errors import InvariantContractError, OracleLimitExceeded
 from .geometry import IntPoint
 from .projection import (
     FRAME_RETRY_LIMIT,
@@ -33,6 +27,7 @@ from .projection import (
     GraphProjection,
     LinkDiagram,
     Passage,
+    accepted_diagrams,
     curve_source,
     gauss_diagram,
 )
@@ -368,15 +363,7 @@ def _verified_value(
     first_index = 0
     audited = False
     accepted = 0
-    failures = 0
-    for index in count():
-        try:
-            dia = diagram_at(index)
-        except GenericityFailure as exc:
-            failures += 1
-            if failures >= retry_limit:
-                raise GenericityExhausted(failures, exc) from exc
-            continue
+    for dia, index in accepted_diagrams(diagram_at, retry_limit):
         v = evaluate(dia)
         if value is None:
             value, first_count, first_index = v, dia.crossing_count, index

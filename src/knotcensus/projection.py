@@ -208,26 +208,27 @@ def _assemble(polys, raw) -> LinkDiagram:
     return diagram
 
 
-def diagram_for(
-    curves: Sequence[tuple[IntPoint, ...]],
-    seed,
-    retry_limit: int = FRAME_RETRY_LIMIT,
+def accepted_diagrams(
+    diagram_at: Callable[[int], LinkDiagram], retry_limit: int = FRAME_RETRY_LIMIT
 ) -> Iterator[tuple[LinkDiagram, int]]:
-    """Yield certified diagrams of the curves along the frame sequence.
+    """Yield (diagram, frame_index) for each frame where `diagram_at` succeeds.
 
-    Yields (diagram, frame_index) for each accepted frame; raises
-    GenericityExhausted once `retry_limit` frames have failed in total.
+    `diagram_at(index)` gives the diagram at frame `index` or raises
+    GenericityFailure; GenericityExhausted is raised once `retry_limit`
+    frames have failed in total.
     """
     failures = 0
-    last: GenericityFailure | None = None
-    for index, frame in enumerate(frame_sequence(seed)):
+    index = 0
+    while True:
         try:
-            yield project(curves, frame), index
+            dia = diagram_at(index)
         except GenericityFailure as exc:
             failures += 1
-            last = exc
             if failures >= retry_limit:
-                raise GenericityExhausted(failures, last) from exc
+                raise GenericityExhausted(failures, exc) from exc
+        else:
+            yield dia, index
+        index += 1
 
 
 def curve_source(
@@ -249,6 +250,15 @@ def curve_source(
     return diagram_at
 
 
+def diagram_for(
+    curves: Sequence[tuple[IntPoint, ...]],
+    seed,
+    retry_limit: int = FRAME_RETRY_LIMIT,
+) -> Iterator[tuple[LinkDiagram, int]]:
+    """Yield certified diagrams of the curves along the frame sequence."""
+    return accepted_diagrams(curve_source(curves, seed), retry_limit)
+
+
 # ---------------------------------------------------------------------------
 # Whole-graph crossing tables
 
@@ -264,12 +274,11 @@ class CrossingTable:
 
     `forward[edge]` lists the crossings met along edge (i, j), i < j,
     walked from i to j: its segments in order and each segment's
-    crossings in parameter order.  `backward[edge]` is the same list for
-    the walk from j to i.
+    crossings in parameter order; the walk from j to i meets them in
+    reverse.
     """
 
     forward: dict[Edge, tuple[EdgePass, ...]]
-    backward: dict[Edge, tuple[EdgePass, ...]]
 
     def restrict(self, cycles: Sequence[tuple[int, ...]]) -> LinkDiagram:
         """The diagram of one cycle or a disjoint pair, as `project` builds it.
@@ -291,7 +300,7 @@ class CrossingTable:
                     steps.append((self.forward[(a, b)], 1))
                 else:
                     factor[(b, a)] = -1
-                    steps.append((self.backward[(b, a)], -1))
+                    steps.append((reversed(self.forward[(b, a)]), -1))
             walks.append(steps)
         relabel: dict[int, int] = {}
         signs: list[int] = []
@@ -351,10 +360,7 @@ def crossing_table(e: SpatialEmbedding, frame: ProjectionFrame) -> CrossingTable
             si, sj, _, _, _, i_over, sign = raw[gid]
             other, over = (sj, i_over) if si == s else (si, 1 - i_over)
             passes.append((gid, seg_edge[other], over, sign))
-    return CrossingTable(
-        forward={edge: tuple(ps) for edge, ps in forward.items()},
-        backward={edge: tuple(reversed(ps)) for edge, ps in forward.items()},
-    )
+    return CrossingTable(forward={edge: tuple(ps) for edge, ps in forward.items()})
 
 
 class GraphProjection:

@@ -109,7 +109,7 @@ def test_restriction_handles_reversed_edges_with_several_crossings():
     busy = 0
     for subject in _subjects(e, range(3, 8)):
         edges = {(a, b) for vs in subject for a, b in zip(vs, vs[1:] + vs[:1]) if a > b}
-        crossings = sum(len(g.tables[index].backward[(b, a)]) for a, b in edges)
+        crossings = sum(len(g.tables[index].forward[(b, a)]) for a, b in edges)
         restricted = g.diagram(subject, index)
         projected = project(g.curves(subject), g.frames[index])
         assert (restricted.passages, restricted.signs) == (projected.passages, projected.signs)
