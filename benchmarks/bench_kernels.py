@@ -1,14 +1,14 @@
-"""Timing comparison of the pure-Python and compiled crossing kernels.
+"""Per-call timing of the exact crossing kernel.
 
-Benchmarks the kernel layer only: the same per-cycle projection scans
-run through every available backend, reporting per-call time and
-relative speedup.  Representative inputs: Hamiltonian cycles of random
-straight-line K_n for a few n, plus triangle pairs.
+Benchmarks the kernel layer only: per-cycle projection scans through
+`kernels.find_crossings`, reporting best-of per-call time.
+Representative inputs: Hamiltonian cycles of random straight-line K_n
+for a few n, plus triangle pairs.
 
-`verify` and `census` read their diagrams from one whole-graph crossing
-table per frame, so this kernel runs there only on frames where the
-whole graph is not generic; the `invariant` subcommand still runs it on
-every frame.  Speed claims about those commands come from the
+`verify` and `census` run the kernel's body (`_pykernels.scan_segments`)
+once per frame over the whole graph and call this per-cycle entry point
+only at frames where the whole graph is not generic; the `invariant`
+subcommand calls it on every frame.  Speed claims about those commands come from the
 end-to-end benchmark, `perfbench/run.py`.
 
 Usage: python benchmarks/bench_kernels.py [--repeat 200] [--sizes 6,7,8,9]
@@ -21,7 +21,7 @@ import time
 
 from knotcensus.geometry import random_rectilinear_embedding
 from knotcensus.graphs import enumerate_cycles, enumerate_disjoint_pairs
-from knotcensus.kernels import backends
+from knotcensus.kernels import find_crossings
 from knotcensus.projection import frame_sequence
 
 
@@ -51,13 +51,13 @@ def workloads(sizes):
     return out
 
 
-def bench(kernel, polys_list, frames, repeat):
+def bench(polys_list, frames, repeat):
     best = None
     for _ in range(repeat):
         start = time.perf_counter()
         for polys in polys_list:
             for frame in frames:
-                kernel(polys, frame.axis_u, frame.axis_v, frame.direction)
+                find_crossings(polys, frame.axis_u, frame.axis_v, frame.direction)
         elapsed = time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
     return best / (len(polys_list) * len(frames))
@@ -74,19 +74,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     sizes = [int(s) for s in args.sizes.split(",")]
     frames = take_frames(0, args.frames)
-    impls = backends()
-    names = sorted(impls)
-    print(f"backends: {', '.join(names)}")
-    header = f"{'workload':<24}" + "".join(f"{n:>14}" for n in names)
-    if len(names) == 2:
-        header += f"{'speedup':>10}"
-    print(header)
+    print(f"{'workload':<24}{'per call':>14}")
     for label, polys_list in workloads(sizes):
-        per = {n: bench(impls[n], polys_list, frames, args.repeat) for n in names}
-        row = f"{label:<24}" + "".join(f"{per[n] * 1e6:>11.1f} us" for n in names)
-        if len(names) == 2:
-            row += f"{per['pure'] / per['compiled']:>9.1f}x"
-        print(row)
+        per = bench(polys_list, frames, args.repeat)
+        print(f"{label:<24}{per * 1e6:>11.1f} us")
     return 0
 
 

@@ -1,28 +1,11 @@
-"""Build hook: compiles the optional exact-arithmetic kernel.
+"""Packaging shim: knotcensus is pure Python and all metadata lives in
+pyproject.toml.
 
-A fixed-width (128-bit) implementation of the segment-pair kernel is
-built as `knotcensus._ckernels` from the shipped C source
-`src/knotcensus/_ckernels.c`.  Building needs only a C compiler and the
-Python headers; Cython is needed only to regenerate that C after
-`_ckernels.pyx` is edited (`cython -3 src/knotcensus/_ckernels.pyx`).
-The package stays pure Python when KNOTCENSUS_PURE=1 is set, which
-skips the build, or when no C compiler is available: the extension is
-optional, so a failed compile is reported as a warning and the pure
-kernel is used.  Every public result is identical with or without it.
+It stays because `perfbench/run.py` builds the package in place with
+`python setup.py build_ext --inplace` before it times anything; with no
+extension modules declared, that command does nothing and exits 0.
 """
 
-import os
+from setuptools import setup
 
-from setuptools import Extension, setup
-
-ext_modules = []
-if os.environ.get("KNOTCENSUS_PURE") != "1":
-    ext_modules = [
-        Extension(
-            "knotcensus._ckernels",
-            ["src/knotcensus/_ckernels.c"],
-            optional=True,
-        )
-    ]
-
-setup(ext_modules=ext_modules)
+setup()

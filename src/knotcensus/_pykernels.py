@@ -8,18 +8,12 @@ comparison, and the crossing sign.  Also performs the genericity checks
 that make the projection a regular diagram; any violation aborts the scan
 with a status code so the caller can move to the next frame.
 
-This module is the reference implementation; `_ckernels` is a compiled
-twin restricted to 128-bit intermediates.  Both must return identical
-results on every input the compiled one accepts.
-
 Status codes (module constants):
   OK                      crossings found, diagram is regular so far
   FAIL_DEGENERATE_SEGMENT a segment projects to a point
   FAIL_VERTEX_COINCIDE    two corner points share a projection
   FAIL_VERTEX_ON_SEGMENT  a corner projects into a foreign segment
   FAIL_INTERSECT_3D       the curves themselves touch in 3-space
-  FALLBACK_OVERFLOW       compiled kernel only: inputs too large, retry
-                          with the pure kernel
 
 A crossing is reported as (gi, gj, ti_num, tj_num, den, i_over, sign):
 global segment indices gi < gj, exact parameters ti_num/den along segment
@@ -42,7 +36,6 @@ FAIL_DEGENERATE_SEGMENT = 1
 FAIL_VERTEX_COINCIDE = 2
 FAIL_VERTEX_ON_SEGMENT = 3
 FAIL_INTERSECT_3D = 4
-FALLBACK_OVERFLOW = 5
 
 
 def find_crossings(polys, u, v, d):

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 
 class KnotCensusError(Exception):
-    """Base class for package-specific failures."""
+    """Base class for package-specific failures.
+
+    Subclasses whose constructor takes fields rather than the message
+    define `__reduce__` to rebuild from those fields: the default pickle
+    round trip (used to return a worker's exception through the process
+    pool) calls the constructor with the formatted message instead.
+    """
 
 
 class SamplingExhausted(KnotCensusError):
@@ -19,6 +25,9 @@ class SamplingExhausted(KnotCensusError):
             f"no general-position configuration after {attempts} attempts "
             f"(coordinate range {coord_range})"
         )
+
+    def __reduce__(self):
+        return (type(self), (self.attempts, self.coord_range))
 
 
 class GenericityFailure(KnotCensusError):
@@ -36,6 +45,9 @@ class GenericityFailure(KnotCensusError):
             msg += f" {detail!r}"
         super().__init__(msg)
 
+    def __reduce__(self):
+        return (type(self), (self.condition, self.detail))
+
 
 class GenericityExhausted(KnotCensusError):
     """Every frame in the retry budget failed a genericity check."""
@@ -44,6 +56,9 @@ class GenericityExhausted(KnotCensusError):
         self.attempts = attempts
         self.last = last
         super().__init__(f"no generic projection frame after {attempts} attempts")
+
+    def __reduce__(self):
+        return (type(self), (self.attempts, self.last))
 
 
 class OracleLimitExceeded(KnotCensusError):
@@ -76,3 +91,6 @@ class IdentityViolation(KnotCensusError):
             f"identity {report.identity_id} violated at n={report.n}: "
             f"lhs={report.lhs} rhs={report.rhs}"
         )
+
+    def __reduce__(self):
+        return (type(self), (self.report, self.witness_path))

@@ -1,18 +1,12 @@
-"""Crossing-kernel backend selection.
+"""Public face of the exact segment-pair crossing kernel.
 
-Two interchangeable implementations of the segment-pair scan exist: the
-pure-Python reference in `_pykernels` (arbitrary precision, always
-available) and an optional compiled twin `_ckernels` whose intermediates
-are 128-bit integers.  Every call is routed to the compiled kernel only
-when a conservative worst-case bound proves no intermediate can reach
-127 bits; otherwise, and whenever the extension is missing or disabled
-with KNOTCENSUS_PURE=1, the pure kernel runs.  Results are identical by
-contract (and by test).
+The kernel itself is the pure-Python, arbitrary-precision scan in
+`_pykernels`; this module re-exports its status codes and entry point
+under the names the rest of the package, the benchmarks and the tests
+use.
 """
 
 from __future__ import annotations
-
-import os
 
 from . import _pykernels
 from ._pykernels import (
@@ -20,58 +14,23 @@ from ._pykernels import (
     FAIL_INTERSECT_3D,
     FAIL_VERTEX_COINCIDE,
     FAIL_VERTEX_ON_SEGMENT,
-    FALLBACK_OVERFLOW,
     OK,
 )
 
-_compiled = None
-if os.environ.get("KNOTCENSUS_PURE") != "1":
-    try:
-        from . import _ckernels as _compiled  # type: ignore[attr-defined]
-    except ImportError:
-        _compiled = None
-
-_COMPILED_MAX_POINTS = 256
-
-# Largest value any kernel intermediate can take is 24 * (3 F M)^3 for
-# frame components bounded by F and coordinates bounded by M; the
-# compiled path requires that to stay under 2^126.
-_I128_HEADROOM = 2**126
-
-
-def _fits_compiled(polys, u, v, d) -> bool:
-    if _compiled is None:
-        return False
-    npts = sum(len(p) for p in polys)
-    if npts > _COMPILED_MAX_POINTS:
-        return False
-    f = max(abs(c) for vec in (u, v, d) for c in vec)
-    m = 1
-    for poly in polys:
-        for p in poly:
-            for c in p:
-                a = -c if c < 0 else c
-                if a > m:
-                    m = a
-    pb = 3 * f * m
-    return 24 * pb * pb * pb < _I128_HEADROOM
-
 
 def find_crossings(polys, u, v, d):
-    """Dispatch one scan to the best applicable backend."""
-    if _fits_compiled(polys, u, v, d):
-        return _compiled.find_crossings(polys, u, v, d)
+    """Scan the projected segment pairs of one or two closed polygons.
+
+    See `_pykernels.find_crossings` for the arguments and the result.
+    """
     return _pykernels.find_crossings(polys, u, v, d)
 
 
 def backend_name() -> str:
-    """"compiled" when the extension is loaded and permitted, else "pure"."""
-    return "pure" if _compiled is None else "compiled"
+    """Name of the kernel every scan runs on: always "pure"."""
+    return "pure"
 
 
 def backends() -> dict[str, object]:
-    """Callable kernels by name, for benchmarks and equivalence tests."""
-    out = {"pure": _pykernels.find_crossings}
-    if _compiled is not None:
-        out["compiled"] = _compiled.find_crossings
-    return out
+    """Callable kernels by name, for benchmarks."""
+    return {"pure": _pykernels.find_crossings}

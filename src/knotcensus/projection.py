@@ -86,9 +86,9 @@ def frame_sequence(seed) -> Iterator[ProjectionFrame]:
     """Deterministic infinite sequence of candidate frames.
 
     Directions are drawn from a seeded generator, small components first
-    so the compiled kernel's fixed-width budget is generous; after a few
-    dozen failures the pool widens.  The same seed always yields the
-    same sequence, on every platform.
+    so the kernel's exact integers stay small; after a few dozen failures
+    the pool widens.  The same seed always yields the same sequence, on
+    every platform.
     """
     rng = Random(f"frames:{seed}")
     emitted = 0

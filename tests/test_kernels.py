@@ -1,12 +1,8 @@
-"""Pure and compiled crossing kernels must agree bit for bit."""
+"""The exact crossing kernel: failure statuses, scale invariance, determinism."""
 
 from __future__ import annotations
 
-import os
-import shutil
-import sysconfig
-
-import pytest
+from fractions import Fraction
 
 from knotcensus import kernels
 from knotcensus.geometry import moment_curve_embedding, random_rectilinear_embedding
@@ -17,33 +13,8 @@ from knotcensus.kernels import (
     FAIL_VERTEX_COINCIDE,
     FAIL_VERTEX_ON_SEGMENT,
     OK,
-    backends,
 )
 from knotcensus.projection import frame_sequence
-
-BOTH = sorted(backends())
-
-# The documented build produces no extension with KNOTCENSUS_PURE=1, without
-# a C compiler or without the Python headers; tests that assert the extension
-# exists are skipped there and only there.
-_CC = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "").split()
-needs_extension = pytest.mark.skipif(
-    os.environ.get("KNOTCENSUS_PURE") == "1"
-    or not _CC
-    or shutil.which(_CC[0]) is None
-    or not os.path.exists(os.path.join(sysconfig.get_paths()["include"], "Python.h")),
-    reason="the build cannot produce the compiled kernel here "
-    "(KNOTCENSUS_PURE=1, no C compiler or no Python.h)",
-)
-
-
-@needs_extension
-def test_compiled_backend_is_available():
-    # The build ships the extension; equivalence tests below are only
-    # meaningful when both implementations actually run.
-    assert "pure" in backends()
-    assert kernels.backend_name() in ("pure", "compiled")
-    assert "compiled" in backends(), "compiled extension missing from build"
 
 
 def _frames(seed, count):
@@ -51,96 +22,51 @@ def _frames(seed, count):
     return [next(gen) for _ in range(count)]
 
 
-def _curves_from(e, k, limit):
-    out = []
-    for c in enumerate_cycles(e.graph, k)[:limit]:
-        out.append(e.cycle_points_scaled(c))
-    return out
-
-
 def run_all(kernel, polys, frame):
     return kernel(polys, frame.axis_u, frame.axis_v, frame.direction)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_backends_agree_on_single_curves(seed):
-    if len(BOTH) < 2:
-        pytest.skip("compiled kernel not built")
-    e = random_rectilinear_embedding(7, seed=seed)
-    impls = backends()
-    for frame in _frames(seed, 4):
-        for curve in _curves_from(e, 7, 6) + _curves_from(e, 5, 4):
-            results = {
-                name: run_all(impl, (curve,), frame) for name, impl in impls.items()
-            }
-            assert results["pure"] == results["compiled"]
-
-
-@pytest.mark.parametrize("seed", [3, 4])
-def test_backends_agree_on_curve_pairs(seed):
-    if len(BOTH) < 2:
-        pytest.skip("compiled kernel not built")
-    e = random_rectilinear_embedding(6, seed=seed)
-    impls = backends()
-    tri = enumerate_cycles(e.graph, 3)
-    pairs = [
-        (a, b)
-        for i, a in enumerate(tri)
-        for b in tri[i + 1 :]
-        if not set(a.vertices) & set(b.vertices)
-    ]
-    for frame in _frames(seed, 3):
-        for a, b in pairs:
-            polys = (e.cycle_points_scaled(a), e.cycle_points_scaled(b))
-            results = {name: run_all(impl, polys, frame) for name, impl in impls.items()}
-            assert results["pure"] == results["compiled"]
-
-
-@needs_extension
-def test_dispatch_declines_oversized_coordinates():
+def test_oversized_coordinates_keep_crossings():
+    # 10**40 puts the kernel's intermediates far beyond any fixed-width
+    # integer; the arithmetic must stay exact.
     e = moment_curve_embedding(6)
-    c = Cycle.canonical((1, 2, 3, 4, 5, 6))
+    c = Cycle.canonical((1, 3, 5, 2, 4, 6))
     small = e.cycle_points_scaled(c)
     big = tuple(tuple(x * 10**40 for x in p) for p in small)
     frame = _frames(0, 1)[0]
-    assert kernels._fits_compiled((small,), frame.axis_u, frame.axis_v, frame.direction)
-    assert not kernels._fits_compiled((big,), frame.axis_u, frame.axis_v, frame.direction)
     st_small, rows_small = run_all(kernels.find_crossings, (small,), frame)
     st_big, rows_big = run_all(kernels.find_crossings, (big,), frame)
     assert st_small == st_big == OK
+    assert len(rows_small) == 5
     # Scaling every coordinate uniformly cannot change which segment
-    # pairs cross, nor over/under or sign.
-    strip = lambda rows: [(r[0], r[1], r[5], r[6]) for r in rows]
+    # pairs cross, where along them, nor over/under or sign.
+    strip = lambda rows: [
+        (r[0], r[1], Fraction(r[2], r[4]), Fraction(r[3], r[4]), r[5], r[6])
+        for r in rows
+    ]
     assert strip(rows_small) == strip(rows_big)
 
 
 def test_failure_statuses_match():
-    if len(BOTH) < 2:
-        pytest.skip("compiled kernel not built")
-    impls = backends()
     frame = _frames(7, 1)[0]
     u, v, d = frame.axis_u, frame.axis_v, frame.direction
-
-    def both(polys):
-        res = {name: impl(polys, u, v, d) for name, impl in impls.items()}
-        assert res["pure"][0] == res["compiled"][0]
-        return res["pure"]
 
     # A segment parallel to the viewing direction projects to a point.
     base = (0, 0, 0)
     tip = tuple(3 * c for c in d)
     off = (d[1] - 7 * d[2], d[2] + 11 * d[0], d[0] + 5 * d[1])
-    status, payload = both(((base, tip, off),))
+    status, payload = kernels.find_crossings(((base, tip, off),), u, v, d)
     assert status == FAIL_DEGENERATE_SEGMENT
 
     # Two corners on one viewing ray coincide in projection.
     shifted = tuple(c + 2 * w for c, w in zip(base, d))
-    status, payload = both(((base, (9, 1, 7), shifted, (-6, 5, 4)),))
+    status, payload = kernels.find_crossings(
+        ((base, (9, 1, 7), shifted, (-6, 5, 4)),), u, v, d
+    )
     assert status == FAIL_VERTEX_COINCIDE
 
 
 def test_vertex_on_segment_detected():
-    impls = backends()
     frame = _frames(9, 1)[0]
     u, v, d = frame.axis_u, frame.axis_v, frame.direction
     # Place a corner of one triangle on the projected interior of
@@ -151,13 +77,11 @@ def test_vertex_on_segment_detected():
     tri1 = (a, b, tuple(5 * vc for vc in v))
     tri2 = (mid, tuple(7 * vc + uc for vc, uc in zip(v, u)),
             tuple(-3 * uc + 2 * vc for uc, vc in zip(u, v)))
-    for name, impl in impls.items():
-        status, payload = impl((tri1, tri2), u, v, d)
-        assert status == FAIL_VERTEX_ON_SEGMENT, name
+    status, payload = kernels.find_crossings((tri1, tri2), u, v, d)
+    assert status == FAIL_VERTEX_ON_SEGMENT
 
 
 def test_true_intersection_reported():
-    impls = backends()
     frame = _frames(11, 1)[0]
     u, v, d = frame.axis_u, frame.axis_v, frame.direction
     # Two segments meeting at an interior point in 3-space: equal height
@@ -167,9 +91,8 @@ def test_true_intersection_reported():
     )
     c1 = (p(-2, 0, 0), p(2, 0, 0), p(0, 5, 9))
     c2 = (p(0, -2, 0), p(0, 2, 0), p(5, 0, -7))
-    for name, impl in impls.items():
-        status, payload = impl((c1, c2), u, v, d)
-        assert status == FAIL_INTERSECT_3D, name
+    status, payload = kernels.find_crossings((c1, c2), u, v, d)
+    assert status == FAIL_INTERSECT_3D
 
 
 def test_crossing_rows_are_deterministic():

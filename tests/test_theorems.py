@@ -6,9 +6,11 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from knotcensus.errors import IdentityViolation, ScaleLimitExceeded
 from knotcensus.geometry import (
+    SpatialEmbedding,
     moment_curve_embedding,
     random_k331_embedding,
     random_polyline_embedding,
@@ -286,3 +288,47 @@ def test_report_json_shapes():
     bounds = check_bounds(analysis=a).to_json()
     assert bounds["rectilinear"] is True
     assert bounds["upper"] == 1
+
+
+# ---------------------------------------------------------------------------
+# Rigid motions and mirroring, through the whole pipeline
+
+
+def _record_values(e: SpatialEmbedding) -> tuple[dict, dict]:
+    a = EmbeddingAnalysis(e, seed=0, threads=1)
+    knots = {r.subject: r.value for k in range(3, e.n + 1) for r in a.knot_records(k)}
+    links = {
+        r.subject: r.value
+        for k, l in ((3, 3), (3, 4))
+        if k + l <= e.n
+        for r in a.link_records(k, l)
+    }
+    return knots, links
+
+
+def _moved(e: SpatialEmbedding, move) -> SpatialEmbedding:
+    return SpatialEmbedding(e.graph, {v: move(p) for v, p in e.vertex_positions.items()})
+
+
+rectilinear = st.builds(
+    lambda n, s: random_rectilinear_embedding(n, seed=s),
+    st.sampled_from([6, 7]),
+    st.integers(0, 10**6),
+)
+
+
+@settings(max_examples=10, deadline=None)
+@given(rectilinear, st.tuples(*[st.integers(-10**6, 10**6)] * 3))
+def test_integer_translation_keeps_every_record_value(e, shift):
+    moved = _moved(e, lambda p: tuple(c + t for c, t in zip(p, shift)))
+    assert _record_values(moved) == _record_values(e)
+
+
+@settings(max_examples=10, deadline=None)
+@given(rectilinear)
+def test_mirroring_negates_lk_and_keeps_a2(e):
+    knots, links = _record_values(e)
+    m_knots, m_links = _record_values(_moved(e, lambda p: (-p[0], p[1], p[2])))
+    assert m_knots == knots
+    assert m_links == {subject: -value for subject, value in links.items()}
+    assert any(links.values())
