@@ -63,6 +63,7 @@ from .invariants import (
     stick_bound_a2,
 )
 from .theorems import (
+    CATALOG,
     BoundsReport,
     CensusReport,
     CongruenceReport,
@@ -70,23 +71,12 @@ from .theorems import (
     IdentityReport,
     applicable_identities,
     census,
-    check_bounds,
-    check_congruence,
-    check_mod2,
     expected_residue,
     lower_bound_value,
     r_n,
-    sum_a2,
-    sum_lk_sq,
     upper_bound_value,
     verify_embedding,
-    verify_k6_identity,
-    verify_k7_identity,
-    verify_k331_identity,
-    verify_lemma21_1,
-    verify_lemma21_2,
-    verify_lk34,
-    verify_main_identity,
+    verify_identity,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -41,7 +41,6 @@ from .invariants import knot_invariant, link_invariant
 from .projection import FRAME_RETRY_LIMIT
 from .theorems import (
     EmbeddingAnalysis,
-    applicable_identities,
     census,
     r_n,
     verify_embedding,
@@ -74,8 +73,8 @@ def _add_generation_options(p: argparse.ArgumentParser) -> None:
 
 
 def _add_compute_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker processes (default: KNOTCENSUS_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes (default 1)")
     p.add_argument("--verify-frames", type=int, default=1,
                    help="extra frames each invariant must agree on (default 1)")
     p.add_argument("--frame-retries", type=int, default=FRAME_RETRY_LIMIT,

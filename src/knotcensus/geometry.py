@@ -19,9 +19,9 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 from random import Random
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 from .errors import SamplingExhausted
 from .graphs import Cycle, SimpleGraph, complete_graph, k331_graph

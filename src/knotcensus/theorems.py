@@ -6,8 +6,10 @@ cycles behind its numbers.  All arithmetic is exact: sums are Python
 integers, the one halved coefficient is checked for integrality rather
 than rounded, and pass means lhs equals rhs, nothing weaker.
 
-The identity catalog, for an embedding of K_n (H below is the bipartite
-subgraph of the tripartite graph, apex removed):
+`CATALOG` has one row per identity below, for K_n with straight or bent
+edges unless marked (H is the bipartite subgraph of the tripartite
+graph, apex removed).  The first ten are equations; the last three are
+checks with reports of their own:
 
   k6-identity        n=6:  2 S_a2(6) - 2 S_a2(5) = S_lk2(3,3) - 1
   main-identity      n>=6: S_a2(n) - (n-5)! S_a2(5)
@@ -21,25 +23,28 @@ subgraph of the tripartite graph, apex removed):
                              = 3 S_lk2(3,4) - 35   (redundant cross-check)
   k331-identity      tripartite: 2 S_a2(7) - 4 S_a2(6 in H) - 2 S_a2(5)
                              = S_lk2(3,4) - 1
-  pentagon-triviality     rectilinear: S_a2(5) = 0
-  rectilinear-degeneration rectilinear: main-identity with the S_a2(5)
-                             term dropped agrees literally
+  pentagon-triviality      straight, n>=6: S_a2(5) = 0
+  rectilinear-degeneration straight, n>=6: main-identity without its
+                             S_a2(5) term,
+                             S_a2(n) = ((n-5)!/2) (S_lk2(3,3) - C(n-1,5))
+  mod2-parity        n=6: S_lk(3,3) is odd; n=7: S_a2(7) is odd
+  residue-congruence n>=7: S_a2(n) = expected_residue(n) mod (n-5)!
+  a2-bounds          n>=6: S_a2(n) - (n-5)! S_a2(5) >= (n-5)(n-6)(n-1)!/1440;
+                             if straight, S_a2(n) <= 3(n-2)(n-5)(n-1)!/1440
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import comb, factorial
+from math import comb, factorial, inf
 from multiprocessing import Pool
 
 from .errors import InvariantContractError, IdentityViolation, ScaleLimitExceeded
 from .geometry import SpatialEmbedding
 from .graphs import (
-    Cycle,
-    DisjointCyclePair,
     SimpleGraph,
     enumerate_cycles,
     enumerate_disjoint_pairs,
@@ -55,16 +60,6 @@ from .projection import FRAME_RETRY_LIMIT, GraphProjection
 
 HAMILTONIAN_CEILING = 10
 WITNESS_CAP = 128
-
-
-def default_threads() -> int:
-    env = os.environ.get("KNOTCENSUS_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 # Set in each pool worker by its initializer: the record function with
@@ -97,7 +92,7 @@ class EmbeddingAnalysis:
         self,
         embedding: SpatialEmbedding,
         seed=0,
-        threads: int | None = None,
+        threads: int = 1,
         verify_frames: int = 1,
         retry_limit: int = FRAME_RETRY_LIMIT,
         audit: bool = False,
@@ -105,7 +100,7 @@ class EmbeddingAnalysis:
     ):
         self.embedding = embedding
         self.seed = seed
-        self.threads = default_threads() if threads is None else max(1, threads)
+        self.threads = max(1, threads)
         self.verify_frames = verify_frames
         self.retry_limit = retry_limit
         self.audit = audit
@@ -248,10 +243,6 @@ class EmbeddingAnalysis:
 
     def sum_lk_sq(self, k: int, l: int) -> int:
         return sum(r.value * r.value for r in self.link_records(k, l))
-
-    def sum_a2_h6(self) -> int:
-        """Sum of a2 over the 6-cycles of the tripartite graph's H subgraph."""
-        return self.sum_a2(6, k331_h_subgraph(self.graph), tag="h")
 
 
 # ---------------------------------------------------------------------------
@@ -418,248 +409,10 @@ def _witnesses_from(*record_sets) -> tuple[dict, ...]:
     return tuple(out)
 
 
-def _report(identity_id, analysis, sums, lhs, rhs, witnesses=(), raise_on_fail=True):
-    passed = Fraction(lhs) == Fraction(rhs)
-    rep = IdentityReport(
-        identity_id=identity_id,
-        n=analysis.n,
-        sums=sums,
-        lhs=lhs,
-        rhs=rhs if isinstance(rhs, int) else rhs,
-        passed=passed,
-        witnesses=witnesses,
-    )
-    if raise_on_fail and not passed:
-        raise IdentityViolation(rep)
-    return rep
-
-
 def _analysis_for(e, analysis, **kw) -> EmbeddingAnalysis:
     if analysis is not None:
         return analysis
     return EmbeddingAnalysis(e, **kw)
-
-
-def _require_complete(a: EmbeddingAnalysis, minimum: int, what: str) -> None:
-    if a.graph.tags or a.graph.edge_count != comb(a.n, 2):
-        raise ValueError(f"{what} needs a complete graph")
-    if a.n < minimum:
-        raise ValueError(f"{what} needs n >= {minimum}")
-
-
-def verify_k6_identity(e=None, analysis=None, raise_on_fail=True, **kw) -> IdentityReport:
-    """2 S_a2(6) - 2 S_a2(5) = S_lk2(3,3) - 1, for embeddings of K_6."""
-    a = _analysis_for(e, analysis, **kw)
-    _require_complete(a, 6, "the K6 identity")
-    if a.n != 6:
-        raise ValueError("the K6 identity is specific to n = 6")
-    s6, s5 = a.sum_a2(6), a.sum_a2(5)
-    s33 = a.sum_lk_sq(3, 3)
-    return _report(
-        "k6-identity",
-        a,
-        {"sum_a2_6": s6, "sum_a2_5": s5, "sum_lk_sq_33": s33},
-        2 * s6 - 2 * s5,
-        s33 - 1,
-        _witnesses_from(a.knot_records(6), a.link_records(3, 3)),
-        raise_on_fail,
-    )
-
-
-def verify_main_identity(e=None, analysis=None, raise_on_fail=True, **kw) -> IdentityReport:
-    """S_a2(n) - (n-5)! S_a2(5) = ((n-5)!/2)(S_lk2(3,3) - C(n-1,5))."""
-    a = _analysis_for(e, analysis, **kw)
-    _require_complete(a, 6, "the Hamiltonian identity")
-    n = a.n
-    f = factorial(n - 5)
-    sn, s5 = a.sum_a2(n), a.sum_a2(5)
-    s33 = a.sum_lk_sq(3, 3)
-    lhs = sn - f * s5
-    rhs = Fraction(f, 2) * (s33 - comb(n - 1, 5))
-    return _report(
-        "main-identity",
-        a,
-        {"sum_a2_hamiltonian": sn, "sum_a2_5": s5, "sum_lk_sq_33": s33},
-        lhs,
-        int(rhs) if rhs.denominator == 1 else rhs,
-        _witnesses_from(a.knot_records(n)),
-        raise_on_fail,
-    )
-
-
-def verify_lemma21_1(e=None, analysis=None, raise_on_fail=True, **kw) -> IdentityReport:
-    """2 S_a2(6) - 2(n-5) S_a2(5) = S_lk2(3,3) - C(n,6), n >= 6."""
-    a = _analysis_for(e, analysis, **kw)
-    _require_complete(a, 6, "the hexagon lemma")
-    n = a.n
-    s6, s5 = a.sum_a2(6), a.sum_a2(5)
-    s33 = a.sum_lk_sq(3, 3)
-    return _report(
-        "hexagon-lemma",
-        a,
-        {"sum_a2_6": s6, "sum_a2_5": s5, "sum_lk_sq_33": s33},
-        2 * s6 - 2 * (n - 5) * s5,
-        s33 - comb(n, 6),
-        _witnesses_from(a.knot_records(6)),
-        raise_on_fail,
-    )
-
-
-def verify_lemma21_2(e=None, analysis=None, raise_on_fail=True, **kw) -> IdentityReport:
-    """S_lk2(3,4) = 2(n-6) S_lk2(3,3), n >= 7."""
-    a = _analysis_for(e, analysis, **kw)
-    _require_complete(a, 7, "the square lemma")
-    n = a.n
-    s34 = a.sum_lk_sq(3, 4)
-    s33 = a.sum_lk_sq(3, 3)
-    return _report(
-        "square-lemma",
-        a,
-        {"sum_lk_sq_34": s34, "sum_lk_sq_33": s33},
-        s34,
-        2 * (n - 6) * s33,
-        _witnesses_from(a.link_records(3, 4)),
-        raise_on_fail,
-    )
-
-
-def verify_k7_identity(e=None, analysis=None, raise_on_fail=True, **kw) -> IdentityReport:
-    """7 S_a2(7) - 6 S_a2(6) - 2 S_a2(5) = 2 S_lk2(3,4) - 21, for K_7."""
-    a = _analysis_for(e, analysis, **kw)
-    _require_complete(a, 7, "the K7 identity")
-    if a.n != 7:
-        raise ValueError("the K7 identity is specific to n = 7")
-    s7, s6, s5 = a.sum_a2(7), a.sum_a2(6), a.sum_a2(5)
-    s34 = a.sum_lk_sq(3, 4)
-    return _report(
-        "k7-identity",
-        a,
-        {"sum_a2_7": s7, "sum_a2_6": s6, "sum_a2_5": s5, "sum_lk_sq_34": s34},
-        7 * s7 - 6 * s6 - 2 * s5,
-        2 * s34 - 21,
-        _witnesses_from(a.knot_records(7)),
-        raise_on_fail,
-    )
-
-
-def verify_k7_combined(e=None, analysis=None, raise_on_fail=True, **kw) -> IdentityReport:
-    """7 S_a2(7) - 2 S_a2(6) - 10 S_a2(5) = 3 S_lk2(3,4) - 35 (redundant)."""
-    a = _analysis_for(e, analysis, **kw)
-    _require_complete(a, 7, "the combined K7 check")
-    if a.n != 7:
-        raise ValueError("the combined K7 check is specific to n = 7")
-    s7, s6, s5 = a.sum_a2(7), a.sum_a2(6), a.sum_a2(5)
-    s34 = a.sum_lk_sq(3, 4)
-    return _report(
-        "k7-combined",
-        a,
-        {"sum_a2_7": s7, "sum_a2_6": s6, "sum_a2_5": s5, "sum_lk_sq_34": s34},
-        7 * s7 - 2 * s6 - 10 * s5,
-        3 * s34 - 35,
-        (),
-        raise_on_fail,
-    )
-
-
-def verify_lk34(e=None, analysis=None, raise_on_fail=True, **kw) -> IdentityReport:
-    """S_lk2(3,4) = 2 S_lk2(3,3), for K_7."""
-    a = _analysis_for(e, analysis, **kw)
-    _require_complete(a, 7, "the K7 pair-class ratio")
-    if a.n != 7:
-        raise ValueError("the K7 pair-class ratio is specific to n = 7")
-    s34 = a.sum_lk_sq(3, 4)
-    s33 = a.sum_lk_sq(3, 3)
-    return _report(
-        "k7-ratio",
-        a,
-        {"sum_lk_sq_34": s34, "sum_lk_sq_33": s33},
-        s34,
-        2 * s33,
-        (),
-        raise_on_fail,
-    )
-
-
-def verify_k331_identity(e=None, analysis=None, raise_on_fail=True, **kw) -> IdentityReport:
-    """2 S_a2(7) - 4 S_a2(6 in H) - 2 S_a2(5) = S_lk2(3,4) - 1."""
-    a = _analysis_for(e, analysis, **kw)
-    if not a.graph.tags:
-        raise ValueError("the tripartite identity needs the apexed graph")
-    s7 = a.sum_a2(7)
-    s6h = a.sum_a2_h6()
-    s5 = a.sum_a2(5)
-    s34 = a.sum_lk_sq(3, 4)
-    return _report(
-        "k331-identity",
-        a,
-        {"sum_a2_7": s7, "sum_a2_6_h": s6h, "sum_a2_5": s5, "sum_lk_sq_34": s34},
-        2 * s7 - 4 * s6h - 2 * s5,
-        s34 - 1,
-        _witnesses_from(a.knot_records(7)),
-        raise_on_fail,
-    )
-
-
-def verify_rectilinear_degeneration(
-    e=None, analysis=None, raise_on_fail=True, **kw
-) -> IdentityReport:
-    """For straight-edge embeddings the 5-cycle term vanishes identically.
-
-    Checks S_a2(5) = 0 and that the Hamiltonian identity evaluated
-    without its 5-cycle term reproduces the full report literally.
-    """
-    a = _analysis_for(e, analysis, **kw)
-    _require_complete(a, 6, "the rectilinear degeneration")
-    if not a.embedding.rectilinear:
-        raise ValueError("degeneration check applies to rectilinear embeddings")
-    full = verify_main_identity(analysis=a, raise_on_fail=False)
-    n = a.n
-    s5 = a.sum_a2(5)
-    sn = a.sum_a2(n)
-    s33 = a.sum_lk_sq(3, 3)
-    rhs = Fraction(factorial(n - 5), 2) * (s33 - comb(n - 1, 5))
-    degenerate_lhs = sn
-    passed = (
-        s5 == 0
-        and full.passed
-        and degenerate_lhs == full.lhs
-        and Fraction(degenerate_lhs) == Fraction(rhs)
-    )
-    rep = IdentityReport(
-        identity_id="rectilinear-degeneration",
-        n=n,
-        sums={"sum_a2_hamiltonian": sn, "sum_a2_5": s5, "sum_lk_sq_33": s33},
-        lhs=degenerate_lhs,
-        rhs=int(rhs) if rhs.denominator == 1 else rhs,
-        passed=passed,
-        witnesses=(),
-    )
-    if raise_on_fail and not passed:
-        raise IdentityViolation(rep)
-    return rep
-
-
-def check_mod2(e=None, analysis=None, raise_on_fail=True, **kw) -> CongruenceReport:
-    """Parity laws: n=6, S_lk(3,3) is odd; n=7, S_a2(n) is odd."""
-    a = _analysis_for(e, analysis, **kw)
-    _require_complete(a, 6, "the parity check")
-    if a.n == 6:
-        value = a.sum_lk(3, 3)
-    elif a.n == 7:
-        value = a.sum_a2(7)
-    else:
-        raise ValueError("parity laws are specific to n = 6 and n = 7")
-    rep = CongruenceReport(
-        check_id="mod2-parity",
-        n=a.n,
-        modulus=2,
-        value=value,
-        expected_residue=1,
-        passed=value % 2 == 1,
-    )
-    if raise_on_fail and not rep.passed:
-        raise IdentityViolation(rep)
-    return rep
 
 
 def expected_residue(n: int) -> tuple[int, int]:
@@ -674,25 +427,6 @@ def expected_residue(n: int) -> tuple[int, int]:
     else:
         r = 0
     return m, r
-
-
-def check_congruence(e=None, analysis=None, raise_on_fail=True, **kw) -> CongruenceReport:
-    """The Hamiltonian a2 total matches its forced residue mod (n-5)!."""
-    a = _analysis_for(e, analysis, **kw)
-    _require_complete(a, 7, "the residue check")
-    m, r = expected_residue(a.n)
-    value = a.sum_a2(a.n)
-    rep = CongruenceReport(
-        check_id="residue-congruence",
-        n=a.n,
-        modulus=m,
-        value=value,
-        expected_residue=r,
-        passed=(value - r) % m == 0,
-    )
-    if raise_on_fail and not rep.passed:
-        raise IdentityViolation(rep)
-    return rep
 
 
 def lower_bound_value(n: int) -> int:
@@ -715,30 +449,6 @@ def upper_bound_value(n: int) -> int:
     return num // 1440
 
 
-def check_bounds(e=None, analysis=None, raise_on_fail=True, **kw) -> BoundsReport:
-    """Lower bound on the Hamiltonian identity total; sandwich if straight."""
-    a = _analysis_for(e, analysis, **kw)
-    _require_complete(a, 6, "the bounds check")
-    n = a.n
-    value = a.sum_a2(n) - factorial(n - 5) * a.sum_a2(5)
-    lower = lower_bound_value(n)
-    rectilinear = a.embedding.rectilinear
-    upper = upper_bound_value(n) if rectilinear else None
-    ok = value >= lower and (upper is None or a.sum_a2(n) <= upper)
-    rep = BoundsReport(
-        check_id="a2-bounds",
-        n=n,
-        rectilinear=rectilinear,
-        lower=lower,
-        value=value,
-        upper=upper,
-        passed=ok,
-    )
-    if raise_on_fail and not ok:
-        raise IdentityViolation(rep)
-    return rep
-
-
 def r_n(n: int) -> int:
     """Guaranteed count of positive-a2 Hamiltonian knots in straight K_n.
 
@@ -753,91 +463,164 @@ def r_n(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Orchestration
+# The catalog
 
 
-def sum_a2(e: SpatialEmbedding, k: int, **kw) -> int:
-    """Sum of a2 over all k-cycles, each term frame-verified."""
-    return EmbeddingAnalysis(e, **kw).sum_a2(k)
+def _complete(low: int, high: float = inf, straight: bool = False):
+    """Applies to K_n for low <= n <= high, with straight edges if asked."""
+
+    def applies(e: SpatialEmbedding) -> bool:
+        g = e.graph
+        n = g.vertex_count
+        return (
+            not g.tags
+            and g.edge_count == comb(n, 2)
+            and low <= n <= high
+            and (e.rectilinear or not straight)
+        )
+
+    return applies
 
 
-def sum_lk_sq(e: SpatialEmbedding, k: int, l: int, **kw) -> int:
-    """Sum of lk^2 over all disjoint (k, l) cycle pairs."""
-    return EmbeddingAnalysis(e, **kw).sum_lk_sq(k, l)
+# The class sums an equation can read: name -> (its value, the records it
+# adds up), both from an EmbeddingAnalysis.
+_SUMS = {
+    "sum_a2_5": (lambda a: a.sum_a2(5), lambda a: a.knot_records(5)),
+    "sum_a2_6": (lambda a: a.sum_a2(6), lambda a: a.knot_records(6)),
+    "sum_a2_7": (lambda a: a.sum_a2(7), lambda a: a.knot_records(7)),
+    "sum_a2_hamiltonian": (lambda a: a.sum_a2(a.n), lambda a: a.knot_records(a.n)),
+    "sum_a2_6_h": (
+        lambda a: a.sum_a2(6, k331_h_subgraph(a.graph), tag="h"),
+        lambda a: a.knot_records(6, k331_h_subgraph(a.graph), tag="h"),
+    ),
+    "sum_lk_sq_33": (lambda a: a.sum_lk_sq(3, 3), lambda a: a.link_records(3, 3)),
+    "sum_lk_sq_34": (lambda a: a.sum_lk_sq(3, 4), lambda a: a.link_records(3, 4)),
+}
 
 
-IDENTITY_ORDER = (
-    "k6-identity",
-    "main-identity",
-    "hexagon-lemma",
-    "square-lemma",
-    "k7-identity",
-    "k7-ratio",
-    "k7-combined",
-    "k331-identity",
-    "pentagon-triviality",
-    "rectilinear-degeneration",
-    "mod2-parity",
-    "residue-congruence",
-    "a2-bounds",
-)
+@dataclass(frozen=True)
+class Identity:
+    """One catalog row: an identity id and the embeddings it applies to.
+
+    An equation row states, over the class sums s its `terms(n)` name,
+    sum of l*s = scale(n) * (sum of r*s + constant(n)) for the integer
+    pair (l, r) each sum maps to; its witnesses are the nonzero records
+    behind the sums named in `witnesses`.  A check row sets `evaluate`
+    and builds its own report.
+    """
+
+    id: str
+    applies: Callable[[SpatialEmbedding], bool]
+    terms: Callable[[int], dict[str, tuple[int, int]]] = lambda n: {}
+    constant: Callable[[int], int] = lambda n: 0
+    scale: Callable[[int], Fraction] | None = None
+    witnesses: tuple[str, ...] = ()
+    evaluate: Callable[[EmbeddingAnalysis], CongruenceReport | BoundsReport] | None = None
+
+
+def _mod2(a: EmbeddingAnalysis) -> CongruenceReport:
+    value = a.sum_lk(3, 3) if a.n == 6 else a.sum_a2(7)
+    return CongruenceReport("mod2-parity", a.n, 2, value, 1, value % 2 == 1)
+
+
+def _residue(a: EmbeddingAnalysis) -> CongruenceReport:
+    m, r = expected_residue(a.n)
+    value = a.sum_a2(a.n)
+    return CongruenceReport("residue-congruence", a.n, m, value, r, (value - r) % m == 0)
+
+
+def _bounds(a: EmbeddingAnalysis) -> BoundsReport:
+    n = a.n
+    sn = a.sum_a2(n)
+    value = sn - factorial(n - 5) * a.sum_a2(5)
+    lower = lower_bound_value(n)
+    rectilinear = a.embedding.rectilinear
+    upper = upper_bound_value(n) if rectilinear else None
+    ok = value >= lower and (upper is None or sn <= upper)
+    return BoundsReport("a2-bounds", n, rectilinear, lower, value, upper, ok)
+
+
+CATALOG = {
+    row.id: row
+    for row in (
+        Identity("k6-identity", _complete(6, 6),
+                 lambda n: {"sum_a2_6": (2, 0), "sum_a2_5": (-2, 0), "sum_lk_sq_33": (0, 1)},
+                 constant=lambda n: -1, witnesses=("sum_a2_6", "sum_lk_sq_33")),
+        Identity("main-identity", _complete(6),
+                 lambda n: {"sum_a2_hamiltonian": (1, 0), "sum_a2_5": (-factorial(n - 5), 0),
+                            "sum_lk_sq_33": (0, 1)},
+                 constant=lambda n: -comb(n - 1, 5),
+                 scale=lambda n: Fraction(factorial(n - 5), 2),
+                 witnesses=("sum_a2_hamiltonian",)),
+        Identity("hexagon-lemma", _complete(6),
+                 lambda n: {"sum_a2_6": (2, 0), "sum_a2_5": (-2 * (n - 5), 0),
+                            "sum_lk_sq_33": (0, 1)},
+                 constant=lambda n: -comb(n, 6), witnesses=("sum_a2_6",)),
+        Identity("square-lemma", _complete(7),
+                 lambda n: {"sum_lk_sq_34": (1, 0), "sum_lk_sq_33": (0, 2 * (n - 6))},
+                 witnesses=("sum_lk_sq_34",)),
+        Identity("k7-identity", _complete(7, 7),
+                 lambda n: {"sum_a2_7": (7, 0), "sum_a2_6": (-6, 0), "sum_a2_5": (-2, 0),
+                            "sum_lk_sq_34": (0, 2)},
+                 constant=lambda n: -21, witnesses=("sum_a2_7",)),
+        Identity("k7-ratio", _complete(7, 7),
+                 lambda n: {"sum_lk_sq_34": (1, 0), "sum_lk_sq_33": (0, 2)}),
+        Identity("k7-combined", _complete(7, 7),
+                 lambda n: {"sum_a2_7": (7, 0), "sum_a2_6": (-2, 0), "sum_a2_5": (-10, 0),
+                            "sum_lk_sq_34": (0, 3)},
+                 constant=lambda n: -35),
+        Identity("k331-identity", lambda e: bool(e.graph.tags),
+                 lambda n: {"sum_a2_7": (2, 0), "sum_a2_6_h": (-4, 0), "sum_a2_5": (-2, 0),
+                            "sum_lk_sq_34": (0, 1)},
+                 constant=lambda n: -1, witnesses=("sum_a2_7",)),
+        Identity("pentagon-triviality", _complete(6, straight=True),
+                 lambda n: {"sum_a2_5": (1, 0)}),
+        Identity("rectilinear-degeneration", _complete(6, straight=True),
+                 lambda n: {"sum_a2_hamiltonian": (1, 0), "sum_a2_5": (0, 0),
+                            "sum_lk_sq_33": (0, 1)},
+                 constant=lambda n: -comb(n - 1, 5),
+                 scale=lambda n: Fraction(factorial(n - 5), 2)),
+        Identity("mod2-parity", _complete(6, 7), evaluate=_mod2),
+        Identity("residue-congruence", _complete(7), evaluate=_residue),
+        Identity("a2-bounds", _complete(6), evaluate=_bounds),
+    )
+}
 
 
 def applicable_identities(e: SpatialEmbedding) -> tuple[str, ...]:
     """Identity ids that apply to this embedding's graph and shape."""
-    g = e.graph
-    n = g.vertex_count
-    if g.tags:
-        return ("k331-identity",)
-    if g.edge_count != comb(n, 2) or n < 6:
-        return ()
-    out = ["main-identity", "hexagon-lemma", "a2-bounds"]
-    if n == 6:
-        out += ["k6-identity", "mod2-parity"]
-    if n >= 7:
-        out += ["square-lemma", "residue-congruence"]
-    if n == 7:
-        out += ["k7-identity", "k7-ratio", "k7-combined", "mod2-parity"]
-    if e.rectilinear:
-        out += ["pentagon-triviality", "rectilinear-degeneration"]
-    return tuple(i for i in IDENTITY_ORDER if i in out)
+    return tuple(row.id for row in CATALOG.values() if row.applies(e))
 
 
-def verify_pentagon_triviality(
-    e=None, analysis=None, raise_on_fail=True, **kw
-) -> IdentityReport:
-    """S_a2(5) = 0 for straight-edge embeddings (5-stick knots are trivial)."""
+def verify_identity(identity_id: str, e=None, analysis=None, raise_on_fail=True, **kw):
+    """Evaluate one catalog row; raise `IdentityViolation` on failure if asked.
+
+    Raises ValueError for an unknown id or one that does not apply to the
+    embedding.  Extra keywords configure the analysis built when none is
+    given.
+    """
+    row = CATALOG.get(identity_id)
+    if row is None:
+        raise ValueError(f"unknown identity {identity_id!r}")
     a = _analysis_for(e, analysis, **kw)
-    _require_complete(a, 6, "pentagon triviality")
-    if not a.embedding.rectilinear:
-        raise ValueError("pentagon triviality applies to rectilinear embeddings")
-    s5 = a.sum_a2(5)
-    return _report(
-        "pentagon-triviality",
-        a,
-        {"sum_a2_5": s5},
-        s5,
-        0,
-        (),
-        raise_on_fail,
-    )
-
-
-_VERIFIERS = {
-    "k6-identity": verify_k6_identity,
-    "main-identity": verify_main_identity,
-    "hexagon-lemma": verify_lemma21_1,
-    "square-lemma": verify_lemma21_2,
-    "k7-identity": verify_k7_identity,
-    "k7-ratio": verify_lk34,
-    "k7-combined": verify_k7_combined,
-    "k331-identity": verify_k331_identity,
-    "pentagon-triviality": verify_pentagon_triviality,
-    "rectilinear-degeneration": verify_rectilinear_degeneration,
-    "mod2-parity": check_mod2,
-    "residue-congruence": check_congruence,
-    "a2-bounds": check_bounds,
-}
+    if not row.applies(a.embedding):
+        raise ValueError(f"{identity_id} does not apply to this embedding")
+    if row.evaluate is not None:
+        rep = row.evaluate(a)
+    else:
+        n = a.n
+        terms = row.terms(n)
+        sums = {name: _SUMS[name][0](a) for name in terms}
+        lhs = sum(l * sums[name] for name, (l, _) in terms.items())
+        rhs = sum(r * sums[name] for name, (_, r) in terms.items()) + row.constant(n)
+        if row.scale is not None:
+            rhs = row.scale(n) * rhs
+            rhs = int(rhs) if rhs.denominator == 1 else rhs
+        witnesses = _witnesses_from(*(_SUMS[name][1](a) for name in row.witnesses))
+        rep = IdentityReport(identity_id, n, sums, lhs, rhs, lhs == rhs, witnesses)
+    if raise_on_fail and not rep.passed:
+        raise IdentityViolation(rep)
+    return rep
 
 
 def verify_embedding(
@@ -850,12 +633,10 @@ def verify_embedding(
     """Run the selected (default: all applicable) checks; return reports."""
     a = _analysis_for(e, analysis, **kw)
     selection = applicable_identities(e) if identities is None else identities
-    unknown = [i for i in selection if i not in _VERIFIERS]
+    unknown = [i for i in selection if i not in CATALOG]
     if unknown:
         raise ValueError(f"unknown identities: {unknown}")
-    reports = []
-    for ident in selection:
-        reports.append(_VERIFIERS[ident](analysis=a, raise_on_fail=raise_on_fail))
+    reports = [verify_identity(i, analysis=a, raise_on_fail=raise_on_fail) for i in selection]
     return reports, a
 
 
@@ -866,7 +647,8 @@ def census(e: SpatialEmbedding, analysis: EmbeddingAnalysis | None = None, **kw)
     and the unconditional bound checks on those counts.
     """
     a = _analysis_for(e, analysis, **kw)
-    _require_complete(a, 6, "the census")
+    if not _complete(6)(a.embedding):
+        raise ValueError("the census needs a complete graph with n >= 6")
     n = a.n
     ham = a.knot_records(n)
     pairs = a.link_records(3, 3)
@@ -879,34 +661,20 @@ def census(e: SpatialEmbedding, analysis: EmbeddingAnalysis | None = None, **kw)
     positive = sum(1 for r in ham if r.value > 0)
     rectilinear = e.rectilinear
     checks: list[dict] = []
-    ok = True
+
+    def check(name: str, lhs: int, rhs: int, passed: bool) -> None:
+        checks.append({"check": name, "lhs": lhs, "rhs": rhs, "pass": passed})
+
+    hopf = None
     if rectilinear:
         hopf = sum(1 for r in pairs if abs(r.value) == 1)
         s33 = a.sum_lk_sq(3, 3)
-        c_ok = hopf == s33
-        checks.append(
-            {"check": "hopf-count-equals-lk-square-sum", "lhs": hopf, "rhs": s33, "pass": c_ok}
-        )
-        ok &= c_ok
-        c_ok = hopf >= comb(n, 6)
-        checks.append(
-            {"check": "hopf-count-at-least-choose-6", "lhs": hopf, "rhs": comb(n, 6), "pass": c_ok}
-        )
-        ok &= c_ok
-    else:
-        hopf = None
+        check("hopf-count-equals-lk-square-sum", hopf, s33, hopf == s33)
+        check("hopf-count-at-least-choose-6", hopf, comb(n, 6), hopf >= comb(n, 6))
     expected_min = r_n(n) if n >= 7 else None
     if rectilinear and expected_min is not None:
-        c_ok = positive >= expected_min
-        checks.append(
-            {
-                "check": "positive-count-at-least-guaranteed",
-                "lhs": positive,
-                "rhs": expected_min,
-                "pass": c_ok,
-            }
-        )
-        ok &= c_ok
+        check("positive-count-at-least-guaranteed", positive, expected_min,
+              positive >= expected_min)
     note = None
     if n == 8:
         # Known refinement for eight vertices: at least eight positive
@@ -925,5 +693,5 @@ def census(e: SpatialEmbedding, analysis: EmbeddingAnalysis | None = None, **kw)
         min_positive_expected=expected_min,
         refined_min_note=note,
         witnesses=witnesses,
-        passed=ok,
+        passed=all(c["pass"] for c in checks),
     )

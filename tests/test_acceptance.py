@@ -23,7 +23,7 @@ from knotcensus.theorems import (
     census,
     r_n,
     verify_embedding,
-    verify_k331_identity,
+    verify_identity,
 )
 
 AUDIT_TALLY = {"knots": 0, "links": 0}
@@ -138,7 +138,7 @@ def test_criterion_5_random_tripartite():
         for seed in range(10):
             e = random_k331_embedding(seed=seed)
             a = EmbeddingAnalysis(e, seed=0, audit=True)
-            rep = verify_k331_identity(analysis=a)
+            rep = verify_identity("k331-identity", analysis=a)
             assert rep.passed, seed
             _tally(a)
         return "10 embeddings"

@@ -11,31 +11,23 @@ from hypothesis import given, settings, strategies as st
 from knotcensus.errors import IdentityViolation, ScaleLimitExceeded
 from knotcensus.geometry import (
     SpatialEmbedding,
+    embedding_from_json,
     moment_curve_embedding,
     random_k331_embedding,
     random_polyline_embedding,
     random_rectilinear_embedding,
 )
 from knotcensus.theorems import (
+    CATALOG,
     EmbeddingAnalysis,
     applicable_identities,
     census,
-    check_bounds,
-    check_congruence,
-    check_mod2,
     expected_residue,
     lower_bound_value,
     r_n,
-    sum_a2,
-    sum_lk_sq,
     upper_bound_value,
     verify_embedding,
-    verify_k6_identity,
-    verify_k7_identity,
-    verify_k331_identity,
-    verify_lemma21_1,
-    verify_lemma21_2,
-    verify_main_identity,
+    verify_identity,
 )
 
 R_TABLE = {
@@ -95,7 +87,7 @@ def test_moment_k8_census_values():
 @pytest.mark.parametrize("n,attained", [(6, 0), (7, 1), (8, 21), (9, 336)])
 def test_moment_curve_attains_the_lower_bound(n, attained):
     e = moment_curve_embedding(n)
-    rep = check_bounds(e, seed=0)
+    rep = verify_identity("a2-bounds", e, seed=0)
     assert rep.lower == lower_bound_value(n) == attained
     assert rep.value == attained
     assert rep.passed
@@ -106,8 +98,8 @@ def test_moment_curve_attains_the_lower_bound(n, attained):
 def test_hexagon_lemma_reduces_to_k6_identity_at_n6():
     e = random_rectilinear_embedding(6, seed=9)
     a = EmbeddingAnalysis(e, seed=0)
-    lemma = verify_lemma21_1(analysis=a)
-    k6 = verify_k6_identity(analysis=a)
+    lemma = verify_identity("hexagon-lemma", analysis=a)
+    k6 = verify_identity("k6-identity", analysis=a)
     assert (lemma.lhs, lemma.rhs) == (k6.lhs, k6.rhs)
     assert lemma.passed and k6.passed
 
@@ -124,7 +116,7 @@ def test_pair_square_sum_parity(n, seed):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_tripartite_identity_on_random_embeddings(seed):
     e = random_k331_embedding(seed=seed)
-    rep = verify_k331_identity(e, seed=0)
+    rep = verify_identity("k331-identity", e, seed=0)
     assert rep.passed
     assert rep.sums["sum_lk_sq_34"] % 2 == 1  # rhs parity forced by lhs
 
@@ -152,20 +144,120 @@ def test_applicability_selection():
 def test_identity_requires_matching_graph():
     e7 = moment_curve_embedding(7)
     with pytest.raises(ValueError):
-        verify_k6_identity(e7, seed=0)
+        verify_identity("k6-identity", e7, seed=0)
     e6 = moment_curve_embedding(6)
     with pytest.raises(ValueError):
-        verify_k7_identity(e6, seed=0)
+        verify_identity("k7-identity", e6, seed=0)
     with pytest.raises(ValueError):
-        verify_lemma21_2(e6, seed=0)
+        verify_identity("square-lemma", e6, seed=0)
     with pytest.raises(ValueError):
-        check_congruence(e6, seed=0)
+        verify_identity("residue-congruence", e6, seed=0)
     with pytest.raises(ValueError):
-        verify_k331_identity(e6, seed=0)
+        verify_identity("k331-identity", e6, seed=0)
     with pytest.raises(ValueError):
-        check_mod2(moment_curve_embedding(8), seed=0)
+        verify_identity("mod2-parity", moment_curve_embedding(8), seed=0)
     with pytest.raises(ValueError):
         census(random_k331_embedding(seed=0), seed=0)
+
+
+ALL_IDS = (
+    "k6-identity",
+    "main-identity",
+    "hexagon-lemma",
+    "square-lemma",
+    "k7-identity",
+    "k7-ratio",
+    "k7-combined",
+    "k331-identity",
+    "pentagon-triviality",
+    "rectilinear-degeneration",
+    "mod2-parity",
+    "residue-congruence",
+    "a2-bounds",
+)
+
+_K5_DOC = {"n": 5, "vertices": [[t, t * t, t**3] for t in range(1, 6)]}
+
+# Selections recorded from the hand-written identity functions.
+APPLICABLE = {
+    "moment-6": (
+        lambda: moment_curve_embedding(6),
+        ("k6-identity", "main-identity", "hexagon-lemma", "pentagon-triviality",
+         "rectilinear-degeneration", "mod2-parity", "a2-bounds"),
+    ),
+    "moment-7": (
+        lambda: moment_curve_embedding(7),
+        ("main-identity", "hexagon-lemma", "square-lemma", "k7-identity", "k7-ratio",
+         "k7-combined", "pentagon-triviality", "rectilinear-degeneration", "mod2-parity",
+         "residue-congruence", "a2-bounds"),
+    ),
+    "moment-8": (
+        lambda: moment_curve_embedding(8),
+        ("main-identity", "hexagon-lemma", "square-lemma", "pentagon-triviality",
+         "rectilinear-degeneration", "residue-congruence", "a2-bounds"),
+    ),
+    "polyline-6": (
+        lambda: random_polyline_embedding(6, seed=1),
+        ("k6-identity", "main-identity", "hexagon-lemma", "mod2-parity", "a2-bounds"),
+    ),
+    "k331": (lambda: random_k331_embedding(seed=0), ("k331-identity",)),
+    "complete-5": (lambda: embedding_from_json(_K5_DOC), ()),
+}
+
+
+def test_catalog_holds_every_identity_in_report_order():
+    assert tuple(CATALOG) == ALL_IDS
+
+
+@pytest.mark.parametrize("name", list(APPLICABLE))
+def test_applicability_is_pinned_and_others_are_refused(name):
+    build, expected = APPLICABLE[name]
+    e = build()
+    assert applicable_identities(e) == expected
+    a = EmbeddingAnalysis(e, seed=0)
+    for identity_id in ALL_IDS:
+        if identity_id not in expected:
+            with pytest.raises(ValueError):
+                verify_identity(identity_id, analysis=a)
+    assert a.stats["graph_frames_tried"] == 0  # refused before any projection
+
+
+def test_unknown_identity_is_refused():
+    e = moment_curve_embedding(6)
+    with pytest.raises(ValueError, match="unknown"):
+        verify_identity("k5-identity", e, seed=0)
+    with pytest.raises(ValueError, match="unknown"):
+        verify_embedding(e, identities=("k6-identity", "k5-identity"), seed=0)
+
+
+# Each equation row, an embedding it applies to, and one sum its lhs reads
+# (the method and its arguments) to shift by one.
+EQUATION_ROWS = [
+    ("k6-identity", 6, "sum_a2", (6,)),
+    ("main-identity", 6, "sum_a2", (6,)),
+    ("hexagon-lemma", 6, "sum_a2", (6,)),
+    ("pentagon-triviality", 6, "sum_a2", (5,)),
+    ("rectilinear-degeneration", 6, "sum_a2", (6,)),
+    ("square-lemma", 7, "sum_lk_sq", (3, 4)),
+    ("k7-identity", 7, "sum_a2", (7,)),
+    ("k7-ratio", 7, "sum_lk_sq", (3, 4)),
+    ("k7-combined", 7, "sum_a2", (7,)),
+    ("k331-identity", "k331", "sum_a2", (7,)),
+]
+
+
+@pytest.mark.parametrize("identity_id,graph,method,args", EQUATION_ROWS)
+def test_shifting_an_lhs_sum_fails_each_equation_row(identity_id, graph, method, args):
+    e = random_k331_embedding(seed=0) if graph == "k331" else moment_curve_embedding(graph)
+    a = EmbeddingAnalysis(e, seed=0)
+    assert verify_identity(identity_id, analysis=a).passed
+    real = getattr(a, method)
+    setattr(a, method, lambda *ar, **kw: real(*ar, **kw) + (1 if ar == args else 0))
+    rep = verify_identity(identity_id, analysis=a, raise_on_fail=False)
+    assert not rep.passed
+    with pytest.raises(IdentityViolation) as info:
+        verify_identity(identity_id, analysis=a)
+    assert info.value.report.identity_id == identity_id
 
 
 def test_violation_raised_when_sums_are_corrupted():
@@ -178,9 +270,9 @@ def test_violation_raised_when_sums_are_corrupted():
 
     a.sum_a2 = corrupted
     with pytest.raises(IdentityViolation) as info:
-        verify_k6_identity(analysis=a)
+        verify_identity("k6-identity", analysis=a)
     assert info.value.report.identity_id == "k6-identity"
-    rep = verify_k6_identity(analysis=a, raise_on_fail=False)
+    rep = verify_identity("k6-identity", analysis=a, raise_on_fail=False)
     assert not rep.passed
     assert rep.to_json()["pass"] is False
 
@@ -189,7 +281,7 @@ def test_non_integral_rhs_cannot_pass():
     e = moment_curve_embedding(6)
     a = EmbeddingAnalysis(e, seed=0)
     a.sum_lk_sq = lambda k, l: 2  # even total makes rhs = 1/2
-    rep = verify_main_identity(analysis=a, raise_on_fail=False)
+    rep = verify_identity("main-identity", analysis=a, raise_on_fail=False)
     assert not rep.passed
     assert rep.rhs == Fraction(1, 2)
     assert rep.to_json()["rhs"] == [1, 2]
@@ -271,21 +363,15 @@ def test_parallel_and_serial_sums_agree():
     ]
 
 
-def test_module_level_sum_helpers():
-    e = moment_curve_embedding(6)
-    assert sum_a2(e, 6, seed=0) == 0
-    assert sum_lk_sq(e, 3, 3, seed=0) == 1
-
-
 def test_report_json_shapes():
     e = moment_curve_embedding(6)
     a = EmbeddingAnalysis(e, seed=0)
-    rep = verify_k6_identity(analysis=a).to_json()
+    rep = verify_identity("k6-identity", analysis=a).to_json()
     assert set(rep) == {"identity_id", "n", "sums", "lhs", "rhs", "pass", "witnesses"}
-    cong = check_mod2(analysis=a).to_json()
+    cong = verify_identity("mod2-parity", analysis=a).to_json()
     assert cong["identity_id"] == "mod2-parity"
     assert cong["modulus"] == 2
-    bounds = check_bounds(analysis=a).to_json()
+    bounds = verify_identity("a2-bounds", analysis=a).to_json()
     assert bounds["rectilinear"] is True
     assert bounds["upper"] == 1
 
