@@ -37,7 +37,7 @@ from .geometry import (
     read_embedding,
 )
 from .graphs import Cycle, k331_graph
-from .invariants import knot_invariant, link_invariant
+from .invariants import AUDIT_CROSSING_LIMIT, knot_invariant, link_invariant
 from .projection import FRAME_RETRY_LIMIT
 from .theorems import (
     EmbeddingAnalysis,
@@ -80,7 +80,8 @@ def _add_compute_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--frame-retries", type=int, default=FRAME_RETRY_LIMIT,
                    help="projection frames tried before giving up")
     p.add_argument("--audit", action="store_true",
-                   help="replay small diagrams through the skein oracle")
+                   help=f"check diagrams of at most {AUDIT_CROSSING_LIMIT} crossings "
+                        "by an independent route (Alexander polynomial, one-sided lk)")
     p.add_argument("--allow-large", action="store_true",
                    help="lift the Hamiltonian size ceiling")
 

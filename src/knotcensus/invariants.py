@@ -1,17 +1,26 @@
 """Knot and link invariants computed exactly from certified diagrams.
 
-Two independent routes to the same numbers:
+Every value has a fast path and, with auditing on, an independent check
+of that value on the first accepted diagram of at most
+`AUDIT_CROSSING_LIMIT` (12) crossings:
 
-* the fast path: linking number as half the signed mutual-crossing count,
-  and the second Conway coefficient via a two-arrow Gauss-diagram count
-  (quadratic in the crossing number);
-* the oracle: full Conway polynomial by crossing-switch/smoothing
-  recursion down to descending diagrams, memoized on canonical diagram
-  codes.
+* knots: the second Conway coefficient a2 by a two-arrow Gauss-diagram
+  count (quadratic in the crossing number), checked against a2 read off
+  the Alexander polynomial.  Delta(t) is the determinant of a minor of
+  the Fox-calculus matrix of the Wirtinger presentation, taken over Z[t]
+  by fraction-free elimination; since Delta(t) = Nabla(t^1/2 - t^-1/2),
+  a2 = Delta''(1)/2 (polynomial in the crossing number);
+* links: the linking number as half the signed count of all mutual
+  crossings, checked against the one-sided count of the crossings where
+  the first component passes over the second.
 
-The fast path is calibrated once against the oracle (see the pattern
-constants below) and the two are compared on every audited diagram; a
-disagreement is an engine defect, raised as InvariantContractError.
+A disagreement is an engine defect, raised as InvariantContractError.
+
+The skein oracle (`conway_skein_oracle`) computes the full Conway
+polynomial by crossing-switch/smoothing recursion down to descending
+diagrams.  It is exponential in the crossing number, so it is not used
+on the audit path; it calibrates the two-arrow count (see the pattern
+constants below) and anchors both routes in the tests.
 """
 
 from __future__ import annotations
@@ -141,12 +150,9 @@ def _smooth(comps: Comps, cid: int) -> Comps:
     return tuple(out)
 
 
-_CONWAY_MEMO: dict = {}
-
-
-def _conway(comps: Comps, signs: dict[int, int]) -> tuple[int, ...]:
+def _conway(comps: Comps, signs: dict[int, int], memo: dict) -> tuple[int, ...]:
     key = _canonical_code(comps, signs)
-    hit = _CONWAY_MEMO.get(key)
+    hit = memo.get(key)
     if hit is not None:
         return hit
     bad = _first_ascending(comps)
@@ -162,10 +168,10 @@ def _conway(comps: Comps, signs: dict[int, int]) -> tuple[int, ...]:
         sw_signs[cid] = -eps
         smoothed = _smooth(comps, cid)
         sm_signs = {c: s for c, s in signs.items() if c != cid}
-        a = _conway(switched, sw_signs)
-        b = _poly_shift(_conway(smoothed, sm_signs))
+        a = _conway(switched, sw_signs, memo)
+        b = _poly_shift(_conway(smoothed, sm_signs, memo))
         value = _poly_add(a, b, eps)
-    _CONWAY_MEMO[key] = value
+    memo[key] = value
     return value
 
 
@@ -177,7 +183,8 @@ def conway_skein_oracle(
     Deliberately the slow, independent route: switch the first crossing
     met under-first (a step toward a descending diagram) and smooth it
     (one crossing fewer), recursing on both.  Intended for diagrams of
-    at most `limit` crossings.
+    at most `limit` crossings.  Subdiagrams are memoized on canonical
+    codes for the length of one call only.
     """
     if d.crossing_count > limit:
         raise OracleLimitExceeded(
@@ -190,7 +197,7 @@ def conway_skein_oracle(
     if any(c != 2 for c in counts.values()) or len(counts) != d.crossing_count:
         raise ValueError("every crossing must be passed exactly twice")
     signs = {cid: d.signs[cid] for cid in range(d.crossing_count)}
-    return ConwayPolynomial(_conway(d.passages, signs))
+    return ConwayPolynomial(_conway(d.passages, signs, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +284,141 @@ def calibrate_a2_patterns(
 
 
 # ---------------------------------------------------------------------------
+# Audit routes: the Alexander polynomial and the one-sided linking number
+
+
+def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _poly_trim(out)
+
+
+def _poly_divide_exactly(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """a / b in Z[t]; a remainder is a contract violation."""
+    r = list(a)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[k + len(b) - 1], b[-1])
+        if rem:
+            break
+        q[k] = c
+        for i, y in enumerate(b):
+            r[k + i] -= c * y
+    if any(r):
+        raise InvariantContractError(f"{a} is not divisible by {b} in Z[t]")
+    return _poly_trim(q)
+
+
+def _determinant(m: list[list[tuple[int, ...]]]) -> tuple[int, ...]:
+    """Determinant over Z[t] by Bareiss fraction-free elimination.
+
+    Every entry after step k is a (k+1)-minor of the input, so each
+    division by the previous pivot is exact; rows are swapped when a
+    pivot is zero.  `m` is overwritten.
+    """
+    n = len(m)
+    if n == 0:
+        return (1,)
+    sign, prev = 1, (1,)
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if swap is None:
+                return ()
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            mik = m[i][k]
+            for j in range(k + 1, n):
+                m[i][j] = _poly_divide_exactly(
+                    _poly_add(_poly_mul(m[i][j], pivot), _poly_mul(mik, m[k][j]), -1),
+                    prev,
+                )
+        prev = pivot
+    return _poly_add((), m[-1][-1], sign)
+
+
+def alexander_polynomial(d: LinkDiagram) -> tuple[int, ...]:
+    """Alexander polynomial of a knot diagram, constant term first.
+
+    Arc m runs from the m-th under-passage of the traversal to the next
+    one.  Crossing c, with over-arc k, incoming under-arc i and outgoing
+    under-arc j, gives the Fox-calculus row (1-t) x_k + t x_i - x_j if
+    positive and (1-t) x_k + t x_j - x_i if negative.  The determinant
+    without the last row and column is Delta(t) up to a unit +-t^m; the
+    result is shifted to start at t^0 and signed so Delta(1) = 1.
+    Raises InvariantContractError if that is not a knot's Alexander
+    polynomial: Delta(1) is not +-1, or Delta is not symmetric.
+    """
+    if d.component_count != 1:
+        raise ValueError("the Alexander polynomial needs a one-component diagram")
+    n = d.crossing_count
+    (passages,) = d.passages
+    if sorted(passages) != [(c, o) for c in range(n) for o in (0, 1)]:
+        raise ValueError("every crossing must be passed once over and once under")
+    if n == 0:
+        return (1,)
+    over_arc, arc_in, arc_out = [0] * n, [0] * n, [0] * n
+    arc, starts = n - 1, 0
+    for cid, over in passages:
+        if over:
+            over_arc[cid] = arc
+        else:
+            arc_in[cid], arc_out[cid] = arc, starts
+            arc, starts = starts, starts + 1
+    rows = []
+    for cid in range(n):
+        row = [[0, 0] for _ in range(n)]
+        i, j = (arc_in[cid], arc_out[cid]) if d.signs[cid] > 0 else (arc_out[cid], arc_in[cid])
+        row[over_arc[cid]][0] += 1
+        row[over_arc[cid]][1] -= 1
+        row[i][1] += 1
+        row[j][0] -= 1
+        rows.append([_poly_trim(e) for e in row[: n - 1]])
+    det = list(_determinant(rows[: n - 1]))
+    while det and det[0] == 0:
+        det.pop(0)
+    at_one = sum(det)
+    if at_one not in (1, -1):
+        raise InvariantContractError(f"Delta(1) = {at_one}, not +-1")
+    det = [at_one * c for c in det]
+    if det != det[::-1]:
+        raise InvariantContractError(f"Alexander polynomial {det} is not symmetric")
+    return tuple(det)
+
+
+def alexander_a2(d: LinkDiagram) -> int:
+    """Second Conway coefficient of a knot diagram, Delta''(1)/2.
+
+    With Delta(t) = sum d_i t^i symmetric of degree D and t = e^{2u},
+    z^2 = 4u^2 + O(u^4) and the u^2 coefficient gives
+    a2 = sum (2i - D)^2 d_i / 8.
+    """
+    delta = alexander_polynomial(d)
+    deg = len(delta) - 1
+    total = sum((2 * i - deg) ** 2 * c for i, c in enumerate(delta))
+    if total % 8:
+        raise InvariantContractError(f"{total} / 8 from {delta} is not an integer")
+    return total // 8
+
+
+def one_sided_linking_number(d: LinkDiagram) -> int:
+    """Signed count of the crossings where component 0 passes over 1."""
+    if d.component_count != 2:
+        raise ValueError("linking number needs a two-component diagram")
+    first, second = d.passages
+    over_first = {cid for cid, over in first if over}
+    under_second = {cid for cid, over in second if not over}
+    return sum(d.signs[cid] for cid in over_first & under_second)
+
+
+# ---------------------------------------------------------------------------
 # Stick-number consequences
 
 
@@ -313,8 +455,8 @@ class InvariantRecord:
     `frame_index` in the deterministic sequence) and reproduced
     identically on `verified_frames` further accepted frames;
     `crossing_count` is from the first accepted diagram.  `audited` marks
-    diagrams small enough for the oracle cross-check, which then also
-    agreed.
+    diagrams of at most AUDIT_CROSSING_LIMIT crossings, whose value the
+    independent audit route then also gave.
     """
 
     subject: tuple
@@ -330,18 +472,18 @@ def _a2_of_diagram(d: LinkDiagram) -> int:
 
 
 def _audit_knot(d: LinkDiagram, value: int) -> None:
-    oracle = conway_skein_oracle(d)
-    if oracle.a2 != value:
+    expected = alexander_a2(d)
+    if expected != value:
         raise InvariantContractError(
-            f"gauss-formula a2 {value} != oracle a2 {oracle.a2}"
+            f"gauss-formula a2 {value} != Alexander a2 {expected}"
         )
 
 
 def _audit_link(d: LinkDiagram, value: int) -> None:
-    oracle = conway_skein_oracle(d)
-    if oracle.a1 != value:
+    expected = one_sided_linking_number(d)
+    if expected != value:
         raise InvariantContractError(
-            f"linking number {value} != oracle z^1 coefficient {oracle.a1}"
+            f"linking number {value} != one-sided count {expected}"
         )
 
 

@@ -115,8 +115,8 @@ class LinkDiagram:
 
     `passages[c]` lists, in traversal order from component c's basepoint,
     the crossings met along c with an over/under flag; `signs[i]` is the
-    sign of crossing i.  Passages and signs are all any invariant, or the
-    skein oracle, reads.
+    sign of crossing i.  Passages and signs are all any invariant, its
+    audit, or the skein oracle reads.
     """
 
     passages: tuple[tuple[Passage, ...], ...]

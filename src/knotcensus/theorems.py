@@ -1,8 +1,8 @@
 """Exact evaluation of the integer identities a spatial embedding satisfies.
 
 Every aggregate here is assembled from per-cycle invariant records (each
-frame-verified, optionally oracle-audited), so a report can name the
-cycles behind its numbers.  All arithmetic is exact: sums are Python
+frame-verified, optionally audited), so a report can name the cycles
+behind its numbers.  All arithmetic is exact: sums are Python
 integers, the one halved coefficient is checked for integrality rather
 than rounded, and pass means lhs equals rhs, nothing weaker.
 
@@ -98,9 +98,11 @@ class EmbeddingAnalysis:
         audit: bool = False,
         allow_large: bool = False,
     ):
+        if threads < 1:
+            raise ValueError(f"threads must be at least 1, got {threads}")
         self.embedding = embedding
         self.seed = seed
-        self.threads = max(1, threads)
+        self.threads = threads
         self.verify_frames = verify_frames
         self.retry_limit = retry_limit
         self.audit = audit

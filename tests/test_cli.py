@@ -270,3 +270,13 @@ def test_allow_large_flag_is_wired(capsys):
     code, _, err = run(capsys, "census", "--n", "11", "--kind", "moment")
     assert code == 2
     assert "override" in err
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_thread_count_below_one_is_usage_error(capsys, count):
+    code, out, err = run(
+        capsys, "verify", "--n", "6", "--kind", "moment", "--threads", count
+    )
+    assert code == 2
+    assert out == ""
+    assert "threads" in err

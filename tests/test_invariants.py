@@ -1,4 +1,5 @@
-"""Invariant engine: oracle anchors, calibration lock, and exactness laws."""
+"""Invariant engine: oracle anchors, calibration lock, audit routes and
+exactness laws."""
 
 from __future__ import annotations
 
@@ -7,21 +8,27 @@ from hypothesis import given, settings, strategies as st
 
 from knotcensus.errors import InvariantContractError, OracleLimitExceeded
 from knotcensus.geometry import moment_curve_embedding, random_rectilinear_embedding
-from knotcensus.graphs import Cycle, enumerate_cycles
+from knotcensus.graphs import Cycle, enumerate_cycles, enumerate_disjoint_pairs
+from knotcensus import invariants
 from knotcensus.invariants import (
     A2_PATTERN,
     A2_SIGN,
     ConwayPolynomial,
     _a2_with_pattern,
+    _poly_divide_exactly,
     a2_gauss_formula,
+    alexander_a2,
+    alexander_polynomial,
     calibrate_a2_patterns,
     classify_triangle_triangle,
     conway_skein_oracle,
     knot_invariant,
     link_invariant,
     linking_number,
+    one_sided_linking_number,
     stick_bound_a2,
 )
+from knotcensus.theorems import EmbeddingAnalysis
 from knotcensus.projection import GaussDiagram, LinkDiagram, diagram_for, gauss_diagram
 
 # ---------------------------------------------------------------------------
@@ -302,3 +309,90 @@ def test_random_hexagons_stay_within_stick_bound(seed):
     c = enumerate_cycles(e.graph, 6)[0]
     value, *_ = knot_invariant(e.cycle_points_scaled(c), seed=0)
     assert abs(value) <= stick_bound_a2(6)
+
+
+# ---------------------------------------------------------------------------
+# The audit routes: Alexander polynomial (knots), one-sided count (links)
+
+
+def _first_diagram(*curves) -> LinkDiagram:
+    for dia, _ in diagram_for(curves, seed=0):
+        return dia
+
+
+@pytest.mark.parametrize(
+    "diagram,delta",
+    [
+        (UNKNOT, (1,)),
+        (torus_2k_diagram(3, 1), (1, -1, 1)),
+        (torus_2k_diagram(3, -1), (1, -1, 1)),
+        (torus_2k_diagram(5, 1), (1, -1, 1, -1, 1)),
+        (torus_2k_diagram(5, -1), (1, -1, 1, -1, 1)),
+        (torus_2k_diagram(7, 1), (1, -1, 1, -1, 1, -1, 1)),
+        (torus_2k_diagram(7, -1), (1, -1, 1, -1, 1, -1, 1)),
+        (_first_diagram(STICK_ANCHORS["trefoil_hexagon"][0]), (1, -1, 1)),
+        (_first_diagram(STICK_ANCHORS["figure_eight_heptagon"][0]), (-1, 3, -1)),
+    ],
+)
+def test_alexander_polynomial_of_anchor_diagrams(diagram, delta):
+    assert alexander_polynomial(diagram) == delta
+    assert alexander_a2(diagram) == conway_skein_oracle(diagram).a2
+
+
+def test_alexander_route_rejects_what_is_not_a_knot():
+    with pytest.raises(ValueError):
+        alexander_polynomial(hopf_diagram(1))
+    with pytest.raises(ValueError):
+        alexander_polynomial(LinkDiagram(passages=(((0, True),),), signs=(1,)))
+    # A Gauss code no closed curve in the plane realizes: its Fox matrix
+    # gives 2 - t, which is not symmetric.
+    virtual = LinkDiagram(
+        passages=(((2, 0), (1, 1), (2, 1), (0, 0), (1, 0), (0, 1)),),
+        signs=(-1, 1, 1),
+    )
+    with pytest.raises(InvariantContractError):
+        alexander_polynomial(virtual)
+    with pytest.raises(InvariantContractError):
+        _poly_divide_exactly((1, 1, 1), (1, 1))
+    assert _poly_divide_exactly((-1, 0, 1), (1, 1)) == (-1, 1)
+
+
+def test_one_sided_count_of_hopf_diagrams():
+    assert one_sided_linking_number(hopf_diagram(1)) == 1
+    assert one_sided_linking_number(hopf_diagram(-1)) == -1
+    assert one_sided_linking_number(UNLINK2) == 0
+    with pytest.raises(ValueError):
+        one_sided_linking_number(UNKNOT)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([6, 7]))
+def test_audit_routes_match_the_skein_oracle(seed, n):
+    e = random_rectilinear_embedding(n, seed=f"audit:{seed}", coord_range=12)
+    for c in enumerate_cycles(e.graph, n)[:6]:
+        dia = _first_diagram(e.cycle_points_scaled(c))
+        if dia.crossing_count <= 12:
+            assert alexander_a2(dia) == conway_skein_oracle(dia).a2
+    for p in enumerate_disjoint_pairs(e.graph, 3, 3)[:6]:
+        dia = _first_diagram(e.cycle_points_scaled(p.first), e.cycle_points_scaled(p.second))
+        lk = one_sided_linking_number(dia)
+        assert lk == conway_skein_oracle(dia).a1 == linking_number(dia)
+
+
+def _off_by_one(fn):
+    return lambda d: fn(d) + 1
+
+
+def test_audit_catches_a_wrong_fast_path_value(monkeypatch):
+    pts, _, _ = STICK_ANCHORS["trefoil_hexagon"]
+    monkeypatch.setattr(invariants, "a2_gauss_formula", _off_by_one(a2_gauss_formula))
+    monkeypatch.setattr(invariants, "linking_number", _off_by_one(linking_number))
+    knot_invariant(pts, seed=0)
+    link_invariant(*HOPF_STICKS, seed=0)
+    EmbeddingAnalysis(moment_curve_embedding(6)).knot_records(6)
+    with pytest.raises(InvariantContractError, match="Alexander"):
+        knot_invariant(pts, seed=0, audit=True)
+    with pytest.raises(InvariantContractError, match="one-sided"):
+        link_invariant(*HOPF_STICKS, seed=0, audit=True)
+    with pytest.raises(InvariantContractError, match="Alexander"):
+        EmbeddingAnalysis(moment_curve_embedding(6), audit=True).knot_records(6)

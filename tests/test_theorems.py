@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -361,6 +362,34 @@ def test_parallel_and_serial_sums_agree():
     assert [r.value for r in serial.knot_records(6)] == [
         r.value for r in parallel.knot_records(6)
     ]
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_thread_count_below_one_is_refused(threads):
+    with pytest.raises(ValueError, match="threads"):
+        EmbeddingAnalysis(moment_curve_embedding(6), threads=threads)
+
+
+def _module_container_sizes() -> dict[str, int]:
+    sizes = {}
+    for name, mod in list(sys.modules.items()):
+        if name == "knotcensus" or name.startswith("knotcensus."):
+            for attr, value in vars(mod).items():
+                if not attr.startswith("__") and isinstance(value, (dict, list, set)):
+                    sizes[f"{name}.{attr}"] = len(value)
+    return sizes
+
+
+def test_audited_analysis_leaves_module_level_containers_unchanged():
+    # Memory stays bounded only if nothing an analysis computes outlives
+    # it: no module-level dict, list or set may grow during a run.
+    before = _module_container_sizes()
+    e = moment_curve_embedding(7)
+    _, a = verify_embedding(e, analysis=EmbeddingAnalysis(e, audit=True))
+    assert a.audited_knots > 1000 and a.audited_links > 0
+    after = _module_container_sizes()
+    grown = {k: (before.get(k, 0), v) for k, v in after.items() if v > before.get(k, 0)}
+    assert grown == {}
 
 
 def test_report_json_shapes():
