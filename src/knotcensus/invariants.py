@@ -16,6 +16,13 @@ of that value on the first accepted diagram of at most
 
 A disagreement is an engine defect, raised as InvariantContractError.
 
+The records of an embedding's cycles (`cycle_invariant`) take both fast
+paths straight from the frame's whole-graph crossing table: the Gauss
+arrows of a cycle's walk, and per-edge-pair signed sums.  A
+`LinkDiagram` is built only for the audit, at frames where the whole
+graph is not generic (the per-cycle fallback), and in `knot_invariant` /
+`link_invariant`.
+
 The skein oracle (`conway_skein_oracle`) computes the full Conway
 polynomial by crossing-switch/smoothing recursion down to descending
 diagrams.  It is exponential in the crossing number, so it is not used
@@ -26,12 +33,14 @@ constants below) and anchors both routes in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import InvariantContractError, OracleLimitExceeded
 from .geometry import IntPoint
 from .projection import (
     FRAME_RETRY_LIMIT,
+    Arrow,
+    CrossingTable,
     GaussDiagram,
     GraphProjection,
     LinkDiagram,
@@ -204,6 +213,12 @@ def conway_skein_oracle(
 # Linking number
 
 
+def _half(total: int) -> int:
+    if total % 2 != 0:
+        raise InvariantContractError("odd signed mutual-crossing total")
+    return total // 2
+
+
 def linking_number(d: LinkDiagram) -> int:
     """Half the signed count of crossings between the two components."""
     if d.component_count != 2:
@@ -212,10 +227,7 @@ def linking_number(d: LinkDiagram) -> int:
     for ci, ps in enumerate(d.passages):
         for cid, _ in ps:
             comps_of.setdefault(cid, set()).add(ci)
-    total = sum(d.signs[cid] for cid, cs in comps_of.items() if len(cs) == 2)
-    if total % 2 != 0:
-        raise InvariantContractError("odd signed mutual-crossing total")
-    return total // 2
+    return _half(sum(d.signs[cid] for cid, cs in comps_of.items() if len(cs) == 2))
 
 
 # ---------------------------------------------------------------------------
@@ -238,23 +250,20 @@ _ALL_PATTERNS = [
 ]
 
 
-def _a2_with_pattern(g: GaussDiagram, pattern: tuple[bool, bool], sign: int) -> int:
-    arrows = g.arrows
+def _a2_with_pattern(
+    arrows: Sequence[Arrow], pattern: tuple[bool, bool], sign: int
+) -> int:
+    """The two-arrow count of `arrows` in one pattern, times `sign`."""
+    spans = [
+        (o, u, o < u, s) if o < u else (u, o, o < u, s) for o, u, s in arrows
+    ]
     total = 0
-    for i in range(len(arrows)):
-        oi, ui, si = arrows[i]
-        a1, a2 = (oi, ui) if oi < ui else (ui, oi)
-        a_first_over = oi < ui
-        for j in range(len(arrows)):
-            if j == i:
-                continue
-            oj, uj, sj = arrows[j]
-            b1, b2 = (oj, uj) if oj < uj else (uj, oj)
-            if not (a1 < b1 < a2 < b2):
-                continue
-            # arrows i and j interleave with i starting first
-            b_first_over = oj < uj
-            if a_first_over == pattern[0] and b_first_over == pattern[1]:
+    for a1, a2, a_first_over, si in spans:
+        if a_first_over != pattern[0]:
+            continue
+        for b1, b2, b_first_over, sj in spans:
+            # arrows interleave with the first one starting first
+            if a1 < b1 < a2 < b2 and b_first_over == pattern[1]:
                 total += si * sj
     return sign * total
 
@@ -266,7 +275,7 @@ def a2_gauss_formula(g: GaussDiagram) -> int:
     stored basepoint.  Equality with the oracle's z^2 coefficient is
     asserted on every audited diagram rather than assumed.
     """
-    return _a2_with_pattern(g, A2_PATTERN, A2_SIGN)
+    return _a2_with_pattern(g.arrows, A2_PATTERN, A2_SIGN)
 
 
 def calibrate_a2_patterns(
@@ -276,7 +285,7 @@ def calibrate_a2_patterns(
     survivors = list(_ALL_PATTERNS)
     for g, expected in samples:
         survivors = [
-            (p, s) for p, s in survivors if _a2_with_pattern(g, p, s) == expected
+            (p, s) for p, s in survivors if _a2_with_pattern(g.arrows, p, s) == expected
         ]
         if not survivors:
             break
@@ -471,6 +480,28 @@ def _a2_of_diagram(d: LinkDiagram) -> int:
     return a2_gauss_formula(gauss_diagram(d))
 
 
+def a2_from_table(table: CrossingTable, cycles: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
+    """(a2, crossing count) of one cycle read straight from a crossing table.
+
+    The same two-arrow count as `a2_gauss_formula` on the arrows of
+    `table.restrict(cycles)`, with no diagram built.
+    """
+    arrows = table.arrows(cycles[0])
+    return _a2_with_pattern(arrows, A2_PATTERN, A2_SIGN), len(arrows)
+
+
+def linking_number_from_table(
+    table: CrossingTable, cycles: tuple[tuple[int, ...], ...]
+) -> tuple[int, int]:
+    """(lk, crossing count) of a disjoint cycle pair from a crossing table.
+
+    Equal to `linking_number(table.restrict(cycles))` and that diagram's
+    crossing count, with no diagram built.
+    """
+    total, count = table.linking_total(*cycles)
+    return _half(total), count
+
+
 def _audit_knot(d: LinkDiagram, value: int) -> None:
     expected = alexander_a2(d)
     if expected != value:
@@ -487,16 +518,20 @@ def _audit_link(d: LinkDiagram, value: int) -> None:
         )
 
 
+# What one accepted frame gives a record: the value, the crossing count,
+# and a callable that builds the diagram, called only to audit it.
+Reading = tuple[int, int, Callable[[], LinkDiagram]]
+
+
 def _verified_value(
-    diagram_at: Callable[[int], LinkDiagram],
-    evaluate: Callable[[LinkDiagram], int],
+    read_at: Callable[[int], Reading],
     audit: Callable[[LinkDiagram, int], None] | None,
     verify_frames: int,
     retry_limit: int,
 ) -> tuple[int, int, int, bool]:
     """Evaluate on frames 0, 1, ... until `verify_frames` more agree.
 
-    `diagram_at(index)` gives the diagram at one frame or raises
+    `read_at(index)` gives the reading at one frame or raises
     GenericityFailure; GenericityExhausted is raised once `retry_limit`
     frames have failed in total.
     """
@@ -505,12 +540,11 @@ def _verified_value(
     first_index = 0
     audited = False
     accepted = 0
-    for dia, index in accepted_diagrams(diagram_at, retry_limit):
-        v = evaluate(dia)
+    for (v, count, diagram), index in accepted_diagrams(read_at, retry_limit):
         if value is None:
-            value, first_count, first_index = v, dia.crossing_count, index
-            if audit is not None and dia.crossing_count <= AUDIT_CROSSING_LIMIT:
-                audit(dia, v)
+            value, first_count, first_index = v, count, index
+            if audit is not None and count <= AUDIT_CROSSING_LIMIT:
+                audit(diagram(), v)
                 audited = True
         elif v != value:
             raise InvariantContractError(
@@ -520,6 +554,10 @@ def _verified_value(
         if accepted > verify_frames:
             break
     return value, first_count, first_index, audited
+
+
+def _reading(d: LinkDiagram, evaluate: Callable[[LinkDiagram], int]) -> Reading:
+    return evaluate(d), d.crossing_count, lambda: d
 
 
 def _evaluator(components: int, audit: bool):
@@ -538,23 +576,33 @@ def cycle_invariant(
     """(value, crossing count, frame index, audited, fell back) for a cycle.
 
     `cycles` is one cycle's vertex tuple (a2) or two disjoint ones (lk).
-    Diagrams are read from the whole-graph tables; "fell back" is true
-    when some frame used was not whole-graph generic, so the cycles were
-    projected on their own there.  Every other field equals what
-    `knot_invariant` / `link_invariant` return for the cycles' points
-    with the frame seed of `graph`.
+    At a whole-graph generic frame the value and crossing count are read
+    straight from its table (`a2_from_table`, `linking_number_from_table`),
+    and a diagram is restricted from it only to be audited.  "Fell back"
+    is true when some frame used was not whole-graph generic, so the
+    cycles were projected on their own there.  Every other field equals
+    what `knot_invariant` / `link_invariant` return for the cycles'
+    points with the frame seed of `graph`.
     """
     fell_back = False
-
-    def diagram_at(index: int) -> LinkDiagram:
-        nonlocal fell_back
-        fell_back = fell_back or graph.tables[index] is None
-        return graph.diagram(cycles, index)
-
     evaluate, check = _evaluator(len(cycles), audit)
-    return _verified_value(diagram_at, evaluate, check, verify_frames, retry_limit) + (
-        fell_back,
-    )
+    from_table = a2_from_table if len(cycles) == 1 else linking_number_from_table
+
+    def read_at(index: int) -> Reading:
+        nonlocal fell_back
+        table = graph.tables[index]
+        if table is None:
+            fell_back = True
+            return _reading(graph.diagram(cycles, index), evaluate)
+        value, count = from_table(table, cycles)
+        return value, count, lambda: table.restrict(cycles)
+
+    return _verified_value(read_at, check, verify_frames, retry_limit) + (fell_back,)
+
+
+def _curve_reader(curves, seed, evaluate) -> Callable[[int], Reading]:
+    diagram_at = curve_source(curves, seed)
+    return lambda index: _reading(diagram_at(index), evaluate)
 
 
 def knot_invariant(
@@ -567,7 +615,7 @@ def knot_invariant(
     """(a2, crossing count, frame index, audited) for one closed polygon."""
     evaluate, check = _evaluator(1, audit)
     return _verified_value(
-        curve_source((points,), seed), evaluate, check, verify_frames, retry_limit
+        _curve_reader((points,), seed, evaluate), check, verify_frames, retry_limit
     )
 
 
@@ -582,5 +630,5 @@ def link_invariant(
     """(lk, crossing count, frame index, audited) for a curve pair."""
     evaluate, check = _evaluator(2, audit)
     return _verified_value(
-        curve_source((points_a, points_b), seed), evaluate, check, verify_frames, retry_limit
+        _curve_reader((points_a, points_b), seed, evaluate), check, verify_frames, retry_limit
     )

@@ -21,6 +21,11 @@ cycle pair in it, and their diagrams are restrictions of the one table
 (`CrossingTable.restrict`), identical to what `project` returns.  Where
 the graph is not generic, cycles are projected on their own at that
 frame (`GraphProjection.diagram`).
+
+The table also answers what the invariants read without building a
+diagram: a cycle's Gauss arrows (`CrossingTable.arrows`) and a cycle
+pair's signed mutual-crossing total (`CrossingTable.linking_total`).
+`restrict` is left to the audit and to tests.
 """
 
 from __future__ import annotations
@@ -213,9 +218,10 @@ def accepted_diagrams(
 ) -> Iterator[tuple[LinkDiagram, int]]:
     """Yield (diagram, frame_index) for each frame where `diagram_at` succeeds.
 
-    `diagram_at(index)` gives the diagram at frame `index` or raises
-    GenericityFailure; GenericityExhausted is raised once `retry_limit`
-    frames have failed in total.
+    `diagram_at(index)` gives the diagram at frame `index`, or whatever
+    the caller reads there, or raises GenericityFailure;
+    GenericityExhausted is raised once `retry_limit` frames have failed
+    in total.
     """
     failures = 0
     index = 0
@@ -268,6 +274,15 @@ Edge = tuple[int, int]
 EdgePass = tuple[int, Edge, int, int]
 
 
+Arrow = tuple[int, int, int]  # (over position, under position, sign)
+
+
+def _oriented_edges(vs: tuple[int, ...]) -> list[tuple[Edge, int]]:
+    """The edges of cycle `vs` in walk order, each with its orientation
+    factor: +1 if the walk runs from the smaller vertex, else -1."""
+    return [((a, b), 1) if a < b else ((b, a), -1) for a, b in zip(vs, vs[1:] + vs[:1])]
+
+
 @dataclass(frozen=True)
 class CrossingTable:
     """Every crossing of a whole embedded graph at one generic frame.
@@ -275,10 +290,13 @@ class CrossingTable:
     `forward[edge]` lists the crossings met along edge (i, j), i < j,
     walked from i to j: its segments in order and each segment's
     crossings in parameter order; the walk from j to i meets them in
-    reverse.
+    reverse.  `pairs[e][f]` is (signed sum, count) of the crossings
+    between edges e and f, stored under both orders (once if e == f),
+    with signs as in `forward`; edge pairs that do not cross are absent.
     """
 
     forward: dict[Edge, tuple[EdgePass, ...]]
+    pairs: dict[Edge, dict[Edge, tuple[int, int]]]
 
     def restrict(self, cycles: Sequence[tuple[int, ...]]) -> LinkDiagram:
         """The diagram of one cycle or a disjoint pair, as `project` builds it.
@@ -290,25 +308,16 @@ class CrossingTable:
         determinant, so a sign is the table's sign times the orientation
         factor (+1 or -1) of each of its two edges.
         """
-        factor: dict[Edge, int] = {}
-        walks = []
-        for vs in cycles:
-            steps = []
-            for a, b in zip(vs, vs[1:] + vs[:1]):
-                if a < b:
-                    factor[(a, b)] = 1
-                    steps.append((self.forward[(a, b)], 1))
-                else:
-                    factor[(b, a)] = -1
-                    steps.append((reversed(self.forward[(b, a)]), -1))
-            walks.append(steps)
+        forward = self.forward
+        walks = [_oriented_edges(vs) for vs in cycles]
+        factor = {edge: f for edges in walks for edge, f in edges}
         relabel: dict[int, int] = {}
         signs: list[int] = []
         passages = []
-        for steps in walks:
+        for edges in walks:
             ps: list[Passage] = []
-            for items, f in steps:
-                for gid, other, over, sign in items:
+            for edge, f in edges:
+                for gid, other, over, sign in forward[edge] if f > 0 else reversed(forward[edge]):
                     g = factor.get(other)
                     if g is None:
                         continue
@@ -319,6 +328,64 @@ class CrossingTable:
                     ps.append((cid, over))
             passages.append(tuple(ps))
         return LinkDiagram(tuple(passages), tuple(signs))
+
+    def arrows(self, vs: tuple[int, ...]) -> list[Arrow]:
+        """The Gauss-diagram arrows of one cycle, read without a diagram.
+
+        The walk is `restrict`'s, so `gauss_diagram(self.restrict((vs,)))`
+        has the same arrows, listed by first encounter there and by
+        second here.  Raises ValueError, as `gauss_diagram` does, unless
+        every kept crossing is passed once over and once under.
+        """
+        forward = self.forward
+        edges = _oriented_edges(vs)
+        factor = dict(edges)
+        opened: dict[int, tuple[int, int, int]] = {}
+        out: list[Arrow] = []
+        pos = 0
+        for edge, f in edges:
+            for gid, other, over, sign in forward[edge] if f > 0 else reversed(forward[edge]):
+                g = factor.get(other)
+                if g is None:
+                    continue
+                first = opened.pop(gid, None)
+                if first is None:
+                    opened[gid] = (pos, over, sign * f * g)
+                elif first[1] == over:
+                    raise ValueError("every crossing must be passed once over and once under")
+                else:
+                    out.append((pos, first[0], first[2]) if over else (first[0], pos, first[2]))
+                pos += 1
+        if opened:
+            raise ValueError("every crossing must be passed once over and once under")
+        return out
+
+    def linking_total(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, int]:
+        """(signed mutual-crossing total, crossing count) of a disjoint pair.
+
+        The total is the sum `linking_number` takes over
+        `self.restrict((a, b))`: each edge pair's signed sum times both
+        edges' orientation factors.  The count is that diagram's
+        `crossing_count`, so it includes each cycle's self-crossings.
+        """
+        pairs = self.pairs
+        first, second = _oriented_edges(a), _oriented_edges(b)
+        total = count = 0
+        for e, f in first:
+            row = pairs.get(e, {})
+            for g, h in second:
+                entry = row.get(g)
+                if entry is not None:
+                    total += entry[0] * f * h
+                    count += entry[1]
+        for side in (first, second):
+            for i, (e, _) in enumerate(side):
+                row = pairs.get(e, {})
+                for g, _ in side[i:]:
+                    entry = row.get(g)
+                    if entry is not None:
+                        count += entry[1]
+        return total, count
 
 
 def crossing_table(e: SpatialEmbedding, frame: ProjectionFrame) -> CrossingTable:
@@ -360,7 +427,16 @@ def crossing_table(e: SpatialEmbedding, frame: ProjectionFrame) -> CrossingTable
             si, sj, _, _, _, i_over, sign = raw[gid]
             other, over = (sj, i_over) if si == s else (si, 1 - i_over)
             passes.append((gid, seg_edge[other], over, sign))
-    return CrossingTable(forward={edge: tuple(ps) for edge, ps in forward.items()})
+    pairs: dict[Edge, dict[Edge, tuple[int, int]]] = {}
+    for si, sj, _, _, _, _, sign in raw:
+        a, b = seg_edge[si], seg_edge[sj]
+        for x, y in {(a, b), (b, a)}:
+            row = pairs.setdefault(x, {})
+            total, count = row.get(y, (0, 0))
+            row[y] = (total + sign, count + 1)
+    return CrossingTable(
+        forward={edge: tuple(ps) for edge, ps in forward.items()}, pairs=pairs
+    )
 
 
 class GraphProjection:

@@ -76,6 +76,20 @@ def _record_task(cycles):
     return _worker_record(cycles)
 
 
+def _check_stick_knot(k: int, rec: InvariantRecord) -> None:
+    # A k-cycle with straight edges is a k-stick polygon: below six
+    # sticks only the unknot is possible, and in general its second
+    # Conway coefficient cannot exceed the k-stick bound.
+    if k <= 5 and rec.value != 0:
+        raise InvariantContractError(
+            f"straight {k}-gon {rec.subject} got nonzero a2 {rec.value}"
+        )
+    if k >= 6 and rec.value > stick_bound_a2(k):
+        raise InvariantContractError(
+            f"{k}-stick knot {rec.subject} exceeds a2 bound: {rec.value}"
+        )
+
+
 class EmbeddingAnalysis:
     """Cached per-class invariant records for one embedding.
 
@@ -84,7 +98,7 @@ class EmbeddingAnalysis:
     deterministic reduction order (sorted canonical keys), so sums do
     not depend on the worker count.
 
-    Diagrams are read from whole-graph crossing tables, one per frame,
+    Values are read from whole-graph crossing tables, one per frame,
     built on the first request for records and freed with the analysis.
     """
 
@@ -172,6 +186,7 @@ class EmbeddingAnalysis:
             )
         cycles = enumerate_cycles(g, k)
         out = []
+        rectilinear = self.embedding.rectilinear
         for c, (value, ncross, fidx, audited, _) in zip(
             cycles, self._invariants([(c.vertices,) for c in cycles])
         ):
@@ -184,25 +199,11 @@ class EmbeddingAnalysis:
                 verified_frames=self.verify_frames,
                 audited=audited,
             )
-            self._check_knot_contract(k, rec)
+            if rectilinear:
+                _check_stick_knot(k, rec)
             out.append(rec)
         self._knots[key] = tuple(out)
         return self._knots[key]
-
-    def _check_knot_contract(self, k: int, rec: InvariantRecord) -> None:
-        if not self.embedding.rectilinear:
-            return
-        # A k-cycle with straight edges is a k-stick polygon: below six
-        # sticks only the unknot is possible, and in general its second
-        # Conway coefficient cannot exceed the k-stick bound.
-        if k <= 5 and rec.value != 0:
-            raise InvariantContractError(
-                f"straight {k}-gon {rec.subject} got nonzero a2 {rec.value}"
-            )
-        if k >= 6 and rec.value > stick_bound_a2(k):
-            raise InvariantContractError(
-                f"{k}-stick knot {rec.subject} exceeds a2 bound: {rec.value}"
-            )
 
     def link_records(self, k: int, l: int) -> tuple[InvariantRecord, ...]:
         """Frame-verified lk records for all disjoint (k, l) cycle pairs."""

@@ -116,6 +116,18 @@ def test_sampling_exhaustion_exit_code(capsys):
     assert "attempts" in err
 
 
+def test_embed_sampling_exhaustion_message(capsys):
+    # Every one of the 64 sampled K9 configurations with coordinates in
+    # [-1, 1] fails validation.
+    code, out, err = run(capsys, "embed", "--n", "9", "--range", "1")
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "knotcensus: no general-position configuration after 64 attempts "
+        "(coordinate range 1)\n"
+    )
+
+
 def test_corrupt_file_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n": 6}')

@@ -1,9 +1,10 @@
 """Whole-graph crossing tables: restriction against per-cycle projection.
 
-An `EmbeddingAnalysis` reads every cycle's diagram from one crossing
-table per frame.  These tests hold it to the per-cycle route it
-replaced: the same diagrams, the same records field by field, the same
-fallback where the whole graph is not generic, the same exhaustion.
+An `EmbeddingAnalysis` reads every cycle's value from one crossing table
+per frame.  These tests hold it to the per-cycle route it replaced: the
+same diagrams, the same records field by field, the same fallback where
+the whole graph is not generic, the same exhaustion.  Values read
+straight from a table are held to the values of its restricted diagrams.
 """
 
 from __future__ import annotations
@@ -13,9 +14,11 @@ import hashlib
 import weakref
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotcensus import cli
+from knotcensus import cli, projection
+from knotcensus.errors import InvariantContractError
 from knotcensus.geometry import (
     SpatialEmbedding,
     random_k331_embedding,
@@ -25,8 +28,21 @@ from knotcensus.geometry import (
     write_embedding,
 )
 from knotcensus.graphs import Cycle, enumerate_cycles, enumerate_disjoint_pairs
-from knotcensus.invariants import knot_invariant, link_invariant
-from knotcensus.projection import GraphProjection, frame_sequence, project
+from knotcensus.invariants import (
+    a2_from_table,
+    a2_gauss_formula,
+    knot_invariant,
+    link_invariant,
+    linking_number,
+    linking_number_from_table,
+)
+from knotcensus.projection import (
+    CrossingTable,
+    GraphProjection,
+    frame_sequence,
+    gauss_diagram,
+    project,
+)
 from knotcensus.theorems import EmbeddingAnalysis
 
 
@@ -99,6 +115,12 @@ def test_restriction_equals_projection_at_every_generic_frame(e, frame_seed):
     assert crossed > 0
 
 
+def _reversed_edge_crossings(table: CrossingTable, subject) -> int:
+    """Crossings on the edges that the subject walks from the larger vertex."""
+    edges = {(a, b) for vs in subject for a, b in zip(vs, vs[1:] + vs[:1]) if a > b}
+    return sum(len(table.forward[(b, a)]) for a, b in edges)
+
+
 def test_restriction_handles_reversed_edges_with_several_crossings():
     # Every canonical cycle walks its closing edge from the larger vertex
     # to the smaller one.  On this polyline K7 many cycles do so along
@@ -108,13 +130,121 @@ def test_restriction_handles_reversed_edges_with_several_crossings():
     index = next(i for i, t in enumerate(g.tables) if t is not None)
     busy = 0
     for subject in _subjects(e, range(3, 8)):
-        edges = {(a, b) for vs in subject for a, b in zip(vs, vs[1:] + vs[:1]) if a > b}
-        crossings = sum(len(g.tables[index].forward[(b, a)]) for a, b in edges)
         restricted = g.diagram(subject, index)
         projected = project(g.curves(subject), g.frames[index])
         assert (restricted.passages, restricted.signs) == (projected.passages, projected.signs)
-        busy += crossings >= 2
+        busy += _reversed_edge_crossings(g.tables[index], subject) >= 2
     assert busy > 0
+
+
+# ---------------------------------------------------------------------------
+# Values read straight from the table against values of the restriction
+
+
+def _assert_table_values_match_restriction(table: CrossingTable, subject) -> int:
+    """Check one subject at one table; return its crossing count."""
+    d = table.restrict(subject)
+    if len(subject) == 1:
+        assert sorted(table.arrows(subject[0])) == sorted(gauss_diagram(d).arrows), subject
+        expected = a2_gauss_formula(gauss_diagram(d))
+        assert a2_from_table(table, subject) == (expected, d.crossing_count), subject
+    else:
+        expected = linking_number(d)
+        assert linking_number_from_table(table, subject) == (expected, d.crossing_count), subject
+    return d.crossing_count
+
+
+@settings(max_examples=12, deadline=None)
+@given(embeddings, st.integers(0, 3))
+def test_table_values_equal_restricted_diagram_values(e, frame_seed):
+    g = GraphProjection(e, frame_seed, verify_frames=1, retry_limit=64)
+    subjects = _subjects(e, range(3, e.n + 1))
+    crossed = 0
+    for table in g.tables:
+        if table is not None:
+            for subject in subjects:
+                crossed += _assert_table_values_match_restriction(table, subject) > 0
+    assert crossed > 0
+
+
+def test_unaudited_records_build_no_diagram_at_generic_frames(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a diagram was built")
+
+    e = random_polyline_embedding(7, 0, bent_edges=8)
+    assert None not in GraphProjection(e, 0, verify_frames=1, retry_limit=64).tables
+    monkeypatch.setattr(projection, "LinkDiagram", refuse)
+    monkeypatch.setattr(projection, "GaussDiagram", refuse)
+    a = EmbeddingAnalysis(e, seed=0)
+    assert _analysis_records(a, range(3, 8))
+    with pytest.raises(AssertionError, match="a diagram was built"):
+        EmbeddingAnalysis(e, seed=0, audit=True).knot_records(3)
+
+
+def test_table_values_on_reversed_edges_with_several_crossings():
+    # The fixture of test_restriction_handles_reversed_edges_with_several_crossings.
+    e = random_polyline_embedding(7, 3, bent_edges=8)
+    g = GraphProjection(e, 0, verify_frames=1, retry_limit=64)
+    table = next(t for t in g.tables if t is not None)
+    busy = 0
+    for subject in _subjects(e, range(3, 8)):
+        _assert_table_values_match_restriction(table, subject)
+        busy += _reversed_edge_crossings(table, subject) >= 2
+    assert busy > 0
+
+
+def test_table_values_with_an_edge_that_crosses_itself():
+    # Edge 1-2 zig-zags through three waypoints, so its first and last
+    # segments cross in the diagram at both generic frames: every cycle
+    # through it has a crossing of one edge with itself.
+    base = random_rectilinear_embedding(6, seed=0)
+    path = ((58, -43, -86), (39, -39, -79), (-3, 84, 95))
+    e = SpatialEmbedding(base.graph, base.vertex_positions, {(1, 2): path})
+    assert validate_embedding(e)
+    g = GraphProjection(e, 0, verify_frames=1, retry_limit=64)
+    tables = [t for t in g.tables if t is not None]
+    assert len(tables) == 2
+    for table in tables:
+        assert (1, 2) in table.pairs[(1, 2)]
+        for subject in _subjects(e, range(3, 7)):
+            _assert_table_values_match_restriction(table, subject)
+
+
+# A triangle (1, 2, 3) and a disjoint triangle (4, 5, 6), with crossings
+# entered by hand.
+TRIANGLE, OTHER = (1, 2, 3), (4, 5, 6)
+
+
+def _doctored(forward: dict, pairs: dict | None = None) -> CrossingTable:
+    edges = [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)]
+    return CrossingTable(
+        forward={edge: tuple(forward.get(edge, ())) for edge in edges}, pairs=pairs or {}
+    )
+
+
+def test_crossing_passed_over_twice_is_refused():
+    table = _doctored({(1, 2): [(0, (2, 3), 1, 1)], (2, 3): [(0, (1, 2), 1, 1)]})
+    with pytest.raises(ValueError, match="once over and once under"):
+        a2_from_table(table, (TRIANGLE,))
+    with pytest.raises(ValueError, match="once over and once under"):
+        gauss_diagram(table.restrict((TRIANGLE,)))
+
+
+def test_crossing_met_once_is_refused():
+    table = _doctored({(1, 2): [(0, (2, 3), 1, 1)]})
+    with pytest.raises(ValueError, match="once over and once under"):
+        a2_from_table(table, (TRIANGLE,))
+
+
+def test_odd_linking_total_is_refused():
+    table = _doctored(
+        {(1, 2): [(0, (4, 5), 1, 1)], (4, 5): [(0, (1, 2), 0, 1)]},
+        {(1, 2): {(4, 5): (1, 1)}, (4, 5): {(1, 2): (1, 1)}},
+    )
+    with pytest.raises(InvariantContractError, match="odd"):
+        linking_number_from_table(table, (TRIANGLE, OTHER))
+    with pytest.raises(InvariantContractError, match="odd"):
+        linking_number(table.restrict((TRIANGLE, OTHER)))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from knotcensus.invariants import (
     ConwayPolynomial,
     _a2_with_pattern,
     _poly_divide_exactly,
+    a2_from_table,
     a2_gauss_formula,
     alexander_a2,
     alexander_polynomial,
@@ -25,6 +26,7 @@ from knotcensus.invariants import (
     knot_invariant,
     link_invariant,
     linking_number,
+    linking_number_from_table,
     one_sided_linking_number,
     stick_bound_a2,
 )
@@ -259,9 +261,9 @@ def test_rejected_patterns_fail_on_the_figure_eight():
         break
     for pattern in ((True, True), (False, False)):
         for sign in (1, -1):
-            assert _a2_with_pattern(g, pattern, sign) != a2
-    assert _a2_with_pattern(g, A2_PATTERN, -A2_SIGN) != a2
-    assert _a2_with_pattern(g, A2_PATTERN, A2_SIGN) == a2
+            assert _a2_with_pattern(g.arrows, pattern, sign) != a2
+    assert _a2_with_pattern(g.arrows, A2_PATTERN, -A2_SIGN) != a2
+    assert _a2_with_pattern(g.arrows, A2_PATTERN, A2_SIGN) == a2
 
 
 def test_moment_trefoil_knot():
@@ -383,10 +385,25 @@ def _off_by_one(fn):
     return lambda d: fn(d) + 1
 
 
+def _off_by_one_reading(fn):
+    def wrong(table, cycles):
+        value, count = fn(table, cycles)
+        return value + 1, count
+
+    return wrong
+
+
 def test_audit_catches_a_wrong_fast_path_value(monkeypatch):
+    # Diagrams (knot_invariant, link_invariant) and crossing tables
+    # (EmbeddingAnalysis) have separate fast paths; all four are made
+    # wrong by one.
     pts, _, _ = STICK_ANCHORS["trefoil_hexagon"]
     monkeypatch.setattr(invariants, "a2_gauss_formula", _off_by_one(a2_gauss_formula))
     monkeypatch.setattr(invariants, "linking_number", _off_by_one(linking_number))
+    monkeypatch.setattr(invariants, "a2_from_table", _off_by_one_reading(a2_from_table))
+    monkeypatch.setattr(
+        invariants, "linking_number_from_table", _off_by_one_reading(linking_number_from_table)
+    )
     knot_invariant(pts, seed=0)
     link_invariant(*HOPF_STICKS, seed=0)
     EmbeddingAnalysis(moment_curve_embedding(6)).knot_records(6)
@@ -396,3 +413,5 @@ def test_audit_catches_a_wrong_fast_path_value(monkeypatch):
         link_invariant(*HOPF_STICKS, seed=0, audit=True)
     with pytest.raises(InvariantContractError, match="Alexander"):
         EmbeddingAnalysis(moment_curve_embedding(6), audit=True).knot_records(6)
+    with pytest.raises(InvariantContractError, match="one-sided"):
+        EmbeddingAnalysis(moment_curve_embedding(6), audit=True).link_records(3, 3)

@@ -406,11 +406,11 @@ def test_report_json_shapes():
 
 
 # ---------------------------------------------------------------------------
-# Rigid motions and mirroring, through the whole pipeline
+# Rigid motions, mirroring and frame seeds, through the whole pipeline
 
 
-def _record_values(e: SpatialEmbedding) -> tuple[dict, dict]:
-    a = EmbeddingAnalysis(e, seed=0, threads=1)
+def _record_values(e: SpatialEmbedding, seed=0) -> tuple[dict, dict]:
+    a = EmbeddingAnalysis(e, seed=seed, threads=1)
     knots = {r.subject: r.value for k in range(3, e.n + 1) for r in a.knot_records(k)}
     links = {
         r.subject: r.value
@@ -447,3 +447,11 @@ def test_mirroring_negates_lk_and_keeps_a2(e):
     assert m_knots == knots
     assert m_links == {subject: -value for subject, value in links.items()}
     assert any(links.values())
+
+
+@settings(max_examples=10, deadline=None)
+@given(rectilinear)
+def test_frame_seed_keeps_every_record_value(e):
+    # Another seed projects through other frames, so every value is
+    # read from other crossing tables.
+    assert _record_values(e, seed=7) == _record_values(e, seed=0)
