@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from datetime import datetime, timezone
 from fractions import Fraction
 
 from .errors import (
@@ -168,6 +167,8 @@ def _emit(args, text: str) -> None:
 
 def _stamp(args, doc: dict) -> dict:
     if args.timestamps:
+        from datetime import datetime, timezone
+
         doc["generated_at"] = datetime.now(timezone.utc).isoformat()
     return doc
 

@@ -7,9 +7,11 @@ of that value on the first accepted diagram of at most
 * knots: the second Conway coefficient a2 by a two-arrow Gauss-diagram
   count (quadratic in the crossing number), checked against a2 read off
   the Alexander polynomial.  Delta(t) is the determinant of a minor of
-  the Fox-calculus matrix of the Wirtinger presentation, taken over Z[t]
-  by fraction-free elimination; since Delta(t) = Nabla(t^1/2 - t^-1/2),
-  a2 = Delta''(1)/2 (polynomial in the crossing number);
+  the Fox-calculus matrix of the Wirtinger presentation, taken as one
+  integer determinant at t = 2^(2n) for n crossings (fraction-free
+  elimination) and read back digit by digit; since
+  Delta(t) = Nabla(t^1/2 - t^-1/2), a2 = Delta''(1)/2 (polynomial in the
+  crossing number);
 * links: the linking number as half the signed count of all mutual
   crossings, checked against the one-sided count of the crossings where
   the first component passes over the second.
@@ -296,61 +298,51 @@ def calibrate_a2_patterns(
 # Audit routes: the Alexander polynomial and the one-sided linking number
 
 
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _poly_trim(out)
+def _determinant(m: list[list[int]]) -> int:
+    """Integer determinant by Bareiss fraction-free elimination.
 
-
-def _poly_divide_exactly(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """a / b in Z[t]; a remainder is a contract violation."""
-    r = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    for k in range(len(q) - 1, -1, -1):
-        c, rem = divmod(r[k + len(b) - 1], b[-1])
-        if rem:
-            break
-        q[k] = c
-        for i, y in enumerate(b):
-            r[k + i] -= c * y
-    if any(r):
-        raise InvariantContractError(f"{a} is not divisible by {b} in Z[t]")
-    return _poly_trim(q)
-
-
-def _determinant(m: list[list[tuple[int, ...]]]) -> tuple[int, ...]:
-    """Determinant over Z[t] by Bareiss fraction-free elimination.
-
-    Every entry after step k is a (k+1)-minor of the input, so each
-    division by the previous pivot is exact; rows are swapped when a
+    Each updated entry is a minor of the row-swapped input (Sylvester's
+    identity), so each division by the previous pivot is exact, and a
+    remainder raises InvariantContractError; rows are swapped when a
     pivot is zero.  `m` is overwritten.
     """
     n = len(m)
     if n == 0:
-        return (1,)
-    sign, prev = 1, (1,)
+        return 1
+    sign, prev = 1, 1
     for k in range(n - 1):
         if not m[k][k]:
             swap = next((r for r in range(k + 1, n) if m[r][k]), None)
             if swap is None:
-                return ()
+                return 0
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
+        top = m[k]
+        pivot = top[k]
+        for row in m[k + 1 :]:
+            mik = row[k]
             for j in range(k + 1, n):
-                m[i][j] = _poly_divide_exactly(
-                    _poly_add(_poly_mul(m[i][j], pivot), _poly_mul(mik, m[k][j]), -1),
-                    prev,
-                )
+                row[j], rem = divmod(row[j] * pivot - mik * top[j], prev)
+                if rem:
+                    raise InvariantContractError(
+                        f"Bareiss step {k} leaves remainder {rem} modulo {prev}"
+                    )
         prev = pivot
-    return _poly_add((), m[-1][-1], sign)
+    return sign * m[-1][-1]
+
+
+def _balanced_digits(value: int, bits: int) -> list[int]:
+    """Base-2**bits digits of `value`, lowest first, each in (-base/2, base/2]."""
+    base = 1 << bits
+    mask, half = base - 1, base >> 1
+    digits = []
+    while value:
+        digit = value & mask
+        if digit > half:
+            digit -= base
+        digits.append(digit)
+        value = (value - digit) >> bits
+    return digits
 
 
 def alexander_polynomial(d: LinkDiagram) -> tuple[int, ...]:
@@ -364,6 +356,19 @@ def alexander_polynomial(d: LinkDiagram) -> tuple[int, ...]:
     result is shifted to start at t^0 and signed so Delta(1) = 1.
     Raises InvariantContractError if that is not a knot's Alexander
     polynomial: Delta(1) is not +-1, or Delta is not symmetric.
+
+    The determinant is one integer determinant at t = T = 2^(2n), for n
+    crossings (Kronecker substitution), read back as balanced base-T
+    digits.  This is exact.  Each row's coefficients have absolute sum
+    at most 4, so the coefficients of a k-minor, a sum over permutations
+    of products of one entry per row, have absolute sum at most 4^k;
+    with k <= n - 1 that is at most T/4.  A polynomial whose
+    coefficients are below T/2 in absolute value is the only one with
+    its value at T, so the digits decode uniquely, and it is 0 at T only
+    if it is the zero polynomial.  Evaluation at T is a ring
+    homomorphism, so every Bareiss entry is the corresponding Z[t] minor
+    at T: pivots vanish, rows swap and divisions are exact exactly as
+    they would over Z[t].
     """
     if d.component_count != 1:
         raise ValueError("the Alexander polynomial needs a one-component diagram")
@@ -381,16 +386,17 @@ def alexander_polynomial(d: LinkDiagram) -> tuple[int, ...]:
         else:
             arc_in[cid], arc_out[cid] = arc, starts
             arc, starts = starts, starts + 1
+    bits = 2 * n
+    t = 1 << bits
     rows = []
-    for cid in range(n):
-        row = [[0, 0] for _ in range(n)]
+    for cid in range(n - 1):
+        row = [0] * n
         i, j = (arc_in[cid], arc_out[cid]) if d.signs[cid] > 0 else (arc_out[cid], arc_in[cid])
-        row[over_arc[cid]][0] += 1
-        row[over_arc[cid]][1] -= 1
-        row[i][1] += 1
-        row[j][0] -= 1
-        rows.append([_poly_trim(e) for e in row[: n - 1]])
-    det = list(_determinant(rows[: n - 1]))
+        row[over_arc[cid]] += 1 - t
+        row[i] += t
+        row[j] -= 1
+        rows.append(row[: n - 1])
+    det = _balanced_digits(_determinant(rows), bits)
     while det and det[0] == 0:
         det.pop(0)
     at_one = sum(det)

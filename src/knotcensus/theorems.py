@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import comb, factorial, inf
-from multiprocessing import Pool
 
 from .errors import InvariantContractError, IdentityViolation, ScaleLimitExceeded
 from .geometry import SpatialEmbedding
@@ -164,6 +163,8 @@ class EmbeddingAnalysis:
             audit=self.audit,
         )
         if self.threads > 1 and len(subjects) > 16:
+            from multiprocessing import Pool
+
             chunk = max(1, len(subjects) // (self.threads * 8))
             with Pool(self.threads, initializer=_init_worker, initargs=(record,)) as pool:
                 results = pool.map(_record_task, subjects, chunksize=chunk)

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import knotcensus
 from knotcensus import cli
 from knotcensus.geometry import (
     moment_curve_embedding,
@@ -19,6 +23,18 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_import_leaves_pool_and_clock_modules_unloaded():
+    # Only `--threads` above 1 needs multiprocessing, and only
+    # `--timestamps` needs datetime; a serial run pays for neither.
+    src = os.path.dirname(os.path.dirname(knotcensus.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, knotcensus.cli; print(sorted({'multiprocessing', 'datetime'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
 
 
 def test_verify_moment_k6_passes(capsys):

@@ -6,6 +6,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from knotcensus.errors import SamplingExhausted
 from knotcensus.geometry import (
@@ -168,6 +169,30 @@ def test_json_round_trip_polyline_and_tripartite(tmp_path):
     back = embedding_from_json(embedding_to_json(k))
     assert back.graph == k331_graph()
     assert back.vertex_positions == k.vertex_positions
+
+
+embeddings = st.one_of(
+    st.builds(
+        lambda n, s: random_rectilinear_embedding(n, seed=s),
+        st.integers(4, 8),
+        st.integers(0, 10**6),
+    ),
+    st.builds(
+        lambda n, s, b: random_polyline_embedding(n, seed=s, bent_edges=b),
+        st.integers(5, 7),
+        st.integers(0, 10**6),
+        st.integers(1, 4),
+    ),
+    st.builds(moment_curve_embedding, st.integers(3, 9)),
+    st.builds(random_k331_embedding, st.integers(0, 10**6)),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(embeddings)
+def test_json_round_trip_is_the_identity(e):
+    assert embedding_from_json(embedding_to_json(e)) == e
+    assert embedding_from_json(json.loads(dumps_canonical(embedding_to_json(e)))) == e
 
 
 def test_json_output_is_byte_stable():

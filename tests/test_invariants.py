@@ -3,8 +3,11 @@ exactness laws."""
 
 from __future__ import annotations
 
+from itertools import combinations, permutations
+from math import prod
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from knotcensus.errors import InvariantContractError, OracleLimitExceeded
 from knotcensus.geometry import moment_curve_embedding, random_rectilinear_embedding
@@ -15,7 +18,7 @@ from knotcensus.invariants import (
     A2_SIGN,
     ConwayPolynomial,
     _a2_with_pattern,
-    _poly_divide_exactly,
+    _determinant,
     a2_from_table,
     a2_gauss_formula,
     alexander_a2,
@@ -31,7 +34,14 @@ from knotcensus.invariants import (
     stick_bound_a2,
 )
 from knotcensus.theorems import EmbeddingAnalysis
-from knotcensus.projection import GaussDiagram, LinkDiagram, diagram_for, gauss_diagram
+from knotcensus.projection import (
+    FRAME_RETRY_LIMIT,
+    GaussDiagram,
+    GraphProjection,
+    LinkDiagram,
+    diagram_for,
+    gauss_diagram,
+)
 
 # ---------------------------------------------------------------------------
 # Hand-checkable diagrams.  A (2, k) torus braid closure passes its k
@@ -354,9 +364,65 @@ def test_alexander_route_rejects_what_is_not_a_knot():
     )
     with pytest.raises(InvariantContractError):
         alexander_polynomial(virtual)
-    with pytest.raises(InvariantContractError):
-        _poly_divide_exactly((1, 1, 1), (1, 1))
-    assert _poly_divide_exactly((-1, 0, 1), (1, 1)) == (-1, 1)
+
+
+def _leibniz(m: list[list[int]]) -> int:
+    total = 0
+    for perm in permutations(range(len(m))):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        total += (-1) ** inversions * prod(row[c] for row, c in zip(m, perm))
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7]), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+@example([[0, 1], [1, 0]])  # a zero pivot: rows swap
+@example([[0, 2, 1], [0, 1, 3], [5, 1, 1]])  # the swap row is two rows down
+@example([[0, 1], [0, 1]])  # a zero column: singular
+@example([[1, 2, 3], [2, 4, 6], [1, 1, 1]])  # a zero pivot after a step: singular
+def test_integer_determinant_equals_leibniz_expansion(m):
+    assert _determinant([row[:] for row in m]) == _leibniz(m)
+
+
+def test_bareiss_remainder_is_a_contract_violation(monkeypatch):
+    # Sylvester's identity makes every Bareiss division exact on real
+    # input, so the guard is reached only through a division that lies.
+    monkeypatch.setattr(invariants, "divmod", lambda a, b: (a // b, 1), raising=False)
+    with pytest.raises(InvariantContractError, match="remainder"):
+        alexander_polynomial(torus_2k_diagram(3, 1))
+
+
+@pytest.mark.parametrize("k", [19, 21])
+def test_alexander_polynomial_of_wide_torus_knots(k):
+    # Past the oracle's limit: Delta = sum_{i<k} (-t)^i and a2 = (k^2-1)/8.
+    for sign in (1, -1):
+        d = torus_2k_diagram(k, sign)
+        assert alexander_polynomial(d) == tuple((-1) ** i for i in range(k))
+        assert alexander_a2(d) == (k * k - 1) // 8
+
+
+def test_alexander_a2_matches_gauss_formula_on_dense_k9_diagrams():
+    # Up to five Hamiltonian knots of random K9 for each crossing count
+    # from 13 to 21, where the digits of the integer determinant are widest.
+    e = random_rectilinear_embedding(9, seed=0)
+    table = GraphProjection(e, 0, 1, FRAME_RETRY_LIMIT).tables[0]
+    per_count: dict[int, list[LinkDiagram]] = {}
+    for c in enumerate_cycles(e.graph, 9):
+        _, count = a2_from_table(table, (c.vertices,))
+        if count >= 13 and len(per_count.setdefault(count, [])) < 5:
+            per_count[count].append(table.restrict((c.vertices,)))
+    diagrams = [d for ds in per_count.values() for d in ds]
+    assert sorted(per_count) == list(range(13, 22)) and len(diagrams) == 42
+    for d in diagrams:
+        assert alexander_a2(d) == a2_gauss_formula(gauss_diagram(d))
 
 
 def test_one_sided_count_of_hopf_diagrams():

@@ -449,6 +449,36 @@ def test_mirroring_negates_lk_and_keeps_a2(e):
     assert any(links.values())
 
 
+def _records(e: SpatialEmbedding) -> list:
+    a = EmbeddingAnalysis(e, seed=0, threads=1)
+    records = [a.knot_records(k) for k in range(3, e.n + 1)]
+    return records + [a.link_records(k, l) for k, l in ((3, 3), (3, 4)) if k + l <= e.n]
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.one_of(
+        rectilinear,
+        st.builds(
+            lambda n, s: random_polyline_embedding(n, seed=s, bent_edges=3),
+            st.sampled_from([6, 7]),
+            st.integers(0, 10**6),
+        ),
+    ),
+    st.sampled_from([Fraction(3, 7), Fraction(1, 2), Fraction(5), Fraction(11, 4)]),
+)
+def test_rational_scaling_keeps_every_record(e, factor):
+    def scale(p):
+        return tuple(c * factor for c in p)
+
+    scaled = SpatialEmbedding(
+        e.graph,
+        {v: scale(p) for v, p in e.vertex_positions.items()},
+        {edge: tuple(map(scale, path)) for edge, path in e.edge_paths.items()},
+    )
+    assert _records(scaled) == _records(e)
+
+
 @settings(max_examples=10, deadline=None)
 @given(rectilinear)
 def test_frame_seed_keeps_every_record_value(e):
