@@ -64,9 +64,7 @@ from .invariants import (
 )
 from .theorems import (
     CATALOG,
-    BoundsReport,
     CensusReport,
-    CongruenceReport,
     EmbeddingAnalysis,
     IdentityReport,
     applicable_identities,

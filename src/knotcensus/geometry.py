@@ -429,12 +429,17 @@ def _coord_to_json(c: Fraction):
     return int(c) if c.denominator == 1 else [c.numerator, c.denominator]
 
 
+def _is_json_int(v) -> bool:
+    # JSON true and false load as bool, which is an int subclass.
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _coord_from_json(v) -> Fraction:
-    if isinstance(v, int):
+    if _is_json_int(v):
         return Fraction(v)
     if isinstance(v, (list, tuple)) and len(v) == 2:
         num, den = v
-        if isinstance(num, int) and isinstance(den, int) and den != 0:
+        if _is_json_int(num) and _is_json_int(den) and den != 0:
             return Fraction(num, den)
     raise ValueError(f"bad coordinate {v!r}")
 
@@ -468,7 +473,7 @@ def embedding_from_json(doc: dict) -> SpatialEmbedding:
         vertices = doc["vertices"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"missing field: {exc}") from None
-    if not isinstance(n, int) or n < 3:
+    if not _is_json_int(n) or n < 3:
         raise ValueError(f"bad vertex count {n!r}")
     kind = doc.get("graph", "complete")
     if kind == "complete":

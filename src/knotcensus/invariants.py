@@ -468,7 +468,7 @@ class InvariantRecord:
 
     `value` was computed from the first accepted frame (index
     `frame_index` in the deterministic sequence) and reproduced
-    identically on `verified_frames` further accepted frames;
+    identically on the further accepted frames the analysis asked for;
     `crossing_count` is from the first accepted diagram.  `audited` marks
     diagrams of at most AUDIT_CROSSING_LIMIT crossings, whose value the
     independent audit route then also gave.
@@ -478,7 +478,6 @@ class InvariantRecord:
     value: int
     crossing_count: int
     frame_index: int
-    verified_frames: int
     audited: bool
 
 
@@ -527,6 +526,14 @@ def _audit_link(d: LinkDiagram, value: int) -> None:
 # What one accepted frame gives a record: the value, the crossing count,
 # and a callable that builds the diagram, called only to audit it.
 Reading = tuple[int, int, Callable[[], LinkDiagram]]
+
+
+def check_frame_budget(verify_frames: int, retry_limit: int) -> None:
+    """Raise ValueError unless verify_frames >= 0 and retry_limit >= 1."""
+    if verify_frames < 0:
+        raise ValueError(f"verify_frames must be at least 0, got {verify_frames}")
+    if retry_limit < 1:
+        raise ValueError(f"retry_limit must be at least 1, got {retry_limit}")
 
 
 def _verified_value(
@@ -619,6 +626,7 @@ def knot_invariant(
     audit: bool = False,
 ) -> tuple[int, int, int, bool]:
     """(a2, crossing count, frame index, audited) for one closed polygon."""
+    check_frame_budget(verify_frames, retry_limit)
     evaluate, check = _evaluator(1, audit)
     return _verified_value(
         _curve_reader((points,), seed, evaluate), check, verify_frames, retry_limit
@@ -634,6 +642,7 @@ def link_invariant(
     audit: bool = False,
 ) -> tuple[int, int, int, bool]:
     """(lk, crossing count, frame index, audited) for a curve pair."""
+    check_frame_budget(verify_frames, retry_limit)
     evaluate, check = _evaluator(2, audit)
     return _verified_value(
         _curve_reader((points_a, points_b), seed, evaluate), check, verify_frames, retry_limit

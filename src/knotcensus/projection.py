@@ -455,8 +455,8 @@ class GraphProjection:
         self.frames: list[ProjectionFrame] = []
         self.tables: list[CrossingTable | None] = []
         self.rejects: dict[str, int] = {}
-        wanted = max(verify_frames, 0) + 1
-        budget = wanted + max(retry_limit, 1) - 1
+        wanted = verify_frames + 1
+        budget = wanted + retry_limit - 1
         generic = 0
         for frame in frame_sequence(seed):
             try:

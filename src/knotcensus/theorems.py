@@ -9,7 +9,7 @@ than rounded, and pass means lhs equals rhs, nothing weaker.
 `CATALOG` has one row per identity below, for K_n with straight or bent
 edges unless marked (H is the bipartite subgraph of the tripartite
 graph, apex removed).  The first ten are equations; the last three are
-checks with reports of their own:
+checks.  Every row reports through one `IdentityReport`:
 
   k6-identity        n=6:  2 S_a2(6) - 2 S_a2(5) = S_lk2(3,3) - 1
   main-identity      n>=6: S_a2(n) - (n-5)! S_a2(5)
@@ -36,7 +36,7 @@ checks with reports of their own:
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import comb, factorial, inf
@@ -51,6 +51,7 @@ from .graphs import (
 )
 from .invariants import (
     InvariantRecord,
+    check_frame_budget,
     classify_triangle_triangle,
     cycle_invariant,
     stick_bound_a2,
@@ -89,6 +90,13 @@ def _check_stick_knot(k: int, rec: InvariantRecord) -> None:
         )
 
 
+def _check_triangle_pair(rec: InvariantRecord) -> None:
+    if classify_triangle_triangle(rec.value, True) == "other":
+        raise InvariantContractError(
+            f"triangle pair {rec.subject} has |lk| >= 2 in a straight-edge embedding"
+        )
+
+
 class EmbeddingAnalysis:
     """Cached per-class invariant records for one embedding.
 
@@ -113,6 +121,7 @@ class EmbeddingAnalysis:
     ):
         if threads < 1:
             raise ValueError(f"threads must be at least 1, got {threads}")
+        check_frame_budget(verify_frames, retry_limit)
         self.embedding = embedding
         self.seed = seed
         self.threads = threads
@@ -122,8 +131,6 @@ class EmbeddingAnalysis:
         self.allow_large = allow_large
         self._knots: dict[tuple, tuple[InvariantRecord, ...]] = {}
         self._links: dict[tuple, tuple[InvariantRecord, ...]] = {}
-        self.audited_knots = 0
-        self.audited_links = 0
         self._projection: GraphProjection | None = None
         self._fallback_records = 0
 
@@ -134,6 +141,14 @@ class EmbeddingAnalysis:
     @property
     def graph(self) -> SimpleGraph:
         return self.embedding.graph
+
+    @property
+    def audited_knots(self) -> int:
+        return sum(r.audited for records in self._knots.values() for r in records)
+
+    @property
+    def audited_links(self) -> int:
+        return sum(r.audited for records in self._links.values() for r in records)
 
     @property
     def stats(self) -> dict:
@@ -149,8 +164,16 @@ class EmbeddingAnalysis:
             "fallback_records": self._fallback_records,
         }
 
-    def _invariants(self, subjects: list[tuple[tuple[int, ...], ...]]):
-        """`cycle_invariant` of each subject, counting fallbacks in the stats."""
+    def _records(self, cache: dict, key: tuple, subjects, check) -> tuple[InvariantRecord, ...]:
+        """The records of `subjects()`, built on the first request for `key`.
+
+        `subjects()` lists one cycle's vertex tuple (a2) or two disjoint
+        ones (lk) per record; each record goes through `check`, when not
+        None, before it is cached.  Fallbacks are counted in the stats.
+        """
+        if key in cache:
+            return cache[key]
+        subjects = subjects()
         if self._projection is None:
             self._projection = GraphProjection(
                 self.embedding, self.seed, self.verify_frames, self.retry_limit
@@ -171,76 +194,46 @@ class EmbeddingAnalysis:
         else:
             results = [record(s) for s in subjects]
         self._fallback_records += sum(r[4] for r in results)
-        return results
+        out = []
+        for s, (value, ncross, fidx, audited, _) in zip(subjects, results):
+            rec = InvariantRecord(s[0] if len(s) == 1 else s, value, ncross, fidx, audited)
+            if check is not None:
+                check(rec)
+            out.append(rec)
+        cache[key] = tuple(out)
+        return cache[key]
 
     def knot_records(
-        self, k: int, subgraph: SimpleGraph | None = None, tag: str = ""
+        self, k: int, subgraph: SimpleGraph | None = None
     ) -> tuple[InvariantRecord, ...]:
         """Frame-verified a2 records for all k-cycles, sorted canonically."""
-        g = subgraph if subgraph is not None else self.graph
-        key = (k, tag, None if subgraph is None else subgraph.edges)
-        if key in self._knots:
-            return self._knots[key]
         if k == self.n and self.n > HAMILTONIAN_CEILING and not self.allow_large:
             raise ScaleLimitExceeded(
                 f"Hamiltonian sums above n={HAMILTONIAN_CEILING} need the override"
             )
-        cycles = enumerate_cycles(g, k)
-        out = []
-        rectilinear = self.embedding.rectilinear
-        for c, (value, ncross, fidx, audited, _) in zip(
-            cycles, self._invariants([(c.vertices,) for c in cycles])
-        ):
-            self.audited_knots += 1 if audited else 0
-            rec = InvariantRecord(
-                subject=c.vertices,
-                value=value,
-                crossing_count=ncross,
-                frame_index=fidx,
-                verified_frames=self.verify_frames,
-                audited=audited,
-            )
-            if rectilinear:
-                _check_stick_knot(k, rec)
-            out.append(rec)
-        self._knots[key] = tuple(out)
-        return self._knots[key]
+        g = subgraph if subgraph is not None else self.graph
+        return self._records(
+            self._knots,
+            (k, g.edges),
+            lambda: [(c.vertices,) for c in enumerate_cycles(g, k)],
+            partial(_check_stick_knot, k) if self.embedding.rectilinear else None,
+        )
 
     def link_records(self, k: int, l: int) -> tuple[InvariantRecord, ...]:
         """Frame-verified lk records for all disjoint (k, l) cycle pairs."""
         key = (k, l) if k <= l else (l, k)
-        if key in self._links:
-            return self._links[key]
-        pairs = enumerate_disjoint_pairs(self.graph, *key)
-        out = []
-        rectilinear = self.embedding.rectilinear
-        for p, (value, ncross, fidx, audited, _) in zip(
-            pairs, self._invariants([(p.first.vertices, p.second.vertices) for p in pairs])
-        ):
-            self.audited_links += 1 if audited else 0
-            rec = InvariantRecord(
-                subject=(p.first.vertices, p.second.vertices),
-                value=value,
-                crossing_count=ncross,
-                frame_index=fidx,
-                verified_frames=self.verify_frames,
-                audited=audited,
-            )
-            if key == (3, 3):
-                cls = classify_triangle_triangle(value, rectilinear)
-                if cls == "other":
-                    raise InvariantContractError(
-                        f"triangle pair {rec.subject} has |lk| >= 2 "
-                        f"in a straight-edge embedding"
-                    )
-            out.append(rec)
-        self._links[key] = tuple(out)
-        return self._links[key]
+        return self._records(
+            self._links,
+            key,
+            lambda: [(p.first.vertices, p.second.vertices)
+                     for p in enumerate_disjoint_pairs(self.graph, *key)],
+            _check_triangle_pair if key == (3, 3) and self.embedding.rectilinear else None,
+        )
 
     # -- aggregates -----------------------------------------------------
 
-    def sum_a2(self, k: int, subgraph: SimpleGraph | None = None, tag: str = "") -> int:
-        return sum(r.value for r in self.knot_records(k, subgraph, tag))
+    def sum_a2(self, k: int, subgraph: SimpleGraph | None = None) -> int:
+        return sum(r.value for r in self.knot_records(k, subgraph))
 
     def sum_lk(self, k: int, l: int) -> int:
         return sum(r.value for r in self.link_records(k, l))
@@ -261,7 +254,11 @@ def _json_value(v):
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Both sides of one identity, with the sums that built them."""
+    """Both sides of one identity, with the sums that built them.
+
+    `extra` holds the keys a check row adds to its JSON: `modulus` for a
+    congruence, `rectilinear` and `upper` for the a2 bounds.
+    """
 
     identity_id: str
     n: int
@@ -270,6 +267,7 @@ class IdentityReport:
     rhs: int | Fraction
     passed: bool
     witnesses: tuple[dict, ...] = ()
+    extra: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
@@ -280,80 +278,7 @@ class IdentityReport:
             "rhs": _json_value(self.rhs),
             "pass": self.passed,
             "witnesses": list(self.witnesses),
-        }
-
-
-@dataclass(frozen=True)
-class CongruenceReport:
-    """A residue check: value must be `expected` modulo `modulus`."""
-
-    check_id: str
-    n: int
-    modulus: int
-    value: int
-    expected_residue: int
-    passed: bool
-
-    @property
-    def identity_id(self) -> str:
-        return self.check_id
-
-    @property
-    def lhs(self) -> int:
-        return self.value % self.modulus
-
-    @property
-    def rhs(self) -> int:
-        return self.expected_residue
-
-    def to_json(self) -> dict:
-        return {
-            "identity_id": self.check_id,
-            "n": self.n,
-            "modulus": self.modulus,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "sums": {"value": self.value},
-            "pass": self.passed,
-            "witnesses": [],
-        }
-
-
-@dataclass(frozen=True)
-class BoundsReport:
-    """Lower (and, when rectilinear, upper) bound check on the a2 total."""
-
-    check_id: str
-    n: int
-    rectilinear: bool
-    lower: int
-    value: int
-    upper: int | None
-    passed: bool
-
-    @property
-    def identity_id(self) -> str:
-        return self.check_id
-
-    @property
-    def lhs(self) -> int:
-        return self.value
-
-    @property
-    def rhs(self) -> int:
-        return self.lower
-
-    def to_json(self) -> dict:
-        return {
-            "identity_id": self.check_id,
-            "n": self.n,
-            "rectilinear": self.rectilinear,
-            "lhs": self.value,
-            "rhs": self.lower,
-            "upper": self.upper,
-            "sums": {"lower": self.lower, "value": self.value},
-            "pass": self.passed,
-            "witnesses": [],
+            **self.extra,
         }
 
 
@@ -414,9 +339,11 @@ def _witnesses_from(*record_sets) -> tuple[dict, ...]:
 
 
 def _analysis_for(e, analysis, **kw) -> EmbeddingAnalysis:
-    if analysis is not None:
-        return analysis
-    return EmbeddingAnalysis(e, **kw)
+    if analysis is None:
+        return EmbeddingAnalysis(e, **kw)
+    if e is not None and e is not analysis.embedding:
+        raise ValueError("the analysis belongs to another embedding")
+    return analysis
 
 
 def expected_residue(n: int) -> tuple[int, int]:
@@ -494,8 +421,8 @@ _SUMS = {
     "sum_a2_7": (lambda a: a.sum_a2(7), lambda a: a.knot_records(7)),
     "sum_a2_hamiltonian": (lambda a: a.sum_a2(a.n), lambda a: a.knot_records(a.n)),
     "sum_a2_6_h": (
-        lambda a: a.sum_a2(6, k331_h_subgraph(a.graph), tag="h"),
-        lambda a: a.knot_records(6, k331_h_subgraph(a.graph), tag="h"),
+        lambda a: a.sum_a2(6, k331_h_subgraph(a.graph)),
+        lambda a: a.knot_records(6, k331_h_subgraph(a.graph)),
     ),
     "sum_lk_sq_33": (lambda a: a.sum_lk_sq(3, 3), lambda a: a.link_records(3, 3)),
     "sum_lk_sq_34": (lambda a: a.sum_lk_sq(3, 4), lambda a: a.link_records(3, 4)),
@@ -509,8 +436,9 @@ class Identity:
     An equation row states, over the class sums s its `terms(n)` name,
     sum of l*s = scale(n) * (sum of r*s + constant(n)) for the integer
     pair (l, r) each sum maps to; its witnesses are the nonzero records
-    behind the sums named in `witnesses`.  A check row sets `evaluate`
-    and builds its own report.
+    behind the sums named in `witnesses`.  A check row sets `evaluate`,
+    which builds the row's `IdentityReport` with its check-only JSON keys
+    in `extra`.
     """
 
     id: str
@@ -519,21 +447,27 @@ class Identity:
     constant: Callable[[int], int] = lambda n: 0
     scale: Callable[[int], Fraction] | None = None
     witnesses: tuple[str, ...] = ()
-    evaluate: Callable[[EmbeddingAnalysis], CongruenceReport | BoundsReport] | None = None
+    evaluate: Callable[[EmbeddingAnalysis], IdentityReport] | None = None
 
 
-def _mod2(a: EmbeddingAnalysis) -> CongruenceReport:
+def _congruence(identity_id: str, n: int, value: int, modulus: int, residue: int) -> IdentityReport:
+    lhs = value % modulus
+    return IdentityReport(
+        identity_id, n, {"value": value}, lhs, residue, lhs == residue,
+        extra={"modulus": modulus},
+    )
+
+
+def _mod2(a: EmbeddingAnalysis) -> IdentityReport:
     value = a.sum_lk(3, 3) if a.n == 6 else a.sum_a2(7)
-    return CongruenceReport("mod2-parity", a.n, 2, value, 1, value % 2 == 1)
+    return _congruence("mod2-parity", a.n, value, 2, 1)
 
 
-def _residue(a: EmbeddingAnalysis) -> CongruenceReport:
-    m, r = expected_residue(a.n)
-    value = a.sum_a2(a.n)
-    return CongruenceReport("residue-congruence", a.n, m, value, r, (value - r) % m == 0)
+def _residue(a: EmbeddingAnalysis) -> IdentityReport:
+    return _congruence("residue-congruence", a.n, a.sum_a2(a.n), *expected_residue(a.n))
 
 
-def _bounds(a: EmbeddingAnalysis) -> BoundsReport:
+def _bounds(a: EmbeddingAnalysis) -> IdentityReport:
     n = a.n
     sn = a.sum_a2(n)
     value = sn - factorial(n - 5) * a.sum_a2(5)
@@ -541,7 +475,10 @@ def _bounds(a: EmbeddingAnalysis) -> BoundsReport:
     rectilinear = a.embedding.rectilinear
     upper = upper_bound_value(n) if rectilinear else None
     ok = value >= lower and (upper is None or sn <= upper)
-    return BoundsReport("a2-bounds", n, rectilinear, lower, value, upper, ok)
+    return IdentityReport(
+        "a2-bounds", n, {"lower": lower, "value": value}, value, lower, ok,
+        extra={"rectilinear": rectilinear, "upper": upper},
+    )
 
 
 CATALOG = {
@@ -636,7 +573,7 @@ def verify_embedding(
 ):
     """Run the selected (default: all applicable) checks; return reports."""
     a = _analysis_for(e, analysis, **kw)
-    selection = applicable_identities(e) if identities is None else identities
+    selection = applicable_identities(a.embedding) if identities is None else identities
     unknown = [i for i in selection if i not in CATALOG]
     if unknown:
         raise ValueError(f"unknown identities: {unknown}")
@@ -663,7 +600,7 @@ def census(e: SpatialEmbedding, analysis: EmbeddingAnalysis | None = None, **kw)
     for r in pairs:
         lk_hist[r.value] = lk_hist.get(r.value, 0) + 1
     positive = sum(1 for r in ham if r.value > 0)
-    rectilinear = e.rectilinear
+    rectilinear = a.embedding.rectilinear
     checks: list[dict] = []
 
     def check(name: str, lhs: int, rhs: int, passed: bool) -> None:

@@ -93,9 +93,9 @@ def test_criterion_3_moment_k8():
         assert rep.a2_histogram == {0: 2499, 1: 21}
         assert rep.positive_a2_count == 21
         cong = next(r for r in reports if r.identity_id == "residue-congruence")
-        assert cong.modulus == 6 and cong.value % 6 == 3
+        assert cong.extra["modulus"] == 6 and cong.sums["value"] % 6 == 3
         bounds = next(r for r in reports if r.identity_id == "a2-bounds")
-        assert bounds.lower == 21 <= a.sum_a2(8) <= bounds.upper == 189
+        assert bounds.rhs == 21 <= a.sum_a2(8) <= bounds.extra["upper"] == 189
         _tally(a)
         return "28 squared links, 21 trefoils, residue 3 mod 6"
 

@@ -12,6 +12,7 @@ import pytest
 import knotcensus
 from knotcensus import cli
 from knotcensus.geometry import (
+    embedding_to_json,
     moment_curve_embedding,
     random_rectilinear_embedding,
     write_embedding,
@@ -308,3 +309,35 @@ def test_thread_count_below_one_is_usage_error(capsys, count):
     assert code == 2
     assert out == ""
     assert "threads" in err
+
+
+@pytest.mark.parametrize(
+    "flag,value,name",
+    [("--verify-frames", "-1", "verify_frames"),
+     ("--frame-retries", "0", "retry_limit"),
+     ("--frame-retries", "-4", "retry_limit")],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [("verify",), ("census",), ("invariant", "--cycle", "1,2,3"),
+     ("invariant", "--pair", "1,2,3;4,5,6")],
+)
+def test_bad_frame_budget_is_usage_error(capsys, argv, flag, value, name):
+    code, out, err = run(capsys, *argv, "--n", "6", "--kind", "moment", flag, value)
+    assert code == 2
+    assert out == ""
+    assert name in err
+
+
+@pytest.mark.parametrize("coordinate", [True, [True, 1], [1, True]])
+def test_boolean_coordinate_is_usage_error(tmp_path, capsys, coordinate):
+    # The first moment-curve vertex is (1, 1, 1), so reading true as 1
+    # would load a valid embedding.
+    doc = embedding_to_json(moment_curve_embedding(6))
+    doc["vertices"][0][0] = coordinate
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "embed", str(path))
+    assert code == 2
+    assert out == ""
+    assert "bad coordinate" in err

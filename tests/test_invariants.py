@@ -481,3 +481,15 @@ def test_audit_catches_a_wrong_fast_path_value(monkeypatch):
         EmbeddingAnalysis(moment_curve_embedding(6), audit=True).knot_records(6)
     with pytest.raises(InvariantContractError, match="one-sided"):
         EmbeddingAnalysis(moment_curve_embedding(6), audit=True).link_records(3, 3)
+
+
+@pytest.mark.parametrize("verify_frames,retry_limit", [(-1, FRAME_RETRY_LIMIT), (1, 0), (1, -4)])
+def test_bad_frame_budget_is_refused(verify_frames, retry_limit):
+    budget = {"verify_frames": verify_frames, "retry_limit": retry_limit}
+    with pytest.raises(ValueError):
+        EmbeddingAnalysis(moment_curve_embedding(6), **budget)
+    a, b = HOPF_STICKS
+    with pytest.raises(ValueError):
+        knot_invariant(a, seed=0, **budget)
+    with pytest.raises(ValueError):
+        link_invariant(a, b, seed=0, **budget)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from knotcensus.errors import IdentityViolation, ScaleLimitExceeded
+from knotcensus.graphs import Cycle, DisjointCyclePair
 from knotcensus.geometry import (
     SpatialEmbedding,
     embedding_from_json,
@@ -82,18 +83,18 @@ def test_moment_k8_census_values():
     assert rep.a2_histogram == {0: 2499, 1: 21}
     assert rep.passed
     cong = next(r for r in reports if r.identity_id == "residue-congruence")
-    assert (cong.modulus, cong.value % cong.modulus) == (6, 3)
+    assert (cong.extra["modulus"], cong.sums["value"] % cong.extra["modulus"]) == (6, 3)
 
 
 @pytest.mark.parametrize("n,attained", [(6, 0), (7, 1), (8, 21), (9, 336)])
 def test_moment_curve_attains_the_lower_bound(n, attained):
     e = moment_curve_embedding(n)
     rep = verify_identity("a2-bounds", e, seed=0)
-    assert rep.lower == lower_bound_value(n) == attained
-    assert rep.value == attained
+    assert rep.rhs == lower_bound_value(n) == attained
+    assert rep.sums["value"] == attained
     assert rep.passed
-    assert rep.upper == upper_bound_value(n)
-    assert rep.rectilinear
+    assert rep.extra["upper"] == upper_bound_value(n)
+    assert rep.extra["rectilinear"]
 
 
 def test_hexagon_lemma_reduces_to_k6_identity_at_n6():
@@ -266,8 +267,8 @@ def test_violation_raised_when_sums_are_corrupted():
     a = EmbeddingAnalysis(e, seed=0)
     real = a.sum_a2
 
-    def corrupted(k, subgraph=None, tag=""):
-        return real(k, subgraph, tag) + (1 if k == 6 else 0)
+    def corrupted(k, subgraph=None):
+        return real(k, subgraph) + (1 if k == 6 else 0)
 
     a.sum_a2 = corrupted
     with pytest.raises(IdentityViolation) as info:
@@ -430,6 +431,11 @@ rectilinear = st.builds(
     st.sampled_from([6, 7]),
     st.integers(0, 10**6),
 )
+polyline = st.builds(
+    lambda n, s: random_polyline_embedding(n, seed=s, bent_edges=3),
+    st.sampled_from([6, 7]),
+    st.integers(0, 10**6),
+)
 
 
 @settings(max_examples=10, deadline=None)
@@ -457,14 +463,7 @@ def _records(e: SpatialEmbedding) -> list:
 
 @settings(max_examples=10, deadline=None)
 @given(
-    st.one_of(
-        rectilinear,
-        st.builds(
-            lambda n, s: random_polyline_embedding(n, seed=s, bent_edges=3),
-            st.sampled_from([6, 7]),
-            st.integers(0, 10**6),
-        ),
-    ),
+    st.one_of(rectilinear, polyline),
     st.sampled_from([Fraction(3, 7), Fraction(1, 2), Fraction(5), Fraction(11, 4)]),
 )
 def test_rational_scaling_keeps_every_record(e, factor):
@@ -485,3 +484,71 @@ def test_frame_seed_keeps_every_record_value(e):
     # Another seed projects through other frames, so every value is
     # read from other crossing tables.
     assert _record_values(e, seed=7) == _record_values(e, seed=0)
+
+
+def _relabelled(e: SpatialEmbedding, label: dict[int, int]) -> SpatialEmbedding:
+    """The same curves with vertex v renamed label[v]."""
+    paths = {}
+    for (i, j), path in e.edge_paths.items():
+        if label[i] < label[j]:
+            paths[(label[i], label[j])] = path
+        else:
+            paths[(label[j], label[i])] = tuple(reversed(path))
+    positions = {label[v]: p for v, p in e.vertex_positions.items()}
+    return SpatialEmbedding(e.graph, positions, paths)
+
+
+def _image(cycle: tuple[int, ...], label: dict[int, int]) -> tuple[Cycle, int]:
+    """The canonical image of a cycle, and -1 if it runs the other way."""
+    walk = tuple(label[v] for v in cycle)
+    image = Cycle.canonical(walk)
+    i = walk.index(image.vertices[0])
+    return image, 1 if walk[i:] + walk[:i] == image.vertices else -1
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.one_of(rectilinear, polyline).flatmap(
+        lambda e: st.tuples(st.just(e), st.permutations(range(1, e.n + 1)))
+    )
+)
+def test_relabelling_moves_every_record_to_its_image(case):
+    e, order = case
+    label = dict(zip(e.graph.vertices, order))
+    moved = _relabelled(e, label)
+    knots, links = _record_values(e)
+    m_knots, m_links = _record_values(moved)
+    assert m_knots == {_image(c, label)[0].vertices: v for c, v in knots.items()}
+    expected = {}
+    for (c1, c2), value in links.items():
+        (a, sa), (b, sb) = _image(c1, label), _image(c2, label)
+        pair = DisjointCyclePair.of(a, b)
+        expected[(pair.first.vertices, pair.second.vertices)] = sa * sb * value
+    assert m_links == expected
+    reports, _ = verify_embedding(e)
+    m_reports, _ = verify_embedding(moved)
+    # Every sum but one is of a2 or lk^2.  The mod2-parity row of K6
+    # sums the signed lk of triangle pairs, so it takes the signs above.
+    signed = sum(v for (c1, c2), v in expected.items() if len(c1) + len(c2) == 6)
+    assert [r.sums for r in m_reports] == [
+        {"value": signed} if r.identity_id == "mod2-parity" and e.n == 6 else r.sums
+        for r in reports
+    ]
+    assert [(r.lhs, r.rhs, r.passed) for r in m_reports] == [
+        (r.lhs, r.rhs, r.passed) for r in reports
+    ]
+
+
+def test_an_analysis_of_another_embedding_is_refused():
+    moment = moment_curve_embedding(6)
+    a = EmbeddingAnalysis(random_polyline_embedding(6, seed=16, bent_edges=3), seed=0)
+    with pytest.raises(ValueError, match="another embedding"):
+        census(moment, analysis=a)
+    with pytest.raises(ValueError, match="another embedding"):
+        verify_embedding(moment, analysis=a)
+    with pytest.raises(ValueError, match="another embedding"):
+        verify_identity("k6-identity", moment, analysis=a)
+    rep = census(a.embedding, analysis=a)
+    assert rep.rectilinear is False and rep.hopf_count is None
+    reports, _ = verify_embedding(a.embedding, analysis=a)
+    assert "pentagon-triviality" not in {r.identity_id for r in reports}
