@@ -1,19 +1,18 @@
 """Pure-Python exact segment-pair kernel.
 
-Given one or two closed integer polygons (or, through `scan_segments`,
-any segments between integer corners) and an integer projection frame,
-finds every transverse crossing of the projected segments, with exact
-rational crossing parameters, over/under resolution by exact height
-comparison, and the crossing sign.  Also performs the genericity checks
-that make the projection a regular diagram; any violation aborts the scan
-with a status code so the caller can move to the next frame.
+Given segments between integer corners and an integer projection
+frame, finds every transverse crossing of the projected segments, with
+exact rational crossing parameters, over/under resolution by exact
+height comparison, and the crossing sign.  Also performs the genericity
+checks that make the projection a regular diagram; any violation aborts
+the scan with a status code so the caller can move to the next frame.
 
 Status codes (module constants):
   OK                      crossings found, diagram is regular so far
   FAIL_DEGENERATE_SEGMENT a segment projects to a point
   FAIL_VERTEX_COINCIDE    two corner points share a projection
   FAIL_VERTEX_ON_SEGMENT  a corner projects into a foreign segment
-  FAIL_INTERSECT_3D       the curves themselves touch in 3-space
+  FAIL_INTERSECT_3D       two segments touch in 3-space
 
 A crossing is reported as (gi, gj, ti_num, tj_num, den, i_over, sign):
 global segment indices gi < gj, exact parameters ti_num/den along segment
@@ -38,39 +37,16 @@ FAIL_VERTEX_ON_SEGMENT = 3
 FAIL_INTERSECT_3D = 4
 
 
-def find_crossings(polys, u, v, d):
-    """Scan the projected segment pairs of one or two closed polygons.
-
-    Returns (status, payload): payload is the crossing list when status is
-    OK, else a small witness tuple naming the violation.  Corners are
-    numbered through the polygons in order, and segment s runs from
-    corner s to the next corner of its polygon.
-    """
-    points: list = []
-    curve_of: list[int] = []
-    nxt: list[int] = []
-    for ci, poly in enumerate(polys):
-        base = len(points)
-        m = len(poly)
-        points.extend(poly)
-        curve_of.extend([ci] * m)
-        nxt.extend(base + (i + 1) % m for i in range(m))
-    status, payload = scan_segments(points, range(len(points)), nxt, u, v, d)
-    if status == FAIL_DEGENERATE_SEGMENT:
-        return (status, (curve_of[payload], payload))
-    return (status, payload)
-
-
 def scan_segments(points, seg_a, seg_b, u, v, d):
     """Scan projected segments given by the indices of their corners.
 
     Segment s runs from corner seg_a[s] to corner seg_b[s]; segments may
-    share corners, and two that do are never tested for a crossing.  This
-    is the body of `find_crossings` and of the whole-graph scan in
-    `projection.crossing_table`, so both apply exactly the same checks.
-    Returns (status, payload) as `find_crossings` does, with segment
-    indices in the crossings and witnesses; a degenerate segment's
-    witness is its index alone.
+    share corners, and two that do are never tested for a crossing.
+    `projection.crossing_table` is its one caller, for whole graphs and
+    loose curves alike.  Returns (status, payload): payload is the
+    crossing list when status is OK, else a small witness tuple naming
+    the violation, with segment and corner indices; a degenerate
+    segment's witness is its segment index alone.
     """
     ux, uy, uz = u
     vx, vy, vz = v

@@ -69,9 +69,7 @@ def _add_generation_options(p: argparse.ArgumentParser) -> None:
                    help="edges given a waypoint when --kind polyline")
 
 
-def _add_compute_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker processes (default 1)")
+def _add_frame_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--verify-frames", type=int, default=1,
                    help="extra frames each invariant must agree on (default 1)")
     p.add_argument("--frame-retries", type=int, default=FRAME_RETRY_LIMIT,
@@ -79,6 +77,12 @@ def _add_compute_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--audit", action="store_true",
                    help=f"check diagrams of at most {AUDIT_CROSSING_LIMIT} crossings "
                         "by an independent route (Alexander polynomial, one-sided lk)")
+
+
+def _add_analysis_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes (default 1)")
+    _add_frame_options(p)
     p.add_argument("--allow-large", action="store_true",
                    help="lift the Hamiltonian size ceiling")
 
@@ -103,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check every applicable identity")
     _add_generation_options(p)
-    _add_compute_options(p)
+    _add_analysis_options(p)
     _add_output_options(p)
     p.add_argument("--identities", help="comma-separated subset to run")
     p.add_argument("--witness-bundle",
@@ -111,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="count knots and links of an embedding")
     _add_generation_options(p)
-    _add_compute_options(p)
+    _add_analysis_options(p)
     _add_output_options(p)
 
     p = sub.add_parser("rn-table", help="guaranteed positive-knot counts")
@@ -121,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariant", help="a2 of one cycle or lk of one pair")
     _add_generation_options(p)
-    _add_compute_options(p)
+    _add_frame_options(p)
     _add_output_options(p)
     p.add_argument("--cycle", help="comma-separated vertices of a cycle")
     p.add_argument("--pair", help="two comma-separated cycles joined by ';'")

@@ -18,12 +18,14 @@ of that value on the first accepted diagram of at most
 
 A disagreement is an engine defect, raised as InvariantContractError.
 
-The records of an embedding's cycles (`cycle_invariant`) take both fast
-paths straight from the frame's whole-graph crossing table: the Gauss
-arrows of a cycle's walk, and per-edge-pair signed sums.  A
-`LinkDiagram` is built only for the audit, at frames where the whole
-graph is not generic (the per-cycle fallback), and in `knot_invariant` /
-`link_invariant`.
+Both fast paths read a crossing table, never a diagram: the Gauss
+arrows of a cycle's walk (`a2_from_table`) and per-edge-pair signed
+sums (`linking_number_from_table`).  An embedding's cycles
+(`cycle_invariant`) are read from the frame's whole-graph table, or,
+at frames where the whole graph is not generic, from the cycles' own
+table; loose curves (`knot_invariant`, `link_invariant`) from the
+curves' own table.  A `LinkDiagram` is restricted from the table only
+to be audited.
 
 The skein oracle (`conway_skein_oracle`) computes the full Conway
 polynomial by crossing-switch/smoothing recursion down to descending
@@ -47,9 +49,10 @@ from .projection import (
     GraphProjection,
     LinkDiagram,
     Passage,
+    Walks,
     accepted_diagrams,
-    curve_source,
-    gauss_diagram,
+    curve_table,
+    frame_sequence,
 )
 
 ORACLE_CROSSING_LIMIT = 20
@@ -481,10 +484,6 @@ class InvariantRecord:
     audited: bool
 
 
-def _a2_of_diagram(d: LinkDiagram) -> int:
-    return a2_gauss_formula(gauss_diagram(d))
-
-
 def a2_from_table(table: CrossingTable, cycles: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
     """(a2, crossing count) of one cycle read straight from a crossing table.
 
@@ -569,14 +568,17 @@ def _verified_value(
     return value, first_count, first_index, audited
 
 
-def _reading(d: LinkDiagram, evaluate: Callable[[LinkDiagram], int]) -> Reading:
-    return evaluate(d), d.crossing_count, lambda: d
+def _read(table: CrossingTable, walks: Walks) -> Reading:
+    """The reading of one cycle (a2) or a disjoint pair (lk) in a table."""
+    from_table = a2_from_table if len(walks) == 1 else linking_number_from_table
+    value, count = from_table(table, walks)
+    return value, count, lambda: table.restrict(walks)
 
 
-def _evaluator(components: int, audit: bool):
-    if components == 1:
-        return _a2_of_diagram, _audit_knot if audit else None
-    return linking_number, _audit_link if audit else None
+def _audit(components: int, audit: bool) -> Callable[[LinkDiagram, int], None] | None:
+    if not audit:
+        return None
+    return _audit_knot if components == 1 else _audit_link
 
 
 def cycle_invariant(
@@ -589,33 +591,37 @@ def cycle_invariant(
     """(value, crossing count, frame index, audited, fell back) for a cycle.
 
     `cycles` is one cycle's vertex tuple (a2) or two disjoint ones (lk).
-    At a whole-graph generic frame the value and crossing count are read
-    straight from its table (`a2_from_table`, `linking_number_from_table`),
-    and a diagram is restricted from it only to be audited.  "Fell back"
-    is true when some frame used was not whole-graph generic, so the
-    cycles were projected on their own there.  Every other field equals
-    what `knot_invariant` / `link_invariant` return for the cycles'
-    points with the frame seed of `graph`.
+    Each frame's value and crossing count are read from a crossing table
+    (`a2_from_table`, `linking_number_from_table`), and a diagram is
+    restricted from it only to be audited.  The table is the frame's
+    whole-graph table where the graph is generic; elsewhere it is the
+    cycles' own (`GraphProjection.curve_table`), and "fell back" is then
+    true.  Every other field equals what `knot_invariant` /
+    `link_invariant` return for the cycles' points with the frame seed
+    of `graph`.
     """
     fell_back = False
-    evaluate, check = _evaluator(len(cycles), audit)
-    from_table = a2_from_table if len(cycles) == 1 else linking_number_from_table
 
     def read_at(index: int) -> Reading:
         nonlocal fell_back
         table = graph.tables[index]
         if table is None:
             fell_back = True
-            return _reading(graph.diagram(cycles, index), evaluate)
-        value, count = from_table(table, cycles)
-        return value, count, lambda: table.restrict(cycles)
+            return _read(*graph.curve_table(cycles, index))
+        return _read(table, cycles)
 
+    check = _audit(len(cycles), audit)
     return _verified_value(read_at, check, verify_frames, retry_limit) + (fell_back,)
 
 
-def _curve_reader(curves, seed, evaluate) -> Callable[[int], Reading]:
-    diagram_at = curve_source(curves, seed)
-    return lambda index: _reading(diagram_at(index), evaluate)
+def _curve_invariant(curves, seed, verify_frames, retry_limit, audit):
+    check_frame_budget(verify_frames, retry_limit)
+    frames = frame_sequence(seed)
+    # `accepted_diagrams` reads frames 0, 1, 2, ... once each, in order.
+    return _verified_value(
+        lambda index: _read(*curve_table(curves, next(frames))), _audit(len(curves), audit),
+        verify_frames, retry_limit,
+    )
 
 
 def knot_invariant(
@@ -626,11 +632,7 @@ def knot_invariant(
     audit: bool = False,
 ) -> tuple[int, int, int, bool]:
     """(a2, crossing count, frame index, audited) for one closed polygon."""
-    check_frame_budget(verify_frames, retry_limit)
-    evaluate, check = _evaluator(1, audit)
-    return _verified_value(
-        _curve_reader((points,), seed, evaluate), check, verify_frames, retry_limit
-    )
+    return _curve_invariant((points,), seed, verify_frames, retry_limit, audit)
 
 
 def link_invariant(
@@ -642,8 +644,4 @@ def link_invariant(
     audit: bool = False,
 ) -> tuple[int, int, int, bool]:
     """(lk, crossing count, frame index, audited) for a curve pair."""
-    check_frame_budget(verify_frames, retry_limit)
-    evaluate, check = _evaluator(2, audit)
-    return _verified_value(
-        _curve_reader((points_a, points_b), seed, evaluate), check, verify_frames, retry_limit
-    )
+    return _curve_invariant((points_a, points_b), seed, verify_frames, retry_limit, audit)

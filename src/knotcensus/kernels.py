@@ -1,29 +1,15 @@
-"""Public face of the exact segment-pair crossing kernel.
+"""Name of the crossing kernel, for the benchmark harness.
 
-The kernel itself is the pure-Python, arbitrary-precision scan in
-`_pykernels`; this module re-exports its status codes and entry point
-under the names the rest of the package, the benchmarks and the tests
-use.
+Nothing in the package imports this module: the kernel is
+`_pykernels.scan_segments`, called by `projection.crossing_table`.  It
+stays only because `perfbench/probe.py` reads `backends()` and
+`backend_name()` on every benchmark run, and it goes with that harness's
+next change.
 """
 
 from __future__ import annotations
 
 from . import _pykernels
-from ._pykernels import (
-    FAIL_DEGENERATE_SEGMENT,
-    FAIL_INTERSECT_3D,
-    FAIL_VERTEX_COINCIDE,
-    FAIL_VERTEX_ON_SEGMENT,
-    OK,
-)
-
-
-def find_crossings(polys, u, v, d):
-    """Scan the projected segment pairs of one or two closed polygons.
-
-    See `_pykernels.find_crossings` for the arguments and the result.
-    """
-    return _pykernels.find_crossings(polys, u, v, d)
 
 
 def backend_name() -> str:
@@ -32,5 +18,5 @@ def backend_name() -> str:
 
 
 def backends() -> dict[str, object]:
-    """Callable kernels by name, for benchmarks."""
-    return {"pure": _pykernels.find_crossings}
+    """Callable kernels by name."""
+    return {"pure": _pykernels.scan_segments}

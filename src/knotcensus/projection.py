@@ -11,21 +11,22 @@ deterministic frame sequence.
 Every numeric decision in this pipeline is an integer sign test, so an
 accepted diagram is certified correct, not approximately correct.
 
-An embedded graph is projected once per frame (`crossing_table`): one
-scan over all segments of all edges applies the same checks to the
-whole graph.  Each check is a condition on a single segment, a pair of
-corners, a corner against a segment, or the crossings of one segment, so
-it can only gain violations as segments are added.  A frame that is
-generic for the whole graph is therefore generic for every cycle and
-cycle pair in it, and their diagrams are restrictions of the one table
-(`CrossingTable.restrict`), identical to what `project` returns.  Where
-the graph is not generic, cycles are projected on their own at that
-frame (`GraphProjection.diagram`).
+Every diagram and every value comes from a `CrossingTable`: one scan
+(`crossing_table`) of edge-labelled segments through one frame.  A
+graph is scanned whole once per frame, with its edges as the edges;
+loose curves are scanned with every segment its own edge
+(`curve_table`).  Each genericity check is a condition on a segment, a
+pair of corners, a corner against a segment, or the crossings of one
+segment, so it can only gain violations as segments are added: a frame
+generic for the whole graph is generic for every cycle and cycle pair
+in it, and restricting the graph's table to them gives the diagram of
+their own scan.  Elsewhere the cycles are scanned as loose curves at
+that frame (`GraphProjection.curve_table`).
 
-The table also answers what the invariants read without building a
-diagram: a cycle's Gauss arrows (`CrossingTable.arrows`) and a cycle
-pair's signed mutual-crossing total (`CrossingTable.linking_total`).
-`restrict` is left to the audit and to tests.
+A table gives a cycle's Gauss arrows (`CrossingTable.arrows`) and a
+cycle pair's signed mutual-crossing total (`CrossingTable.linking_total`)
+without a diagram.  The one way to a `LinkDiagram` is
+`CrossingTable.restrict`, used by `project`, the audit and tests.
 """
 
 from __future__ import annotations
@@ -36,7 +37,13 @@ from math import gcd
 from random import Random
 from typing import Callable, Iterator, Sequence
 
-from . import _pykernels, kernels
+from . import _pykernels
+from ._pykernels import (
+    FAIL_DEGENERATE_SEGMENT,
+    FAIL_VERTEX_COINCIDE,
+    FAIL_VERTEX_ON_SEGMENT,
+    OK,
+)
 from .errors import GenericityExhausted, GenericityFailure
 from .geometry import IntPoint, SpatialEmbedding, _cross, _dot, _is_zero
 from .graphs import Cycle
@@ -44,9 +51,9 @@ from .graphs import Cycle
 FRAME_RETRY_LIMIT = 64
 
 _FAIL_NAMES = {
-    kernels.FAIL_DEGENERATE_SEGMENT: "degenerate-segment",
-    kernels.FAIL_VERTEX_COINCIDE: "vertex-coincide",
-    kernels.FAIL_VERTEX_ON_SEGMENT: "vertex-on-segment",
+    FAIL_DEGENERATE_SEGMENT: "degenerate-segment",
+    FAIL_VERTEX_COINCIDE: "vertex-coincide",
+    FAIL_VERTEX_ON_SEGMENT: "vertex-on-segment",
 }
 
 
@@ -136,92 +143,15 @@ class LinkDiagram:
         return len(self.signs)
 
 
-def project(curves: Sequence[tuple[IntPoint, ...]], frame: ProjectionFrame) -> LinkDiagram:
-    """Project closed integer polygons through a frame to a diagram.
-
-    Raises GenericityFailure when the frame is not generic for these
-    curves, and ValueError if the curves actually touch in 3-space.
-    """
-    polys = tuple(tuple(map(tuple, c)) for c in curves)
-    if not 1 <= len(polys) <= 2:
-        raise ValueError("expected one or two closed curves")
-    for p in polys:
-        if len(p) < 3:
-            raise ValueError("a closed polygon needs at least 3 points")
-    status, payload = kernels.find_crossings(
-        polys, frame.axis_u, frame.axis_v, frame.direction
-    )
-    if status == kernels.FAIL_INTERSECT_3D:
-        raise ValueError(f"curves intersect in 3-space near segments {payload}")
-    if status != kernels.OK:
-        raise GenericityFailure(_FAIL_NAMES[status], payload)
-    return _assemble(polys, payload)
-
-
-def _segment_orders(nseg: int, raw) -> list[list[int]]:
-    """Indices of the raw crossings along each segment, in parameter order.
-
-    The sort is exact; a tie is two crossings at one diagram point, which
-    a generic frame must not produce.
-    """
-    on_segment: list[list[tuple[Fraction, int]]] = [[] for _ in range(nseg)]
-    for idx, (si, sj, tn, sn, den, _, _) in enumerate(raw):
-        on_segment[si].append((Fraction(tn, den), idx))
-        on_segment[sj].append((Fraction(sn, den), idx))
-    for s, items in enumerate(on_segment):
-        items.sort()
-        for (t1, a), (t2, b) in zip(items, items[1:]):
-            if t1 == t2:
-                raise GenericityFailure("triple-point", (s, a, b))
-    return [[idx for _, idx in items] for items in on_segment]
-
-
-def _assemble(polys, raw) -> LinkDiagram:
-    orders = _segment_orders(sum(len(p) for p in polys), raw)
-
-    seg_of_curve: list[range] = []
-    base = 0
-    for p in polys:
-        seg_of_curve.append(range(base, base + len(p)))
-        base += len(p)
-
-    # Walk the components; relabel crossings by first encounter.
-    relabel: dict[int, int] = {}
-    passages: list[tuple[Passage, ...]] = []
-    for ci, segs in enumerate(seg_of_curve):
-        ps: list[Passage] = []
-        for s in segs:
-            for idx in orders[s]:
-                cid = relabel.setdefault(idx, len(relabel))
-                over = 1 if (raw[idx][5] == 1) == (raw[idx][0] == s) else 0
-                ps.append((cid, over))
-        passages.append(tuple(ps))
-
-    signs = [0] * len(raw)
-    for idx, crossing in enumerate(raw):
-        signs[relabel[idx]] = crossing[6]
-
-    diagram = LinkDiagram(passages=tuple(passages), signs=tuple(signs))
-    if diagram.component_count == 2:
-        mutual = sum(
-            1
-            for cid in range(diagram.crossing_count)
-            if sum(any(c == cid for c, _ in ps) for ps in diagram.passages) == 2
-        )
-        if mutual % 2 != 0:
-            raise AssertionError("odd number of mutual crossings in a closed-curve diagram")
-    return diagram
-
-
 def accepted_diagrams(
     diagram_at: Callable[[int], LinkDiagram], retry_limit: int = FRAME_RETRY_LIMIT
 ) -> Iterator[tuple[LinkDiagram, int]]:
     """Yield (diagram, frame_index) for each frame where `diagram_at` succeeds.
 
     `diagram_at(index)` gives the diagram at frame `index`, or whatever
-    the caller reads there, or raises GenericityFailure;
-    GenericityExhausted is raised once `retry_limit` frames have failed
-    in total.
+    the caller reads there, or raises GenericityFailure; it is called
+    with 0, 1, 2, ... in turn, once each.  GenericityExhausted is raised
+    once `retry_limit` frames have failed in total.
     """
     failures = 0
     index = 0
@@ -237,36 +167,8 @@ def accepted_diagrams(
         index += 1
 
 
-def curve_source(
-    curves: Sequence[tuple[IntPoint, ...]], seed
-) -> Callable[[int], LinkDiagram]:
-    """Diagram of the curves at frame `index` of `frame_sequence(seed)`.
-
-    The returned callable projects afresh on every call and raises
-    GenericityFailure where that frame is not generic for the curves.
-    """
-    frames = frame_sequence(seed)
-    seen: list[ProjectionFrame] = []
-
-    def diagram_at(index: int) -> LinkDiagram:
-        while len(seen) <= index:
-            seen.append(next(frames))
-        return project(curves, seen[index])
-
-    return diagram_at
-
-
-def diagram_for(
-    curves: Sequence[tuple[IntPoint, ...]],
-    seed,
-    retry_limit: int = FRAME_RETRY_LIMIT,
-) -> Iterator[tuple[LinkDiagram, int]]:
-    """Yield certified diagrams of the curves along the frame sequence."""
-    return accepted_diagrams(curve_source(curves, seed), retry_limit)
-
-
 # ---------------------------------------------------------------------------
-# Whole-graph crossing tables
+# Crossing tables
 
 Edge = tuple[int, int]
 # (crossing id, other strand's edge, 1 if this strand passes over else 0,
@@ -275,6 +177,7 @@ EdgePass = tuple[int, Edge, int, int]
 
 
 Arrow = tuple[int, int, int]  # (over position, under position, sign)
+Walks = tuple[tuple[int, ...], ...]  # one or two cycles' vertex (or corner) tuples
 
 
 def _oriented_edges(vs: tuple[int, ...]) -> list[tuple[Edge, int]]:
@@ -299,7 +202,7 @@ class CrossingTable:
     pairs: dict[Edge, dict[Edge, tuple[int, int]]]
 
     def restrict(self, cycles: Sequence[tuple[int, ...]]) -> LinkDiagram:
-        """The diagram of one cycle or a disjoint pair, as `project` builds it.
+        """The diagram of one cycle or a disjoint pair.
 
         Each cycle is walked from its first vertex along its vertex
         order, as `cycle_points_scaled` lists its points.  Only crossings
@@ -388,42 +291,42 @@ class CrossingTable:
         return total, count
 
 
-def crossing_table(e: SpatialEmbedding, frame: ProjectionFrame) -> CrossingTable:
-    """Scan every segment pair of the embedded graph through one frame.
+def crossing_table(
+    points: Sequence[IntPoint],
+    seg_a: Sequence[int],
+    seg_b: Sequence[int],
+    seg_edge: Sequence[Edge],
+    frame: ProjectionFrame,
+) -> CrossingTable:
+    """Scan edge-labelled segments through one frame into a crossing table.
 
-    Runs the per-cycle kernel's scan (`_pykernels.scan_segments`) on all
-    segments of all edges, each oriented from its smaller vertex, and
-    raises GenericityFailure at the first check that fails.  Two
-    segments that meet at a crossing's height raise the condition
-    "intersect-3d" rather than ValueError: the frame is then only not
-    whole-graph generic, and a per-cycle `project` reports the touch for
-    the cycles that contain it.
+    Segment s runs from corner `seg_a[s]` to corner `seg_b[s]` of
+    `points` and lies on edge `seg_edge[s]`; an edge (i, j), i < j,
+    lists its segments consecutively, in walk order from i to j.  Raises
+    GenericityFailure at the first check of `_pykernels.scan_segments`
+    that fails, with the condition "intersect-3d" where two segments
+    touch in 3-space (`curve_table` makes that a ValueError).  Crossings
+    along a segment are sorted exactly; a tie is two crossings at one
+    diagram point, the condition "triple-point".
     """
-    vertices = sorted(e.scaled_positions)
-    corner_of = {v: k for k, v in enumerate(vertices)}
-    points = [e.scaled_positions[v] for v in vertices]
-    seg_edge: list[Edge] = []
-    seg_a: list[int] = []
-    seg_b: list[int] = []
-    for edge in sorted(e.graph.edges):
-        chain = [corner_of[edge[0]]]
-        for p in e.scaled_paths.get(edge, ()):
-            chain.append(len(points))
-            points.append(p)
-        chain.append(corner_of[edge[1]])
-        seg_edge.extend([edge] * (len(chain) - 1))
-        seg_a.extend(chain[:-1])
-        seg_b.extend(chain[1:])
     status, raw = _pykernels.scan_segments(
         points, seg_a, seg_b, frame.axis_u, frame.axis_v, frame.direction
     )
-    if status != kernels.OK:
+    if status != OK:
         raise GenericityFailure(_FAIL_NAMES.get(status, "intersect-3d"), raw)
 
-    forward: dict[Edge, list[EdgePass]] = {edge: [] for edge in e.graph.edges}
-    for s, order in enumerate(_segment_orders(len(seg_edge), raw)):
-        passes = forward[seg_edge[s]]
-        for gid in order:
+    on_segment: list[list[tuple[Fraction, int]]] = [[] for _ in seg_edge]
+    for gid, (si, sj, tn, sn, den, _, _) in enumerate(raw):
+        on_segment[si].append((Fraction(tn, den), gid))
+        on_segment[sj].append((Fraction(sn, den), gid))
+    forward: dict[Edge, list[EdgePass]] = {}
+    for s, items in enumerate(on_segment):
+        items.sort()
+        for (t1, a), (t2, b) in zip(items, items[1:]):
+            if t1 == t2:
+                raise GenericityFailure("triple-point", (s, a, b))
+        passes = forward.setdefault(seg_edge[s], [])
+        for _, gid in items:
             si, sj, _, _, _, i_over, sign = raw[gid]
             other, over = (sj, i_over) if si == s else (si, 1 - i_over)
             passes.append((gid, seg_edge[other], over, sign))
@@ -437,6 +340,46 @@ def crossing_table(e: SpatialEmbedding, frame: ProjectionFrame) -> CrossingTable
     return CrossingTable(
         forward={edge: tuple(ps) for edge, ps in forward.items()}, pairs=pairs
     )
+
+
+def curve_table(
+    curves: Sequence[tuple[IntPoint, ...]], frame: ProjectionFrame
+) -> tuple[CrossingTable, Walks]:
+    """The crossing table of one or two closed polygons, and their walks.
+
+    Corners are numbered through the curves in order, so a curve's walk
+    is its run of corner numbers.  Each segment is its own edge, named
+    by its two corners; the closing one is walked backwards.  Raises
+    GenericityFailure when the frame is not generic for these curves,
+    and ValueError if the curves actually touch in 3-space.
+    """
+    if not 1 <= len(curves) <= 2:
+        raise ValueError("expected one or two closed curves")
+    points: list[IntPoint] = []
+    walks = []
+    for curve in curves:
+        if len(curve) < 3:
+            raise ValueError("a closed polygon needs at least 3 points")
+        walks.append(tuple(range(len(points), len(points) + len(curve))))
+        points.extend(curve)
+    seg_edge = [edge for walk in walks for edge, _ in _oriented_edges(walk)]
+    seg_a, seg_b = zip(*seg_edge)
+    try:
+        return crossing_table(points, seg_a, seg_b, seg_edge, frame), tuple(walks)
+    except GenericityFailure as exc:
+        if exc.condition == "intersect-3d":
+            raise ValueError(f"curves intersect in 3-space near segments {exc.detail}") from None
+        raise
+
+
+def project(curves: Sequence[tuple[IntPoint, ...]], frame: ProjectionFrame) -> LinkDiagram:
+    """Project closed integer polygons through a frame to a diagram.
+
+    Raises GenericityFailure when the frame is not generic for these
+    curves, and ValueError if the curves actually touch in 3-space.
+    """
+    table, walks = curve_table(curves, frame)
+    return table.restrict(walks)
 
 
 class GraphProjection:
@@ -458,9 +401,26 @@ class GraphProjection:
         wanted = verify_frames + 1
         budget = wanted + retry_limit - 1
         generic = 0
+        # Vertices are the first corners, each edge's waypoints follow,
+        # and every edge runs from its smaller vertex.
+        vertices = sorted(e.scaled_positions)
+        corner_of = {v: k for k, v in enumerate(vertices)}
+        points = [e.scaled_positions[v] for v in vertices]
+        seg_edge: list[Edge] = []
+        seg_a: list[int] = []
+        seg_b: list[int] = []
+        for edge in sorted(e.graph.edges):
+            chain = [corner_of[edge[0]]]
+            for p in e.scaled_paths.get(edge, ()):
+                chain.append(len(points))
+                points.append(p)
+            chain.append(corner_of[edge[1]])
+            seg_edge.extend([edge] * (len(chain) - 1))
+            seg_a.extend(chain[:-1])
+            seg_b.extend(chain[1:])
         for frame in frame_sequence(seed):
             try:
-                table = crossing_table(e, frame)
+                table = crossing_table(points, seg_a, seg_b, seg_edge, frame)
                 generic += 1
             except GenericityFailure as exc:
                 table = None
@@ -473,17 +433,15 @@ class GraphProjection:
     def curves(self, cycles: Sequence[tuple[int, ...]]) -> tuple[tuple[IntPoint, ...], ...]:
         return tuple(self.embedding.cycle_points_scaled(Cycle(vs)) for vs in cycles)
 
-    def diagram(self, cycles: Sequence[tuple[int, ...]], index: int) -> LinkDiagram:
-        """The cycles' diagram at frame `index`.
+    def curve_table(
+        self, cycles: Sequence[tuple[int, ...]], index: int
+    ) -> tuple[CrossingTable, Walks]:
+        """The cycles' own `curve_table` at frame `index`, and their walks.
 
-        At a whole-graph generic frame this is the table's restriction;
-        elsewhere it is the per-cycle `project` at that same frame, which
-        may raise GenericityFailure.
+        Read where the whole graph is not generic at that frame; it may
+        raise GenericityFailure.
         """
-        table = self.tables[index]
-        if table is not None:
-            return table.restrict(cycles)
-        return project(self.curves(cycles), self.frames[index])
+        return curve_table(self.curves(cycles), self.frames[index])
 
 
 @dataclass(frozen=True)

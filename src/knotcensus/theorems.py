@@ -28,6 +28,9 @@ checks.  Every row reports through one `IdentityReport`:
                              S_a2(5) term,
                              S_a2(n) = ((n-5)!/2) (S_lk2(3,3) - C(n-1,5))
   mod2-parity        n=6: S_lk(3,3) is odd; n=7: S_a2(7) is odd
+                             (the reported S_lk(3,3) is a signed sum: its
+                             parity does not depend on the vertex
+                             labelling, its sign does)
   residue-congruence n>=7: S_a2(n) = expected_residue(n) mod (n-5)!
   a2-bounds          n>=6: S_a2(n) - (n-5)! S_a2(5) >= (n-5)(n-6)(n-1)!/1440;
                              if straight, S_a2(n) <= 3(n-2)(n-5)(n-1)!/1440
@@ -459,6 +462,15 @@ def _congruence(identity_id: str, n: int, value: int, modulus: int, residue: int
 
 
 def _mod2(a: EmbeddingAnalysis) -> IdentityReport:
+    """The parity row: S_lk(3,3) odd at n = 6, S_a2(7) odd at n = 7.
+
+    At n = 6 `sums.value` is the signed lk sum over triangle pairs.  Its
+    parity is the parity of the number of odd-lk pairs, so it depends on
+    the embedding alone.  Its sign depends on the labelling too:
+    relabelling vertices can reverse a triangle's orientation and so
+    negate its lk (random K6, seed 0, reports 1, and -1 with vertices 2
+    and 3 swapped).
+    """
     value = a.sum_lk(3, 3) if a.n == 6 else a.sum_a2(7)
     return _congruence("mod2-parity", a.n, value, 2, 1)
 

@@ -261,6 +261,18 @@ def test_invariant_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("extra", [("--threads", "0"), ("--allow-large",)])
+def test_invariant_refuses_analysis_options(capsys, extra):
+    # `invariant` runs no pool and no Hamiltonian sum, so it has neither
+    # option: argparse exits 2 before anything is computed.
+    with pytest.raises(SystemExit) as info:
+        cli.main(["invariant", "--n", "6", "--kind", "moment", "--cycle", "1,2,3", *extra])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
 def test_failing_report_exit_code_and_witness_bundle(tmp_path, capsys, monkeypatch):
     bundle = tmp_path / "bundle.json"
     fake = IdentityReport(

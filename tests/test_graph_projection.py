@@ -107,7 +107,7 @@ def test_restriction_equals_projection_at_every_generic_frame(e, frame_seed):
         if table is None:
             continue
         for subject in subjects:
-            restricted = g.diagram(subject, index)
+            restricted = table.restrict(subject)
             projected = project(g.curves(subject), g.frames[index])
             assert restricted.passages == projected.passages, (subject, index)
             assert restricted.signs == projected.signs, (subject, index)
@@ -130,7 +130,7 @@ def test_restriction_handles_reversed_edges_with_several_crossings():
     index = next(i for i, t in enumerate(g.tables) if t is not None)
     busy = 0
     for subject in _subjects(e, range(3, 8)):
-        restricted = g.diagram(subject, index)
+        restricted = g.tables[index].restrict(subject)
         projected = project(g.curves(subject), g.frames[index])
         assert (restricted.passages, restricted.signs) == (projected.passages, projected.signs)
         busy += _reversed_edge_crossings(g.tables[index], subject) >= 2

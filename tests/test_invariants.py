@@ -39,9 +39,19 @@ from knotcensus.projection import (
     GaussDiagram,
     GraphProjection,
     LinkDiagram,
-    diagram_for,
+    accepted_diagrams,
+    frame_sequence,
     gauss_diagram,
+    project,
 )
+
+
+def diagram_for(curves, seed):
+    """Yield (diagram, frame index) of the curves at each generic frame."""
+    frames = frame_sequence(seed)
+    # `accepted_diagrams` reads frames 0, 1, 2, ... once each, in order.
+    return accepted_diagrams(lambda index: project(curves, next(frames)))
+
 
 # ---------------------------------------------------------------------------
 # Hand-checkable diagrams.  A (2, k) torus braid closure passes its k
@@ -447,10 +457,6 @@ def test_audit_routes_match_the_skein_oracle(seed, n):
         assert lk == conway_skein_oracle(dia).a1 == linking_number(dia)
 
 
-def _off_by_one(fn):
-    return lambda d: fn(d) + 1
-
-
 def _off_by_one_reading(fn):
     def wrong(table, cycles):
         value, count = fn(table, cycles)
@@ -460,12 +466,10 @@ def _off_by_one_reading(fn):
 
 
 def test_audit_catches_a_wrong_fast_path_value(monkeypatch):
-    # Diagrams (knot_invariant, link_invariant) and crossing tables
-    # (EmbeddingAnalysis) have separate fast paths; all four are made
-    # wrong by one.
+    # Loose curves (knot_invariant, link_invariant) and embeddings
+    # (EmbeddingAnalysis) read every value through the same two table
+    # functions; both are made wrong by one.
     pts, _, _ = STICK_ANCHORS["trefoil_hexagon"]
-    monkeypatch.setattr(invariants, "a2_gauss_formula", _off_by_one(a2_gauss_formula))
-    monkeypatch.setattr(invariants, "linking_number", _off_by_one(linking_number))
     monkeypatch.setattr(invariants, "a2_from_table", _off_by_one_reading(a2_from_table))
     monkeypatch.setattr(
         invariants, "linking_number_from_table", _off_by_one_reading(linking_number_from_table)

@@ -1,20 +1,32 @@
-"""The exact crossing kernel: failure statuses, scale invariance, determinism."""
+"""The exact crossing kernel: failure statuses, scale invariance, determinism.
+
+Each case runs through the scan (`_pykernels.scan_segments`) and through
+`project`, which reads the scan's crossing table.
+"""
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
-from knotcensus import kernels
-from knotcensus.geometry import moment_curve_embedding, random_rectilinear_embedding
-from knotcensus.graphs import Cycle, enumerate_cycles
-from knotcensus.kernels import (
+import pytest
+
+from knotcensus._pykernels import (
     FAIL_DEGENERATE_SEGMENT,
     FAIL_INTERSECT_3D,
     FAIL_VERTEX_COINCIDE,
     FAIL_VERTEX_ON_SEGMENT,
     OK,
+    scan_segments,
 )
-from knotcensus.projection import frame_sequence
+from knotcensus.errors import GenericityFailure
+from knotcensus.geometry import (
+    moment_curve_embedding,
+    random_polyline_embedding,
+    random_rectilinear_embedding,
+)
+from knotcensus.graphs import Cycle, enumerate_cycles, enumerate_disjoint_pairs
+from knotcensus.projection import frame_sequence, project
 
 
 def _frames(seed, count):
@@ -22,8 +34,23 @@ def _frames(seed, count):
     return [next(gen) for _ in range(count)]
 
 
-def run_all(kernel, polys, frame):
-    return kernel(polys, frame.axis_u, frame.axis_v, frame.direction)
+def scan(polys, frame):
+    """Scan closed polygons: corners numbered through them in order,
+    segment s running from corner s to the next corner of its polygon."""
+    points, nxt = [], []
+    for poly in polys:
+        base, m = len(points), len(poly)
+        points.extend(poly)
+        nxt.extend(base + (i + 1) % m for i in range(m))
+    return scan_segments(
+        points, range(len(points)), nxt, frame.axis_u, frame.axis_v, frame.direction
+    )
+
+
+def _failure(polys, frame) -> tuple:
+    with pytest.raises(GenericityFailure) as info:
+        project(polys, frame)
+    return info.value.condition, info.value.detail
 
 
 def test_oversized_coordinates_keep_crossings():
@@ -34,8 +61,8 @@ def test_oversized_coordinates_keep_crossings():
     small = e.cycle_points_scaled(c)
     big = tuple(tuple(x * 10**40 for x in p) for p in small)
     frame = _frames(0, 1)[0]
-    st_small, rows_small = run_all(kernels.find_crossings, (small,), frame)
-    st_big, rows_big = run_all(kernels.find_crossings, (big,), frame)
+    st_small, rows_small = scan((small,), frame)
+    st_big, rows_big = scan((big,), frame)
     assert st_small == st_big == OK
     assert len(rows_small) == 5
     # Scaling every coordinate uniformly cannot change which segment
@@ -45,25 +72,30 @@ def test_oversized_coordinates_keep_crossings():
         for r in rows
     ]
     assert strip(rows_small) == strip(rows_big)
+    assert project((small,), frame) == project((big,), frame)
+    assert project((small,), frame).crossing_count == 5
 
 
 def test_failure_statuses_match():
     frame = _frames(7, 1)[0]
-    u, v, d = frame.axis_u, frame.axis_v, frame.direction
+    d = frame.direction
 
     # A segment parallel to the viewing direction projects to a point.
     base = (0, 0, 0)
     tip = tuple(3 * c for c in d)
     off = (d[1] - 7 * d[2], d[2] + 11 * d[0], d[0] + 5 * d[1])
-    status, payload = kernels.find_crossings(((base, tip, off),), u, v, d)
+    degenerate = ((base, tip, off),)
+    status, payload = scan(degenerate, frame)
     assert status == FAIL_DEGENERATE_SEGMENT
+    # The witness is the segment index, as the scan gives it.
+    assert _failure(degenerate, frame) == ("degenerate-segment", payload)
 
     # Two corners on one viewing ray coincide in projection.
     shifted = tuple(c + 2 * w for c, w in zip(base, d))
-    status, payload = kernels.find_crossings(
-        ((base, (9, 1, 7), shifted, (-6, 5, 4)),), u, v, d
-    )
+    coincide = ((base, (9, 1, 7), shifted, (-6, 5, 4)),)
+    status, payload = scan(coincide, frame)
     assert status == FAIL_VERTEX_COINCIDE
+    assert _failure(coincide, frame) == ("vertex-coincide", payload)
 
 
 def test_vertex_on_segment_detected():
@@ -77,8 +109,9 @@ def test_vertex_on_segment_detected():
     tri1 = (a, b, tuple(5 * vc for vc in v))
     tri2 = (mid, tuple(7 * vc + uc for vc, uc in zip(v, u)),
             tuple(-3 * uc + 2 * vc for uc, vc in zip(u, v)))
-    status, payload = kernels.find_crossings((tri1, tri2), u, v, d)
+    status, payload = scan((tri1, tri2), frame)
     assert status == FAIL_VERTEX_ON_SEGMENT
+    assert _failure((tri1, tri2), frame) == ("vertex-on-segment", payload)
 
 
 def test_true_intersection_reported():
@@ -91,14 +124,44 @@ def test_true_intersection_reported():
     )
     c1 = (p(-2, 0, 0), p(2, 0, 0), p(0, 5, 9))
     c2 = (p(0, -2, 0), p(0, 2, 0), p(5, 0, -7))
-    status, payload = kernels.find_crossings((c1, c2), u, v, d)
+    status, payload = scan((c1, c2), frame)
     assert status == FAIL_INTERSECT_3D
+    with pytest.raises(ValueError, match="intersect in 3-space"):
+        project((c1, c2), frame)
 
 
 def test_crossing_rows_are_deterministic():
     e = random_rectilinear_embedding(6, seed=6)
     c = enumerate_cycles(e.graph, 6)[0]
     frame = _frames(5, 1)[0]
-    one = run_all(kernels.find_crossings, (e.cycle_points_scaled(c),), frame)
-    two = run_all(kernels.find_crossings, (e.cycle_points_scaled(c),), frame)
+    one = scan((e.cycle_points_scaled(c),), frame)
+    two = scan((e.cycle_points_scaled(c),), frame)
     assert one == two
+    assert project((e.cycle_points_scaled(c),), frame) == project(
+        (e.cycle_points_scaled(c),), frame
+    )
+
+
+def test_project_output_is_pinned():
+    # One digest over every diagram of the 5- and 7-cycles and (3,4)
+    # pairs of seven K7 embeddings at the first three frames, recorded
+    # from the per-curve assembler that the table route replaced.
+    embeddings = [random_rectilinear_embedding(7, s) for s in range(3)]
+    embeddings += [random_polyline_embedding(7, s) for s in range(3)]
+    embeddings.append(moment_curve_embedding(7))
+    frames = _frames(0, 3)
+    digest = hashlib.sha256()
+    count = 0
+    for e in embeddings:
+        subjects = [(c,) for k in (5, 7) for c in enumerate_cycles(e.graph, k)]
+        subjects += [(p.first, p.second) for p in enumerate_disjoint_pairs(e.graph, 3, 4)]
+        for subject in subjects:
+            curves = tuple(e.cycle_points_scaled(c) for c in subject)
+            for frame in frames:
+                d = project(curves, frame)
+                digest.update(repr((d.passages, d.signs)).encode())
+                count += 1
+    assert count == 15057
+    assert digest.hexdigest() == (
+        "78293563516d5ed6afb827b0147df79f2895d55683cdee87ecf2ce8ee671b324"
+    )
