@@ -73,7 +73,7 @@ def _add_frame_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--verify-frames", type=int, default=1,
                    help="extra frames each invariant must agree on (default 1)")
     p.add_argument("--frame-retries", type=int, default=FRAME_RETRY_LIMIT,
-                   help="projection frames tried before giving up")
+                   help="frames that may fail the genericity check before giving up")
     p.add_argument("--audit", action="store_true",
                    help=f"check diagrams of at most {AUDIT_CROSSING_LIMIT} crossings "
                         "by an independent route (Alexander polynomial, one-sided lk)")

@@ -20,11 +20,12 @@ A disagreement is an engine defect, raised as InvariantContractError.
 
 Both fast paths read a crossing table, never a diagram: the Gauss
 arrows of a cycle's walk (`a2_from_table`) and per-edge-pair signed
-sums (`linking_number_from_table`).  An embedding's cycles
-(`cycle_invariant`) are read from the frame's whole-graph table, or,
-at frames where the whole graph is not generic, from the cycles' own
-table; loose curves (`knot_invariant`, `link_invariant`) from the
-curves' own table.  A `LinkDiagram` is restricted from the table only
+sums (`linking_number_from_table`).  Every value is read at the
+accepted frames of `projection.accepted_tables`, the one frame policy,
+and checked by one loop (`cycle_invariant`): an embedding's cycles at
+the frames where its whole graph is generic, loose curves
+(`knot_invariant`, `link_invariant`) at the frames where the curves'
+own scan is.  A `LinkDiagram` is restricted from the first table only
 to be audited.
 
 The skein oracle (`conway_skein_oracle`) computes the full Conway
@@ -37,7 +38,8 @@ constants below) and anchors both routes in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from functools import partial
+from typing import Iterable, Sequence
 
 from .errors import InvariantContractError, OracleLimitExceeded
 from .geometry import IntPoint
@@ -46,13 +48,12 @@ from .projection import (
     Arrow,
     CrossingTable,
     GaussDiagram,
-    GraphProjection,
     LinkDiagram,
     Passage,
     Walks,
-    accepted_diagrams,
+    accepted_tables,
     curve_table,
-    frame_sequence,
+    curve_walks,
 )
 
 ORACLE_CROSSING_LIMIT = 20
@@ -469,12 +470,13 @@ def classify_triangle_triangle(lk_value: int, rectilinear: bool) -> str:
 class InvariantRecord:
     """One cycle's (or pair's) invariant with its certification context.
 
-    `value` was computed from the first accepted frame (index
-    `frame_index` in the deterministic sequence) and reproduced
-    identically on the further accepted frames the analysis asked for;
-    `crossing_count` is from the first accepted diagram.  `audited` marks
-    diagrams of at most AUDIT_CROSSING_LIMIT crossings, whose value the
-    independent audit route then also gave.
+    The accepted frames are the embedding's: the first verify_frames + 1
+    frames at which its whole graph is generic.  `value` was read at the
+    first of them (index `frame_index` in the deterministic sequence)
+    and reproduced identically at the others; `crossing_count` is from
+    the diagram at that first frame.  `audited` marks diagrams of at
+    most AUDIT_CROSSING_LIMIT crossings, whose value the independent
+    audit route then also gave.
     """
 
     subject: tuple
@@ -522,106 +524,40 @@ def _audit_link(d: LinkDiagram, value: int) -> None:
         )
 
 
-# What one accepted frame gives a record: the value, the crossing count,
-# and a callable that builds the diagram, called only to audit it.
-Reading = tuple[int, int, Callable[[], LinkDiagram]]
-
-
-def check_frame_budget(verify_frames: int, retry_limit: int) -> None:
-    """Raise ValueError unless verify_frames >= 0 and retry_limit >= 1."""
-    if verify_frames < 0:
-        raise ValueError(f"verify_frames must be at least 0, got {verify_frames}")
-    if retry_limit < 1:
-        raise ValueError(f"retry_limit must be at least 1, got {retry_limit}")
-
-
-def _verified_value(
-    read_at: Callable[[int], Reading],
-    audit: Callable[[LinkDiagram, int], None] | None,
-    verify_frames: int,
-    retry_limit: int,
+def cycle_invariant(
+    tables: Sequence[tuple[int, CrossingTable]], walks: Walks, audit: bool = False
 ) -> tuple[int, int, int, bool]:
-    """Evaluate on frames 0, 1, ... until `verify_frames` more agree.
+    """(value, crossing count, frame index, audited) of one walk or a pair.
 
-    `read_at(index)` gives the reading at one frame or raises
-    GenericityFailure; GenericityExhausted is raised once `retry_limit`
-    frames have failed in total.
+    `walks` is one cycle's walk (a2) or two disjoint ones (lk) in the
+    accepted `tables`, (frame index, table) pairs from
+    `accepted_tables`.  The value and crossing count are read from the
+    first table (`a2_from_table`, `linking_number_from_table`); with
+    `audit`, a diagram of at most AUDIT_CROSSING_LIMIT crossings is
+    restricted from it and checked by the independent route.  Every
+    further table must give the same value, or InvariantContractError
+    is raised.
     """
-    value = None
-    first_count = 0
-    first_index = 0
-    audited = False
-    accepted = 0
-    for (v, count, diagram), index in accepted_diagrams(read_at, retry_limit):
-        if value is None:
-            value, first_count, first_index = v, count, index
-            if audit is not None and count <= AUDIT_CROSSING_LIMIT:
-                audit(diagram(), v)
-                audited = True
-        elif v != value:
+    knot = len(walks) == 1
+    read = a2_from_table if knot else linking_number_from_table
+    (first_index, first), *rest = tables
+    value, count = read(first, walks)
+    audited = audit and count <= AUDIT_CROSSING_LIMIT
+    if audited:
+        (_audit_knot if knot else _audit_link)(first.restrict(walks), value)
+    for index, table in rest:
+        v, _ = read(table, walks)
+        if v != value:
             raise InvariantContractError(
                 f"frame {index} disagrees: {v} != {value} (frame {first_index})"
             )
-        accepted += 1
-        if accepted > verify_frames:
-            break
-    return value, first_count, first_index, audited
-
-
-def _read(table: CrossingTable, walks: Walks) -> Reading:
-    """The reading of one cycle (a2) or a disjoint pair (lk) in a table."""
-    from_table = a2_from_table if len(walks) == 1 else linking_number_from_table
-    value, count = from_table(table, walks)
-    return value, count, lambda: table.restrict(walks)
-
-
-def _audit(components: int, audit: bool) -> Callable[[LinkDiagram, int], None] | None:
-    if not audit:
-        return None
-    return _audit_knot if components == 1 else _audit_link
-
-
-def cycle_invariant(
-    graph: GraphProjection,
-    cycles: tuple[tuple[int, ...], ...],
-    verify_frames: int = 1,
-    retry_limit: int = FRAME_RETRY_LIMIT,
-    audit: bool = False,
-) -> tuple[int, int, int, bool, bool]:
-    """(value, crossing count, frame index, audited, fell back) for a cycle.
-
-    `cycles` is one cycle's vertex tuple (a2) or two disjoint ones (lk).
-    Each frame's value and crossing count are read from a crossing table
-    (`a2_from_table`, `linking_number_from_table`), and a diagram is
-    restricted from it only to be audited.  The table is the frame's
-    whole-graph table where the graph is generic; elsewhere it is the
-    cycles' own (`GraphProjection.curve_table`), and "fell back" is then
-    true.  Every other field equals what `knot_invariant` /
-    `link_invariant` return for the cycles' points with the frame seed
-    of `graph`.
-    """
-    fell_back = False
-
-    def read_at(index: int) -> Reading:
-        nonlocal fell_back
-        table = graph.tables[index]
-        if table is None:
-            fell_back = True
-            return _read(*graph.curve_table(cycles, index))
-        return _read(table, cycles)
-
-    check = _audit(len(cycles), audit)
-    return _verified_value(read_at, check, verify_frames, retry_limit) + (fell_back,)
+    return value, count, first_index, audited
 
 
 def _curve_invariant(curves, seed, verify_frames, retry_limit, audit):
-    check_frame_budget(verify_frames, retry_limit)
-    frames = frame_sequence(seed)
-    # `accepted_diagrams` reads frames 0, 1, 2, ... once each, in order.
-    return _verified_value(
-        lambda index: _read(*curve_table(curves, next(frames))), _audit(len(curves), audit),
-        verify_frames, retry_limit,
-    )
+    walks = curve_walks(curves)
+    tables, _, _ = accepted_tables(partial(curve_table, curves), seed, verify_frames, retry_limit)
+    return cycle_invariant(tables, walks, audit)
 
 
 def knot_invariant(

@@ -2,29 +2,31 @@
 
 A projection frame is an integer right-handed triple (u, v, d): points
 map to (u.p, v.p) in the diagram plane and d.p is the height used to
-resolve over/under at each crossing.  A frame is accepted only if the
-kernel's exactness checks all pass (no degenerate segment, no coincident
-or incident corner projections, all crossings transverse, no two
-crossings at the same point); otherwise the caller advances along a
-deterministic frame sequence.
+resolve over/under at each crossing.  A frame is generic for some
+curves only if the kernel's exactness checks all pass (no degenerate
+segment, no coincident or incident corner projections, all crossings
+transverse, no two crossings at the same point).
 
 Every numeric decision in this pipeline is an integer sign test, so an
 accepted diagram is certified correct, not approximately correct.
 
+One frame policy (`accepted_tables`): the accepted frames are the first
+verify_frames + 1 frames of `frame_sequence(seed)` at which the scanned
+curves are generic, and GenericityExhausted is raised once retry_limit
+frames have failed.  An embedding applies it once, to its whole graph
+(`GraphProjection`), and reads every cycle and cycle pair at those
+frames; loose curves apply it to their own scan (`curve_table`).
+Each genericity check is a condition on a segment, a pair of corners, a
+corner against a segment, or the crossings of one segment, so it can
+only gain violations as segments are added: a frame generic for the
+whole graph is generic for every cycle and cycle pair in it, and
+restricting the graph's table to them gives the diagram of their own
+scan.
+
 Every diagram and every value comes from a `CrossingTable`: one scan
 (`crossing_table`) of edge-labelled segments through one frame.  A
-graph is scanned whole once per frame, with its edges as the edges;
-loose curves are scanned with every segment its own edge
-(`curve_table`).  Each genericity check is a condition on a segment, a
-pair of corners, a corner against a segment, or the crossings of one
-segment, so it can only gain violations as segments are added: a frame
-generic for the whole graph is generic for every cycle and cycle pair
-in it, and restricting the graph's table to them gives the diagram of
-their own scan.  Elsewhere the cycles are scanned as loose curves at
-that frame (`GraphProjection.curve_table`).
-
-A table gives a cycle's Gauss arrows (`CrossingTable.arrows`) and a
-cycle pair's signed mutual-crossing total (`CrossingTable.linking_total`)
+table gives a cycle's Gauss arrows (`CrossingTable.arrows`) and a cycle
+pair's signed mutual-crossing total (`CrossingTable.linking_total`)
 without a diagram.  The one way to a `LinkDiagram` is
 `CrossingTable.restrict`, used by `project`, the audit and tests.
 """
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd
 from random import Random
 from typing import Callable, Iterator, Sequence
@@ -46,7 +49,6 @@ from ._pykernels import (
 )
 from .errors import GenericityExhausted, GenericityFailure
 from .geometry import IntPoint, SpatialEmbedding, _cross, _dot, _is_zero
-from .graphs import Cycle
 
 FRAME_RETRY_LIMIT = 64
 
@@ -141,30 +143,6 @@ class LinkDiagram:
     @property
     def crossing_count(self) -> int:
         return len(self.signs)
-
-
-def accepted_diagrams(
-    diagram_at: Callable[[int], LinkDiagram], retry_limit: int = FRAME_RETRY_LIMIT
-) -> Iterator[tuple[LinkDiagram, int]]:
-    """Yield (diagram, frame_index) for each frame where `diagram_at` succeeds.
-
-    `diagram_at(index)` gives the diagram at frame `index`, or whatever
-    the caller reads there, or raises GenericityFailure; it is called
-    with 0, 1, 2, ... in turn, once each.  GenericityExhausted is raised
-    once `retry_limit` frames have failed in total.
-    """
-    failures = 0
-    index = 0
-    while True:
-        try:
-            dia = diagram_at(index)
-        except GenericityFailure as exc:
-            failures += 1
-            if failures >= retry_limit:
-                raise GenericityExhausted(failures, exc) from exc
-        else:
-            yield dia, index
-        index += 1
 
 
 # ---------------------------------------------------------------------------
@@ -342,30 +320,37 @@ def crossing_table(
     )
 
 
-def curve_table(
-    curves: Sequence[tuple[IntPoint, ...]], frame: ProjectionFrame
-) -> tuple[CrossingTable, Walks]:
-    """The crossing table of one or two closed polygons, and their walks.
+def curve_walks(curves: Sequence[tuple[IntPoint, ...]]) -> Walks:
+    """The walks of one or two closed polygons in their `curve_table`.
 
     Corners are numbered through the curves in order, so a curve's walk
-    is its run of corner numbers.  Each segment is its own edge, named
-    by its two corners; the closing one is walked backwards.  Raises
-    GenericityFailure when the frame is not generic for these curves,
-    and ValueError if the curves actually touch in 3-space.
+    is its run of corner numbers.
     """
     if not 1 <= len(curves) <= 2:
         raise ValueError("expected one or two closed curves")
-    points: list[IntPoint] = []
     walks = []
+    start = 0
     for curve in curves:
         if len(curve) < 3:
             raise ValueError("a closed polygon needs at least 3 points")
-        walks.append(tuple(range(len(points), len(points) + len(curve))))
-        points.extend(curve)
-    seg_edge = [edge for walk in walks for edge, _ in _oriented_edges(walk)]
+        walks.append(tuple(range(start, start + len(curve))))
+        start += len(curve)
+    return tuple(walks)
+
+
+def curve_table(curves: Sequence[tuple[IntPoint, ...]], frame: ProjectionFrame) -> CrossingTable:
+    """The crossing table of one or two closed polygons.
+
+    Each segment is its own edge, named by its two corners (numbered as
+    in `curve_walks`); the closing one is walked backwards.  Raises
+    GenericityFailure when the frame is not generic for these curves,
+    and ValueError if the curves actually touch in 3-space.
+    """
+    points = [p for curve in curves for p in curve]
+    seg_edge = [edge for walk in curve_walks(curves) for edge, _ in _oriented_edges(walk)]
     seg_a, seg_b = zip(*seg_edge)
     try:
-        return crossing_table(points, seg_a, seg_b, seg_edge, frame), tuple(walks)
+        return crossing_table(points, seg_a, seg_b, seg_edge, frame)
     except GenericityFailure as exc:
         if exc.condition == "intersect-3d":
             raise ValueError(f"curves intersect in 3-space near segments {exc.detail}") from None
@@ -378,29 +363,61 @@ def project(curves: Sequence[tuple[IntPoint, ...]], frame: ProjectionFrame) -> L
     Raises GenericityFailure when the frame is not generic for these
     curves, and ValueError if the curves actually touch in 3-space.
     """
-    table, walks = curve_table(curves, frame)
-    return table.restrict(walks)
+    return curve_table(curves, frame).restrict(curve_walks(curves))
+
+
+# ---------------------------------------------------------------------------
+# The frame policy
+
+
+def check_frame_budget(verify_frames: int, retry_limit: int) -> None:
+    """Raise ValueError unless verify_frames >= 0 and retry_limit >= 1."""
+    if verify_frames < 0:
+        raise ValueError(f"verify_frames must be at least 0, got {verify_frames}")
+    if retry_limit < 1:
+        raise ValueError(f"retry_limit must be at least 1, got {retry_limit}")
+
+
+def accepted_tables(
+    scan: Callable[[ProjectionFrame], CrossingTable],
+    seed,
+    verify_frames: int,
+    retry_limit: int,
+) -> tuple[list[tuple[int, CrossingTable]], dict[str, int], int]:
+    """The accepted frames: the first verify_frames + 1 frames of
+    `frame_sequence(seed)` at which `scan` succeeds.
+
+    Returns their (frame index, table) pairs, the rejected frames
+    counted by condition, and the number of frames tried.  Raises
+    GenericityExhausted once `retry_limit` frames have failed in total.
+    """
+    check_frame_budget(verify_frames, retry_limit)
+    tables: list[tuple[int, CrossingTable]] = []
+    rejects: dict[str, int] = {}
+    failures = 0
+    for index, frame in enumerate(frame_sequence(seed)):
+        try:
+            tables.append((index, scan(frame)))
+        except GenericityFailure as exc:
+            rejects[exc.condition] = rejects.get(exc.condition, 0) + 1
+            failures += 1
+            if failures >= retry_limit:
+                raise GenericityExhausted(failures, exc) from exc
+            continue
+        if len(tables) > verify_frames:
+            return tables, rejects, index + 1
 
 
 class GraphProjection:
-    """Whole-graph crossing tables along one embedding's frame sequence.
+    """An embedding's whole-graph crossing tables at its accepted frames.
 
-    Holds the frames 0..last of `frame_sequence(seed)` and, per frame,
-    its `CrossingTable`, or None where the graph is not generic.  The
-    prefix stops at the (verify_frames + 1)-th generic frame, or once
-    verify_frames + retry_limit frames have been tried: a record
-    accepts at every generic frame and gives up after retry_limit
-    failures, so no record can look past that prefix.
+    `tables` lists (frame index, table) as `accepted_tables` gives them
+    for the graph scanned whole; `rejects` and `frames_tried` count the
+    frames it looked at.  GenericityExhausted is raised here, once per
+    embedding, when the whole graph exhausts the retry budget.
     """
 
     def __init__(self, e: SpatialEmbedding, seed, verify_frames: int, retry_limit: int):
-        self.embedding = e
-        self.frames: list[ProjectionFrame] = []
-        self.tables: list[CrossingTable | None] = []
-        self.rejects: dict[str, int] = {}
-        wanted = verify_frames + 1
-        budget = wanted + retry_limit - 1
-        generic = 0
         # Vertices are the first corners, each edge's waypoints follow,
         # and every edge runs from its smaller vertex.
         vertices = sorted(e.scaled_positions)
@@ -418,30 +435,10 @@ class GraphProjection:
             seg_edge.extend([edge] * (len(chain) - 1))
             seg_a.extend(chain[:-1])
             seg_b.extend(chain[1:])
-        for frame in frame_sequence(seed):
-            try:
-                table = crossing_table(points, seg_a, seg_b, seg_edge, frame)
-                generic += 1
-            except GenericityFailure as exc:
-                table = None
-                self.rejects[exc.condition] = self.rejects.get(exc.condition, 0) + 1
-            self.frames.append(frame)
-            self.tables.append(table)
-            if generic >= wanted or len(self.frames) >= budget:
-                break
-
-    def curves(self, cycles: Sequence[tuple[int, ...]]) -> tuple[tuple[IntPoint, ...], ...]:
-        return tuple(self.embedding.cycle_points_scaled(Cycle(vs)) for vs in cycles)
-
-    def curve_table(
-        self, cycles: Sequence[tuple[int, ...]], index: int
-    ) -> tuple[CrossingTable, Walks]:
-        """The cycles' own `curve_table` at frame `index`, and their walks.
-
-        Read where the whole graph is not generic at that frame; it may
-        raise GenericityFailure.
-        """
-        return curve_table(self.curves(cycles), self.frames[index])
+        self.tables, self.rejects, self.frames_tried = accepted_tables(
+            partial(crossing_table, points, seg_a, seg_b, seg_edge),
+            seed, verify_frames, retry_limit,
+        )
 
 
 @dataclass(frozen=True)

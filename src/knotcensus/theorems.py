@@ -27,10 +27,7 @@ checks.  Every row reports through one `IdentityReport`:
   rectilinear-degeneration straight, n>=6: main-identity without its
                              S_a2(5) term,
                              S_a2(n) = ((n-5)!/2) (S_lk2(3,3) - C(n-1,5))
-  mod2-parity        n=6: S_lk(3,3) is odd; n=7: S_a2(7) is odd
-                             (the reported S_lk(3,3) is a signed sum: its
-                             parity does not depend on the vertex
-                             labelling, its sign does)
+  mod2-parity        n=6: S_lk2(3,3) is odd; n=7: S_a2(7) is odd
   residue-congruence n>=7: S_a2(n) = expected_residue(n) mod (n-5)!
   a2-bounds          n>=6: S_a2(n) - (n-5)! S_a2(5) >= (n-5)(n-6)(n-1)!/1440;
                              if straight, S_a2(n) <= 3(n-2)(n-5)(n-1)!/1440
@@ -54,12 +51,11 @@ from .graphs import (
 )
 from .invariants import (
     InvariantRecord,
-    check_frame_budget,
     classify_triangle_triangle,
     cycle_invariant,
     stick_bound_a2,
 )
-from .projection import FRAME_RETRY_LIMIT, GraphProjection
+from .projection import FRAME_RETRY_LIMIT, GraphProjection, check_frame_budget
 
 HAMILTONIAN_CEILING = 10
 WITNESS_CAP = 128
@@ -108,8 +104,9 @@ class EmbeddingAnalysis:
     deterministic reduction order (sorted canonical keys), so sums do
     not depend on the worker count.
 
-    Values are read from whole-graph crossing tables, one per frame,
-    built on the first request for records and freed with the analysis.
+    Values are read from whole-graph crossing tables at the embedding's
+    accepted frames, built on the first request for records and freed
+    with the analysis.  Pool workers receive those tables only.
     """
 
     def __init__(
@@ -135,7 +132,6 @@ class EmbeddingAnalysis:
         self._knots: dict[tuple, tuple[InvariantRecord, ...]] = {}
         self._links: dict[tuple, tuple[InvariantRecord, ...]] = {}
         self._projection: GraphProjection | None = None
-        self._fallback_records = 0
 
     @property
     def n(self) -> int:
@@ -155,16 +151,15 @@ class EmbeddingAnalysis:
 
     @property
     def stats(self) -> dict:
-        """Whole-graph frames tried and rejected, and per-cycle fallbacks.
+        """Whole-graph frames tried and rejected, by condition.
 
         Counts only, the same for every worker count; they never enter
         the reports.
         """
         g = self._projection
         return {
-            "graph_frames_tried": 0 if g is None else len(g.frames),
+            "graph_frames_tried": 0 if g is None else g.frames_tried,
             "graph_frame_rejects": {} if g is None else dict(sorted(g.rejects.items())),
-            "fallback_records": self._fallback_records,
         }
 
     def _records(self, cache: dict, key: tuple, subjects, check) -> tuple[InvariantRecord, ...]:
@@ -172,7 +167,7 @@ class EmbeddingAnalysis:
 
         `subjects()` lists one cycle's vertex tuple (a2) or two disjoint
         ones (lk) per record; each record goes through `check`, when not
-        None, before it is cached.  Fallbacks are counted in the stats.
+        None, before it is cached.
         """
         if key in cache:
             return cache[key]
@@ -181,13 +176,7 @@ class EmbeddingAnalysis:
             self._projection = GraphProjection(
                 self.embedding, self.seed, self.verify_frames, self.retry_limit
             )
-        record = partial(
-            cycle_invariant,
-            self._projection,
-            verify_frames=self.verify_frames,
-            retry_limit=self.retry_limit,
-            audit=self.audit,
-        )
+        record = partial(cycle_invariant, self._projection.tables, audit=self.audit)
         if self.threads > 1 and len(subjects) > 16:
             from multiprocessing import Pool
 
@@ -196,10 +185,9 @@ class EmbeddingAnalysis:
                 results = pool.map(_record_task, subjects, chunksize=chunk)
         else:
             results = [record(s) for s in subjects]
-        self._fallback_records += sum(r[4] for r in results)
         out = []
-        for s, (value, ncross, fidx, audited, _) in zip(subjects, results):
-            rec = InvariantRecord(s[0] if len(s) == 1 else s, value, ncross, fidx, audited)
+        for s, result in zip(subjects, results):
+            rec = InvariantRecord(s[0] if len(s) == 1 else s, *result)
             if check is not None:
                 check(rec)
             out.append(rec)
@@ -237,9 +225,6 @@ class EmbeddingAnalysis:
 
     def sum_a2(self, k: int, subgraph: SimpleGraph | None = None) -> int:
         return sum(r.value for r in self.knot_records(k, subgraph))
-
-    def sum_lk(self, k: int, l: int) -> int:
-        return sum(r.value for r in self.link_records(k, l))
 
     def sum_lk_sq(self, k: int, l: int) -> int:
         return sum(r.value * r.value for r in self.link_records(k, l))
@@ -462,16 +447,12 @@ def _congruence(identity_id: str, n: int, value: int, modulus: int, residue: int
 
 
 def _mod2(a: EmbeddingAnalysis) -> IdentityReport:
-    """The parity row: S_lk(3,3) odd at n = 6, S_a2(7) odd at n = 7.
+    """The parity row: S_lk2(3,3) odd at n = 6, S_a2(7) odd at n = 7.
 
-    At n = 6 `sums.value` is the signed lk sum over triangle pairs.  Its
-    parity is the parity of the number of odd-lk pairs, so it depends on
-    the embedding alone.  Its sign depends on the labelling too:
-    relabelling vertices can reverse a triangle's orientation and so
-    negate its lk (random K6, seed 0, reports 1, and -1 with vertices 2
-    and 3 swapped).
+    lk^2 has the parity of lk, so S_lk2(3,3) has the parity of the
+    signed lk sum that Conway-Gordon's mod-2 theorem is about.
     """
-    value = a.sum_lk(3, 3) if a.n == 6 else a.sum_a2(7)
+    value = a.sum_lk_sq(3, 3) if a.n == 6 else a.sum_a2(7)
     return _congruence("mod2-parity", a.n, value, 2, 1)
 
 

@@ -1,9 +1,10 @@
 """Whole-graph crossing tables: restriction against per-cycle projection.
 
 An `EmbeddingAnalysis` reads every cycle's value from one crossing table
-per frame.  These tests hold it to the per-cycle route it replaced: the
-same diagrams, the same records field by field, the same fallback where
-the whole graph is not generic, the same exhaustion.  Values read
+per accepted frame of the whole graph.  These tests hold it to the
+per-cycle route: the same diagrams, the same values, the same records
+field by field wherever the whole graph is generic at every frame the
+cycles' own scans accept, and one exhaustion per embedding.  Values read
 straight from a table are held to the values of its restricted diagrams.
 """
 
@@ -11,14 +12,16 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import multiprocessing
 import weakref
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from knotcensus import cli, projection
-from knotcensus.errors import InvariantContractError
+from knotcensus.errors import GenericityExhausted, InvariantContractError
 from knotcensus.geometry import (
     SpatialEmbedding,
     random_k331_embedding,
@@ -29,6 +32,7 @@ from knotcensus.geometry import (
 )
 from knotcensus.graphs import Cycle, enumerate_cycles, enumerate_disjoint_pairs
 from knotcensus.invariants import (
+    AUDIT_CROSSING_LIMIT,
     a2_from_table,
     a2_gauss_formula,
     knot_invariant,
@@ -54,8 +58,16 @@ def _subjects(e: SpatialEmbedding, ks) -> list[tuple[tuple[int, ...], ...]]:
     return out
 
 
+def _curves(e: SpatialEmbedding, subject) -> list[tuple]:
+    return [e.cycle_points_scaled(Cycle(vs)) for vs in subject]
+
+
+def _frame(seed, index: int):
+    return next(islice(frame_sequence(seed), index, None))
+
+
 def _per_cycle(e: SpatialEmbedding, subject, seed, audit=False):
-    pts = [e.cycle_points_scaled(Cycle(vs)) for vs in subject]
+    pts = _curves(e, subject)
     if len(pts) == 1:
         return knot_invariant(pts[0], seed, audit=audit)
     return link_invariant(pts[0], pts[1], seed, audit=audit)
@@ -92,23 +104,30 @@ def test_records_equal_per_cycle_invariants(e, frame_seed, audit):
     a = EmbeddingAnalysis(e, seed=frame_seed, audit=audit)
     got = _analysis_records(a, ks)
     assert got, "no cycles enumerated"
+    first = a._projection.tables[0][0]
+    frame = _frame(frame_seed, first)
     for subject, fields in got.items():
-        assert fields == _per_cycle(e, subject, frame_seed, audit), subject
+        per_cycle = _per_cycle(e, subject, frame_seed, audit)
+        assert fields[0] == per_cycle[0], subject
+        assert fields[2] == first, subject
+        count = project(_curves(e, subject), frame).crossing_count
+        assert fields[1] == count, subject
+        assert fields[3] == (audit and count <= AUDIT_CROSSING_LIMIT), subject
+        if not a.stats["graph_frame_rejects"]:
+            assert fields == per_cycle, subject
 
 
 @settings(max_examples=12, deadline=None)
 @given(embeddings, st.integers(0, 3))
 def test_restriction_equals_projection_at_every_generic_frame(e, frame_seed):
     g = GraphProjection(e, frame_seed, verify_frames=1, retry_limit=64)
-    assert sum(t is not None for t in g.tables) == 2
+    assert len(g.tables) == 2
     subjects = _subjects(e, range(3, e.n + 1))
     crossed = 0
-    for index, table in enumerate(g.tables):
-        if table is None:
-            continue
+    for index, table in g.tables:
         for subject in subjects:
             restricted = table.restrict(subject)
-            projected = project(g.curves(subject), g.frames[index])
+            projected = project(_curves(e, subject), _frame(frame_seed, index))
             assert restricted.passages == projected.passages, (subject, index)
             assert restricted.signs == projected.signs, (subject, index)
             crossed += restricted.crossing_count > 0
@@ -127,13 +146,13 @@ def test_restriction_handles_reversed_edges_with_several_crossings():
     # bent edges that carry several crossings.
     e = random_polyline_embedding(7, 3, bent_edges=8)
     g = GraphProjection(e, 0, verify_frames=1, retry_limit=64)
-    index = next(i for i, t in enumerate(g.tables) if t is not None)
+    index, table = g.tables[0]
     busy = 0
     for subject in _subjects(e, range(3, 8)):
-        restricted = g.tables[index].restrict(subject)
-        projected = project(g.curves(subject), g.frames[index])
+        restricted = table.restrict(subject)
+        projected = project(_curves(e, subject), _frame(0, index))
         assert (restricted.passages, restricted.signs) == (projected.passages, projected.signs)
-        busy += _reversed_edge_crossings(g.tables[index], subject) >= 2
+        busy += _reversed_edge_crossings(table, subject) >= 2
     assert busy > 0
 
 
@@ -160,10 +179,9 @@ def test_table_values_equal_restricted_diagram_values(e, frame_seed):
     g = GraphProjection(e, frame_seed, verify_frames=1, retry_limit=64)
     subjects = _subjects(e, range(3, e.n + 1))
     crossed = 0
-    for table in g.tables:
-        if table is not None:
-            for subject in subjects:
-                crossed += _assert_table_values_match_restriction(table, subject) > 0
+    for _, table in g.tables:
+        for subject in subjects:
+            crossed += _assert_table_values_match_restriction(table, subject) > 0
     assert crossed > 0
 
 
@@ -172,7 +190,7 @@ def test_unaudited_records_build_no_diagram_at_generic_frames(monkeypatch):
         raise AssertionError("a diagram was built")
 
     e = random_polyline_embedding(7, 0, bent_edges=8)
-    assert None not in GraphProjection(e, 0, verify_frames=1, retry_limit=64).tables
+    assert GraphProjection(e, 0, verify_frames=1, retry_limit=64).rejects == {}
     monkeypatch.setattr(projection, "LinkDiagram", refuse)
     monkeypatch.setattr(projection, "GaussDiagram", refuse)
     a = EmbeddingAnalysis(e, seed=0)
@@ -185,7 +203,7 @@ def test_table_values_on_reversed_edges_with_several_crossings():
     # The fixture of test_restriction_handles_reversed_edges_with_several_crossings.
     e = random_polyline_embedding(7, 3, bent_edges=8)
     g = GraphProjection(e, 0, verify_frames=1, retry_limit=64)
-    table = next(t for t in g.tables if t is not None)
+    _, table = g.tables[0]
     busy = 0
     for subject in _subjects(e, range(3, 8)):
         _assert_table_values_match_restriction(table, subject)
@@ -202,7 +220,7 @@ def test_table_values_with_an_edge_that_crosses_itself():
     e = SpatialEmbedding(base.graph, base.vertex_positions, {(1, 2): path})
     assert validate_embedding(e)
     g = GraphProjection(e, 0, verify_frames=1, retry_limit=64)
-    tables = [t for t in g.tables if t is not None]
+    tables = [t for _, t in g.tables]
     assert len(tables) == 2
     for table in tables:
         assert (1, 2) in table.pairs[(1, 2)]
@@ -248,7 +266,7 @@ def test_odd_linking_total_is_refused():
 
 
 # ---------------------------------------------------------------------------
-# Fallback where the whole graph is not generic
+# A frame where the whole graph is not generic
 
 W, A, B = 6, 1, 2
 
@@ -277,24 +295,43 @@ def _meets_w_and_ab(subject) -> bool:
     return W in vertices and frozenset((A, B)) in edges
 
 
-def test_fallback_keeps_frames_and_values_of_per_cycle_projection():
+NON_GENERIC_STATS = {"graph_frames_tried": 3, "graph_frame_rejects": {"vertex-on-segment": 1}}
+
+
+def test_records_read_the_whole_graph_frames_where_frame_0_is_rejected():
     e = _non_generic_at_frame_0()
     a = EmbeddingAnalysis(e, seed=0)
     got = _analysis_records(a, range(3, 7))
-    moved = 0
+    own_frame_0 = 0
     for subject, fields in got.items():
-        assert fields == _per_cycle(e, subject, 0), subject
-        expected_index = 1 if _meets_w_and_ab(subject) else 0
-        assert fields[2] == expected_index, subject
-        moved += expected_index
-    assert 0 < moved < len(got)
-    # Frame 0 is not whole-graph generic, so every record projected its
-    # own cycles there; frames 1 and 2 are read from tables.
-    assert a.stats == {
-        "graph_frames_tried": 3,
-        "graph_frame_rejects": {"vertex-on-segment": 1},
-        "fallback_records": len(got),
-    }
+        per_cycle = _per_cycle(e, subject, 0)
+        assert fields[0] == per_cycle[0], subject
+        assert fields[2] == 1, subject
+        # The cycles' own scan rejects frame 0 exactly where they meet
+        # vertex 6 and edge 1-2.
+        assert per_cycle[2] == (1 if _meets_w_and_ab(subject) else 0), subject
+        own_frame_0 += per_cycle[2] == 0
+    assert 0 < own_frame_0 < len(got)
+    # Frame 0 is rejected for the whole graph; frames 1 and 2 are read.
+    assert a.stats == NON_GENERIC_STATS
+
+
+def test_whole_graph_exhaustion_is_raised_before_any_pool(monkeypatch):
+    e = _non_generic_at_frame_0()
+    with pytest.raises(GenericityExhausted) as info:
+        GraphProjection(e, 0, verify_frames=1, retry_limit=1)
+    assert info.value.attempts == 1
+    assert info.value.last.condition == "vertex-on-segment"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+    a = EmbeddingAnalysis(e, seed=0, threads=2, retry_limit=1)
+    with pytest.raises(GenericityExhausted) as info:
+        a.knot_records(6)
+    assert info.value.attempts == 1
+    assert info.value.last.condition == "vertex-on-segment"
 
 
 def test_stats_do_not_depend_on_worker_count():
@@ -305,8 +342,7 @@ def test_stats_do_not_depend_on_worker_count():
         a.knot_records(6)
         a.link_records(3, 3)
         stats.append(a.stats)
-    assert stats[0] == stats[1]
-    assert stats[0]["fallback_records"] == 60 + 10
+    assert stats[0] == stats[1] == NON_GENERIC_STATS
 
 
 def test_frame_exhaustion_from_the_cli(tmp_path, capsys):
@@ -317,9 +353,11 @@ def test_frame_exhaustion_from_the_cli(tmp_path, capsys):
     assert err == "knotcensus: no generic projection frame after 1 attempts\n"
     assert cli.main(["verify", str(path), "--frame-retries", "2"]) == 0
     out = capsys.readouterr().out
-    # Digest recorded from the per-cycle implementation.
+    # Digest recorded from the per-cycle implementation, then re-recorded
+    # when mod2-parity's value became S_lk2(3,3): -1 became 3, the only
+    # bytes that changed.
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "efa006a42819db47054dcc4d2ddacb00aab6764685967476896f2c53f9404202"
+        "c9e7b13777eba41ea68bf9eb5a506a694210a1dd8c81ecf0cb23657d9325662b"
     )
 
 
@@ -336,7 +374,8 @@ def test_tables_belong_to_one_analysis():
     second.knot_records(6)
     assert first._projection is not second._projection
     assert all(
-        x is not y for x, y in zip(first._projection.tables, second._projection.tables)
+        x is not y
+        for (_, x), (_, y) in zip(first._projection.tables, second._projection.tables)
     )
     tables = weakref.ref(first._projection)
     del first

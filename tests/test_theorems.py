@@ -51,10 +51,11 @@ def test_moment_k6_sums_and_identities():
     assert a.sum_a2(6) == 0
     assert a.sum_a2(5) == 0
     assert a.sum_lk_sq(3, 3) == 1
-    assert a.sum_lk(3, 3) in (1, -1)
     reports, _ = verify_embedding(e, analysis=a)
     assert {r.identity_id for r in reports} == set(applicable_identities(e))
     assert all(r.passed for r in reports)
+    mod2 = next(r for r in reports if r.identity_id == "mod2-parity")
+    assert mod2.sums == {"value": 1}
 
 
 def test_moment_k7_sums_and_identities():
@@ -423,7 +424,11 @@ def _record_values(e: SpatialEmbedding, seed=0) -> tuple[dict, dict]:
 
 
 def _moved(e: SpatialEmbedding, move) -> SpatialEmbedding:
-    return SpatialEmbedding(e.graph, {v: move(p) for v, p in e.vertex_positions.items()})
+    return SpatialEmbedding(
+        e.graph,
+        {v: move(p) for v, p in e.vertex_positions.items()},
+        {edge: tuple(map(move, path)) for edge, path in e.edge_paths.items()},
+    )
 
 
 rectilinear = st.builds(
@@ -467,15 +472,30 @@ def _records(e: SpatialEmbedding) -> list:
     st.sampled_from([Fraction(3, 7), Fraction(1, 2), Fraction(5), Fraction(11, 4)]),
 )
 def test_rational_scaling_keeps_every_record(e, factor):
-    def scale(p):
-        return tuple(c * factor for c in p)
-
-    scaled = SpatialEmbedding(
-        e.graph,
-        {v: scale(p) for v, p in e.vertex_positions.items()},
-        {edge: tuple(map(scale, path)) for edge, path in e.edge_paths.items()},
-    )
+    scaled = _moved(e, lambda p: tuple(c * factor for c in p))
     assert _records(scaled) == _records(e)
+
+
+# The rotation of the quaternion (1, 2, 3, 4), whose squared norm is 30.
+ROTATION = tuple(
+    tuple(Fraction(c, 30) for c in row) for row in ((-20, 4, 22), (20, -10, 20), (10, 28, 4))
+)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.one_of(rectilinear, polyline))
+def test_rational_rotation_keeps_every_record(e):
+    r = ROTATION
+    assert all(
+        sum(r[i][k] * r[j][k] for k in range(3)) == (i == j) for i in range(3) for j in range(3)
+    )
+    det = sum(
+        r[0][i] * (r[1][(i + 1) % 3] * r[2][(i + 2) % 3] - r[1][(i + 2) % 3] * r[2][(i + 1) % 3])
+        for i in range(3)
+    )
+    assert det == 1
+    rotated = _moved(e, lambda p: tuple(sum(a * c for a, c in zip(row, p)) for row in r))
+    assert _record_values(rotated) == _record_values(e)
 
 
 @settings(max_examples=10, deadline=None)
@@ -527,13 +547,8 @@ def test_relabelling_moves_every_record_to_its_image(case):
     assert m_links == expected
     reports, _ = verify_embedding(e)
     m_reports, _ = verify_embedding(moved)
-    # Every sum but one is of a2 or lk^2.  The mod2-parity row of K6
-    # sums the signed lk of triangle pairs, so it takes the signs above.
-    signed = sum(v for (c1, c2), v in expected.items() if len(c1) + len(c2) == 6)
-    assert [r.sums for r in m_reports] == [
-        {"value": signed} if r.identity_id == "mod2-parity" and e.n == 6 else r.sums
-        for r in reports
-    ]
+    # Every sum is of a2 or lk^2, so none takes the signs above.
+    assert [r.sums for r in m_reports] == [r.sums for r in reports]
     assert [(r.lhs, r.rhs, r.passed) for r in m_reports] == [
         (r.lhs, r.rhs, r.passed) for r in reports
     ]
