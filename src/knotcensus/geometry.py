@@ -395,6 +395,8 @@ def random_polyline_embedding(
     randomly chosen edges by two-segment paths through a perturbed
     midpoint, revalidating after each attempt.
     """
+    if bent_edges < 0:
+        raise ValueError(f"bent_edges must be at least 0, got {bent_edges}")
     base = random_rectilinear_embedding(n, seed, coord_range, graph)
     g = base.graph
     rng = Random(f"bend:{seed}:{n}:{coord_range}:{bent_edges}")
@@ -475,6 +477,13 @@ def embedding_from_json(doc: dict) -> SpatialEmbedding:
         raise ValueError(f"missing field: {exc}") from None
     if not _is_json_int(n) or n < 3:
         raise ValueError(f"bad vertex count {n!r}")
+    # Checked before the graph is built, which takes time and memory
+    # quadratic in n.
+    if not isinstance(vertices, list) or len(vertices) != n:
+        raise ValueError("vertex list length does not match n")
+    edges = doc.get("edges", {})
+    if not isinstance(edges, dict):
+        raise ValueError("edges must be an object mapping edge keys to waypoint lists")
     kind = doc.get("graph", "complete")
     if kind == "complete":
         g = complete_graph(n)
@@ -484,21 +493,21 @@ def embedding_from_json(doc: dict) -> SpatialEmbedding:
         g = k331_graph()
     else:
         raise ValueError(f"unknown graph kind {kind!r}")
-    if not isinstance(vertices, list) or len(vertices) != n:
-        raise ValueError("vertex list length does not match n")
     pos: dict[int, Point] = {}
     for idx, row in enumerate(vertices):
         if not isinstance(row, list) or len(row) != 3:
             raise ValueError(f"vertex {idx + 1}: expected 3 coordinates")
         pos[idx + 1] = tuple(_coord_from_json(c) for c in row)
     paths: dict[tuple[int, int], tuple[Point, ...]] = {}
-    for key, rows in (doc.get("edges") or {}).items():
+    for key, rows in edges.items():
         try:
             i, j = (int(t) for t in key.split("-"))
         except ValueError:
             raise ValueError(f"bad edge key {key!r}") from None
         if not g.has_edge(i, j) or i >= j:
             raise ValueError(f"edge key {key!r} is not an i<j edge of the graph")
+        if not isinstance(rows, list):
+            raise ValueError(f"edge {key}: expected a list of waypoints")
         pts = []
         for row in rows:
             if not isinstance(row, list) or len(row) != 3:

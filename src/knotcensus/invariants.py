@@ -19,14 +19,16 @@ of that value on the first accepted diagram of at most
 A disagreement is an engine defect, raised as InvariantContractError.
 
 Both fast paths read a crossing table, never a diagram: the Gauss
-arrows of a cycle's walk (`a2_from_table`) and per-edge-pair signed
-sums (`linking_number_from_table`).  Every value is read at the
-accepted frames of `projection.accepted_tables`, the one frame policy,
-and checked by one loop (`cycle_invariant`): an embedding's cycles at
+arrows of a cycle's walk (`a2_from_table`) and the signed crossings
+met along one cycle's edges with the other's
+(`linking_number_from_table`).  Every value is read at the accepted
+frames of `projection.accepted_tables`, the one frame policy, and
+checked by one loop (`cycle_invariant`): an embedding's cycles at
 the frames where its whole graph is generic, loose curves
 (`knot_invariant`, `link_invariant`) at the frames where the curves'
 own scan is.  A `LinkDiagram` is restricted from the first table only
-to be audited.
+to be audited, or for the crossing count that `knot_invariant` and
+`link_invariant` report.
 
 The skein oracle (`conway_skein_oracle`) computes the full Conway
 polynomial by crossing-switch/smoothing recursion down to descending
@@ -468,44 +470,37 @@ def classify_triangle_triangle(lk_value: int, rectilinear: bool) -> str:
 
 @dataclass(frozen=True)
 class InvariantRecord:
-    """One cycle's (or pair's) invariant with its certification context.
+    """One cycle's (or pair's) invariant and whether it was audited.
 
-    The accepted frames are the embedding's: the first verify_frames + 1
-    frames at which its whole graph is generic.  `value` was read at the
-    first of them (index `frame_index` in the deterministic sequence)
-    and reproduced identically at the others; `crossing_count` is from
-    the diagram at that first frame.  `audited` marks diagrams of at
-    most AUDIT_CROSSING_LIMIT crossings, whose value the independent
-    audit route then also gave.
+    `value` was read at the first of the embedding's accepted frames
+    (the first verify_frames + 1 frames at which its whole graph is
+    generic, listed once in `EmbeddingAnalysis.stats["graph_frames"]`)
+    and reproduced identically at the others.  `audited` marks diagrams
+    of at most AUDIT_CROSSING_LIMIT crossings at that first frame, whose
+    value the independent audit route then also gave.
     """
 
     subject: tuple
     value: int
-    crossing_count: int
-    frame_index: int
     audited: bool
 
 
-def a2_from_table(table: CrossingTable, cycles: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
-    """(a2, crossing count) of one cycle read straight from a crossing table.
+def a2_from_table(table: CrossingTable, cycles: tuple[tuple[int, ...], ...]) -> int:
+    """a2 of one cycle read straight from a crossing table.
 
     The same two-arrow count as `a2_gauss_formula` on the arrows of
     `table.restrict(cycles)`, with no diagram built.
     """
-    arrows = table.arrows(cycles[0])
-    return _a2_with_pattern(arrows, A2_PATTERN, A2_SIGN), len(arrows)
+    return _a2_with_pattern(table.arrows(cycles[0]), A2_PATTERN, A2_SIGN)
 
 
-def linking_number_from_table(
-    table: CrossingTable, cycles: tuple[tuple[int, ...], ...]
-) -> tuple[int, int]:
-    """(lk, crossing count) of a disjoint cycle pair from a crossing table.
+def linking_number_from_table(table: CrossingTable, cycles: tuple[tuple[int, ...], ...]) -> int:
+    """lk of a disjoint cycle pair read straight from a crossing table.
 
-    Equal to `linking_number(table.restrict(cycles))` and that diagram's
-    crossing count, with no diagram built.
+    Equal to `linking_number(table.restrict(cycles))`, with no diagram
+    built.
     """
-    total, count = table.linking_total(*cycles)
-    return _half(total), count
+    return _half(table.linking_total(*cycles))
 
 
 def _audit_knot(d: LinkDiagram, value: int) -> None:
@@ -526,38 +521,44 @@ def _audit_link(d: LinkDiagram, value: int) -> None:
 
 def cycle_invariant(
     tables: Sequence[tuple[int, CrossingTable]], walks: Walks, audit: bool = False
-) -> tuple[int, int, int, bool]:
-    """(value, crossing count, frame index, audited) of one walk or a pair.
+) -> tuple[int, bool]:
+    """(value, audited) of one walk or a disjoint pair.
 
     `walks` is one cycle's walk (a2) or two disjoint ones (lk) in the
     accepted `tables`, (frame index, table) pairs from
-    `accepted_tables`.  The value and crossing count are read from the
-    first table (`a2_from_table`, `linking_number_from_table`); with
-    `audit`, a diagram of at most AUDIT_CROSSING_LIMIT crossings is
-    restricted from it and checked by the independent route.  Every
-    further table must give the same value, or InvariantContractError
-    is raised.
+    `accepted_tables`.  The value is read from the first table
+    (`a2_from_table`, `linking_number_from_table`); with `audit`, the
+    diagram is restricted from it and, if it has at most
+    AUDIT_CROSSING_LIMIT crossings, checked by the independent route.
+    Every further table must give the same value, or
+    InvariantContractError is raised.
     """
     knot = len(walks) == 1
     read = a2_from_table if knot else linking_number_from_table
     (first_index, first), *rest = tables
-    value, count = read(first, walks)
-    audited = audit and count <= AUDIT_CROSSING_LIMIT
-    if audited:
-        (_audit_knot if knot else _audit_link)(first.restrict(walks), value)
+    value = read(first, walks)
+    audited = False
+    if audit:
+        d = first.restrict(walks)
+        audited = d.crossing_count <= AUDIT_CROSSING_LIMIT
+        if audited:
+            (_audit_knot if knot else _audit_link)(d, value)
     for index, table in rest:
-        v, _ = read(table, walks)
+        v = read(table, walks)
         if v != value:
             raise InvariantContractError(
                 f"frame {index} disagrees: {v} != {value} (frame {first_index})"
             )
-    return value, count, first_index, audited
+    return value, audited
 
 
 def _curve_invariant(curves, seed, verify_frames, retry_limit, audit):
+    """(value, crossing count, frame index, audited) at the first accepted frame."""
     walks = curve_walks(curves)
     tables, _, _ = accepted_tables(partial(curve_table, curves), seed, verify_frames, retry_limit)
-    return cycle_invariant(tables, walks, audit)
+    value, audited = cycle_invariant(tables, walks, audit)
+    index, first = tables[0]
+    return value, first.restrict(walks).crossing_count, index, audited
 
 
 def knot_invariant(

@@ -171,13 +171,11 @@ class CrossingTable:
     `forward[edge]` lists the crossings met along edge (i, j), i < j,
     walked from i to j: its segments in order and each segment's
     crossings in parameter order; the walk from j to i meets them in
-    reverse.  `pairs[e][f]` is (signed sum, count) of the crossings
-    between edges e and f, stored under both orders (once if e == f),
-    with signs as in `forward`; edge pairs that do not cross are absent.
+    reverse.  Each crossing is listed once under each of its two edges.
+    Every diagram, a2 and lk of a cycle or pair is read from `forward`.
     """
 
     forward: dict[Edge, tuple[EdgePass, ...]]
-    pairs: dict[Edge, dict[Edge, tuple[int, int]]]
 
     def restrict(self, cycles: Sequence[tuple[int, ...]]) -> LinkDiagram:
         """The diagram of one cycle or a disjoint pair.
@@ -241,32 +239,23 @@ class CrossingTable:
             raise ValueError("every crossing must be passed once over and once under")
         return out
 
-    def linking_total(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, int]:
-        """(signed mutual-crossing total, crossing count) of a disjoint pair.
+    def linking_total(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
+        """Signed mutual-crossing total of a disjoint cycle pair.
 
-        The total is the sum `linking_number` takes over
-        `self.restrict((a, b))`: each edge pair's signed sum times both
-        edges' orientation factors.  The count is that diagram's
-        `crossing_count`, so it includes each cycle's self-crossings.
+        The sum `linking_number` takes over `self.restrict((a, b))`:
+        walking `a`'s edges, each crossing with an edge of `b` adds its
+        sign times both edges' orientation factors.  Each such crossing
+        is listed once under its edge on `a`, so it is counted once.
         """
-        pairs = self.pairs
-        first, second = _oriented_edges(a), _oriented_edges(b)
-        total = count = 0
-        for e, f in first:
-            row = pairs.get(e, {})
-            for g, h in second:
-                entry = row.get(g)
-                if entry is not None:
-                    total += entry[0] * f * h
-                    count += entry[1]
-        for side in (first, second):
-            for i, (e, _) in enumerate(side):
-                row = pairs.get(e, {})
-                for g, _ in side[i:]:
-                    entry = row.get(g)
-                    if entry is not None:
-                        count += entry[1]
-        return total, count
+        forward = self.forward
+        factor = dict(_oriented_edges(b))
+        total = 0
+        for e, f in _oriented_edges(a):
+            for _, other, _, sign in forward[e]:
+                g = factor.get(other)
+                if g is not None:
+                    total += sign * f * g
+        return total
 
 
 def crossing_table(
@@ -308,16 +297,7 @@ def crossing_table(
             si, sj, _, _, _, i_over, sign = raw[gid]
             other, over = (sj, i_over) if si == s else (si, 1 - i_over)
             passes.append((gid, seg_edge[other], over, sign))
-    pairs: dict[Edge, dict[Edge, tuple[int, int]]] = {}
-    for si, sj, _, _, _, _, sign in raw:
-        a, b = seg_edge[si], seg_edge[sj]
-        for x, y in {(a, b), (b, a)}:
-            row = pairs.setdefault(x, {})
-            total, count = row.get(y, (0, 0))
-            row[y] = (total + sign, count + 1)
-    return CrossingTable(
-        forward={edge: tuple(ps) for edge, ps in forward.items()}, pairs=pairs
-    )
+    return CrossingTable({edge: tuple(ps) for edge, ps in forward.items()})
 
 
 def curve_walks(curves: Sequence[tuple[IntPoint, ...]]) -> Walks:

@@ -151,13 +151,17 @@ class EmbeddingAnalysis:
 
     @property
     def stats(self) -> dict:
-        """Whole-graph frames tried and rejected, by condition.
+        """The whole-graph frame search, empty until records are built.
 
-        Counts only, the same for every worker count; they never enter
-        the reports.
+        `graph_frames` lists the accepted frame indices every record was
+        read at, `graph_frames_tried` counts the frames scanned, accepted
+        or not, and `graph_frame_rejects` counts the rejected ones by
+        condition.  They are the same for every worker count and never
+        enter the reports.
         """
         g = self._projection
         return {
+            "graph_frames": [] if g is None else [index for index, _ in g.tables],
             "graph_frames_tried": 0 if g is None else g.frames_tried,
             "graph_frame_rejects": {} if g is None else dict(sorted(g.rejects.items())),
         }

@@ -353,3 +353,22 @@ def test_boolean_coordinate_is_usage_error(tmp_path, capsys, coordinate):
     assert code == 2
     assert out == ""
     assert "bad coordinate" in err
+
+
+@pytest.mark.parametrize("edges", [[1, 2], {"1-2": 5}])
+def test_malformed_edges_are_usage_errors(tmp_path, capsys, edges):
+    doc = embedding_to_json(moment_curve_embedding(6))
+    doc["edges"] = edges
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("knotcensus: ") and err.count("\n") == 1
+
+
+def test_negative_bent_edges_is_usage_error(capsys):
+    code, out, err = run(capsys, "embed", "--n", "6", "--kind", "polyline", "--bent-edges", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "knotcensus: bent_edges must be at least 0, got -1\n"

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from knotcensus import geometry
 from knotcensus.errors import SamplingExhausted
 from knotcensus.geometry import (
     SpatialEmbedding,
@@ -227,6 +228,9 @@ def test_fraction_coordinates_survive_json():
         lambda d: d.update(edges={"1-99": [[0, 0, 0]]}),
         lambda d: d.update(edges={"zap": [[0, 0, 0]]}),
         lambda d: d.update(n="six"),
+        lambda d: d.update(edges=[1, 2]),
+        lambda d: d.update(edges=None),
+        lambda d: d.update(edges={"1-2": 5}),
     ],
 )
 def test_corrupt_documents_rejected(mutate):
@@ -234,6 +238,17 @@ def test_corrupt_documents_rejected(mutate):
     mutate(doc)
     with pytest.raises(ValueError):
         embedding_from_json(doc)
+
+
+def test_vertex_list_is_checked_before_the_graph_is_built(monkeypatch):
+    # Building K_n takes time and memory quadratic in n, so a document
+    # whose vertex list cannot match n is refused first.
+    def refuse(n):
+        raise AssertionError(f"complete_graph({n}) was built")
+
+    monkeypatch.setattr(geometry, "complete_graph", refuse)
+    with pytest.raises(ValueError, match="vertex list length"):
+        embedding_from_json({"n": 1500, "vertices": [[1, 1, 1]]})
 
 
 def test_invalid_geometry_rejected_on_load():

@@ -2,10 +2,11 @@
 
 An `EmbeddingAnalysis` reads every cycle's value from one crossing table
 per accepted frame of the whole graph.  These tests hold it to the
-per-cycle route: the same diagrams, the same values, the same records
-field by field wherever the whole graph is generic at every frame the
-cycles' own scans accept, and one exhaustion per embedding.  Values read
-straight from a table are held to the values of its restricted diagrams.
+per-cycle route: the same diagrams, the same values, the same crossing
+count, frame index and audit flag wherever the whole graph is generic at
+every frame the cycles' own scans accept, and one exhaustion per
+embedding.  Values read straight from a table are held to the values of
+its restricted diagrams.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def _per_cycle(e: SpatialEmbedding, subject, seed, audit=False):
 
 
 def _fields(r) -> tuple:
-    return (r.value, r.crossing_count, r.frame_index, r.audited)
+    return (r.value, r.audited)
 
 
 def _analysis_records(a: EmbeddingAnalysis, ks) -> dict:
@@ -104,17 +105,16 @@ def test_records_equal_per_cycle_invariants(e, frame_seed, audit):
     a = EmbeddingAnalysis(e, seed=frame_seed, audit=audit)
     got = _analysis_records(a, ks)
     assert got, "no cycles enumerated"
-    first = a._projection.tables[0][0]
-    frame = _frame(frame_seed, first)
-    for subject, fields in got.items():
+    frames = a.stats["graph_frames"]
+    assert frames == [index for index, _ in a._projection.tables] and len(frames) == 2
+    frame = _frame(frame_seed, frames[0])
+    for subject, (value, audited) in got.items():
         per_cycle = _per_cycle(e, subject, frame_seed, audit)
-        assert fields[0] == per_cycle[0], subject
-        assert fields[2] == first, subject
+        assert value == per_cycle[0], subject
         count = project(_curves(e, subject), frame).crossing_count
-        assert fields[1] == count, subject
-        assert fields[3] == (audit and count <= AUDIT_CROSSING_LIMIT), subject
+        assert audited == (audit and count <= AUDIT_CROSSING_LIMIT), subject
         if not a.stats["graph_frame_rejects"]:
-            assert fields == per_cycle, subject
+            assert (value, count, frames[0], audited) == per_cycle, subject
 
 
 @settings(max_examples=12, deadline=None)
@@ -165,11 +165,9 @@ def _assert_table_values_match_restriction(table: CrossingTable, subject) -> int
     d = table.restrict(subject)
     if len(subject) == 1:
         assert sorted(table.arrows(subject[0])) == sorted(gauss_diagram(d).arrows), subject
-        expected = a2_gauss_formula(gauss_diagram(d))
-        assert a2_from_table(table, subject) == (expected, d.crossing_count), subject
+        assert a2_from_table(table, subject) == a2_gauss_formula(gauss_diagram(d)), subject
     else:
-        expected = linking_number(d)
-        assert linking_number_from_table(table, subject) == (expected, d.crossing_count), subject
+        assert linking_number_from_table(table, subject) == linking_number(d), subject
     return d.crossing_count
 
 
@@ -223,21 +221,19 @@ def test_table_values_with_an_edge_that_crosses_itself():
     tables = [t for _, t in g.tables]
     assert len(tables) == 2
     for table in tables:
-        assert (1, 2) in table.pairs[(1, 2)]
+        assert (1, 2) in [other for _, other, _, _ in table.forward[(1, 2)]]
         for subject in _subjects(e, range(3, 7)):
             _assert_table_values_match_restriction(table, subject)
 
 
-# A triangle (1, 2, 3) and a disjoint triangle (4, 5, 6), with crossings
-# entered by hand.
+# A triangle (1, 2, 3), a disjoint triangle (4, 5, 6) and an edge 7-8
+# on neither, with crossings entered by hand.
 TRIANGLE, OTHER = (1, 2, 3), (4, 5, 6)
 
 
-def _doctored(forward: dict, pairs: dict | None = None) -> CrossingTable:
-    edges = [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)]
-    return CrossingTable(
-        forward={edge: tuple(forward.get(edge, ())) for edge in edges}, pairs=pairs or {}
-    )
+def _doctored(forward: dict) -> CrossingTable:
+    edges = [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6), (7, 8)]
+    return CrossingTable({edge: tuple(forward.get(edge, ())) for edge in edges})
 
 
 def test_crossing_passed_over_twice_is_refused():
@@ -255,14 +251,31 @@ def test_crossing_met_once_is_refused():
 
 
 def test_odd_linking_total_is_refused():
-    table = _doctored(
-        {(1, 2): [(0, (4, 5), 1, 1)], (4, 5): [(0, (1, 2), 0, 1)]},
-        {(1, 2): {(4, 5): (1, 1)}, (4, 5): {(1, 2): (1, 1)}},
-    )
+    table = _doctored({(1, 2): [(0, (4, 5), 1, 1)], (4, 5): [(0, (1, 2), 0, 1)]})
     with pytest.raises(InvariantContractError, match="odd"):
         linking_number_from_table(table, (TRIANGLE, OTHER))
     with pytest.raises(InvariantContractError, match="odd"):
         linking_number(table.restrict((TRIANGLE, OTHER)))
+
+
+def test_linking_total_counts_only_crossings_between_the_pair():
+    # Edge 1-2 of the first triangle crosses its own edge 2-3 (crossing
+    # 0) and the other triangle's 4-5 (crossing 1); edge 1-3, walked
+    # from 3, crosses 4-6, walked from 6 (crossing 2); edge 2-3 crosses
+    # 7-8, on neither triangle (crossing 3).  Only crossings 1 and 2
+    # link, each +1 once both orientation factors are applied.
+    table = _doctored({
+        (1, 2): [(0, (2, 3), 1, 1), (1, (4, 5), 1, 1)],
+        (1, 3): [(2, (4, 6), 0, 1)],
+        (2, 3): [(0, (1, 2), 0, 1), (3, (7, 8), 1, 1)],
+        (4, 5): [(1, (1, 2), 0, 1)],
+        (4, 6): [(2, (1, 3), 1, 1)],
+        (7, 8): [(3, (2, 3), 0, 1)],
+    })
+    d = table.restrict((TRIANGLE, OTHER))
+    assert d.crossing_count == 3
+    assert table.linking_total(TRIANGLE, OTHER) == table.linking_total(OTHER, TRIANGLE) == 2
+    assert linking_number_from_table(table, (TRIANGLE, OTHER)) == linking_number(d) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +308,11 @@ def _meets_w_and_ab(subject) -> bool:
     return W in vertices and frozenset((A, B)) in edges
 
 
-NON_GENERIC_STATS = {"graph_frames_tried": 3, "graph_frame_rejects": {"vertex-on-segment": 1}}
+NON_GENERIC_STATS = {
+    "graph_frames": [1, 2],
+    "graph_frames_tried": 3,
+    "graph_frame_rejects": {"vertex-on-segment": 1},
+}
 
 
 def test_records_read_the_whole_graph_frames_where_frame_0_is_rejected():
@@ -303,10 +320,9 @@ def test_records_read_the_whole_graph_frames_where_frame_0_is_rejected():
     a = EmbeddingAnalysis(e, seed=0)
     got = _analysis_records(a, range(3, 7))
     own_frame_0 = 0
-    for subject, fields in got.items():
+    for subject, (value, _) in got.items():
         per_cycle = _per_cycle(e, subject, 0)
-        assert fields[0] == per_cycle[0], subject
-        assert fields[2] == 1, subject
+        assert value == per_cycle[0], subject
         # The cycles' own scan rejects frame 0 exactly where they meet
         # vertex 6 and edge 1-2.
         assert per_cycle[2] == (1 if _meets_w_and_ab(subject) else 0), subject
@@ -369,7 +385,8 @@ def test_tables_belong_to_one_analysis():
     e = random_rectilinear_embedding(6, seed=1)
     first = EmbeddingAnalysis(e, seed=0)
     second = EmbeddingAnalysis(e, seed=0)
-    assert first.stats["graph_frames_tried"] == 0  # nothing built before records
+    # nothing built before records
+    assert first.stats == {"graph_frames": [], "graph_frames_tried": 0, "graph_frame_rejects": {}}
     first.knot_records(6)
     second.knot_records(6)
     assert first._projection is not second._projection

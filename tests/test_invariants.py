@@ -429,7 +429,7 @@ def test_alexander_a2_matches_gauss_formula_on_dense_k9_diagrams():
     assert index == 0
     per_count: dict[int, list[LinkDiagram]] = {}
     for c in enumerate_cycles(e.graph, 9):
-        _, count = a2_from_table(table, (c.vertices,))
+        count = len(table.arrows(c.vertices))
         if count >= 13 and len(per_count.setdefault(count, [])) < 5:
             per_count[count].append(table.restrict((c.vertices,)))
     diagrams = [d for ds in per_count.values() for d in ds]
@@ -462,8 +462,7 @@ def test_audit_routes_match_the_skein_oracle(seed, n):
 
 def _off_by_one_reading(fn):
     def wrong(table, cycles):
-        value, count = fn(table, cycles)
-        return value + 1, count
+        return fn(table, cycles) + 1
 
     return wrong
 
