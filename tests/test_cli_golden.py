@@ -2,9 +2,10 @@
 
 Each run must print exactly the bytes the earlier implementation
 printed (the per-cycle projection for the first three, the hand-written
-identity functions for the rest), so any refactor of how diagrams are
-obtained, evaluated or reduced, or of how identities are evaluated,
-keeps every record and every report identical.
+identity functions for the verify runs after them, the separate knot
+and link entry points for the `invariant` runs), so any refactor of how
+diagrams are obtained, evaluated or reduced, or of how identities are
+evaluated, keeps every record and every report identical.
 """
 
 from __future__ import annotations
@@ -38,6 +39,18 @@ GOLDEN = {
         53051, "be979f4dca599743f6fc281460221c5715f709a43c4eca2384a6c286b128b478"),
     ("verify", "--n", "6", "--kind", "moment", "--identities", "k6-identity,mod2-parity"): (
         789, "5574514c7b446d5e262fbb90cba1e536e374ea2a157e980b6438cf13ab9a9fc1"),
+    # Recorded from the separate knot and link entry points, before the
+    # one curve entry point replaced them.
+    ("invariant", "--n", "7", "--kind", "moment", "--cycle", "1,3,5,7,2,4,6", "--audit"): (
+        155, "2d3c1b3b5a27bd6dc51ea4b3b61e0c56b247d7c58e326003aa4e034639e3f7a2"),
+    ("invariant", "--n", "7", "--kind", "moment", "--cycle", "1,3,5,7,2,4,6", "--audit",
+     "--format", "csv"): (
+        82, "811747271a5199f348e558649a8d5e708ecf5bd9c6c30ffa16988ce167d8d091"),
+    ("invariant", "--n", "6", "--kind", "moment", "--pair", "1,3,5;2,4,6"): (
+        185, "764d81fa496981a9dffba045d85d3ec5dbfcdaf9bae03cb821f7cb1ce23a2f50"),
+    ("invariant", "--n", "7", "--kind", "polyline", "--seed", "2", "--cycle", "1,2,3,4,5,6,7",
+     "--verify-frames", "3"): (
+        156, "b65dbbeb2fea31cceab692c0f8667fc07505b77e35daf5bfc9458b72d2c84c94"),
 }
 
 
