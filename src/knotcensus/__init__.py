@@ -44,12 +44,10 @@ from .geometry import (
     write_embedding,
 )
 from .projection import (
-    GaussDiagram,
     LinkDiagram,
     ProjectionFrame,
     frame_from_direction,
     frame_sequence,
-    gauss_diagram,
     project,
 )
 from .invariants import (
@@ -57,9 +55,7 @@ from .invariants import (
     InvariantRecord,
     classify_triangle_triangle,
     conway_skein_oracle,
-    knot_invariant,
-    link_invariant,
-    linking_number,
+    curve_invariant,
     stick_bound_a2,
 )
 from .theorems import (

@@ -4,15 +4,15 @@ Given segments between integer corners and an integer projection
 frame, finds every transverse crossing of the projected segments, with
 exact rational crossing parameters, over/under resolution by exact
 height comparison, and the crossing sign.  Also performs the genericity
-checks that make the projection a regular diagram; any violation aborts
-the scan with a status code so the caller can move to the next frame.
+checks that make the projection a regular diagram; the first violation
+raises GenericityFailure, so the caller can move to the next frame.
 
-Status codes (module constants):
-  OK                      crossings found, diagram is regular so far
-  FAIL_DEGENERATE_SEGMENT a segment projects to a point
-  FAIL_VERTEX_COINCIDE    two corner points share a projection
-  FAIL_VERTEX_ON_SEGMENT  a corner projects into a foreign segment
-  FAIL_INTERSECT_3D       two segments touch in 3-space
+Conditions, with their witnesses (segment and corner indices):
+  degenerate-segment  a segment projects to a point; the segment
+  vertex-coincide     two corners share a projection; (corner, corner)
+  vertex-on-segment   a corner projects into a foreign segment;
+                      (corner, segment)
+  intersect-3d        two segments touch in 3-space; (segment, segment)
 
 A crossing is reported as (gi, gj, ti_num, tj_num, den, i_over, sign):
 global segment indices gi < gj, exact parameters ti_num/den along segment
@@ -30,11 +30,7 @@ orientation normal) gets linking number +1.
 
 from __future__ import annotations
 
-OK = 0
-FAIL_DEGENERATE_SEGMENT = 1
-FAIL_VERTEX_COINCIDE = 2
-FAIL_VERTEX_ON_SEGMENT = 3
-FAIL_INTERSECT_3D = 4
+from .errors import GenericityFailure
 
 
 def scan_segments(points, seg_a, seg_b, u, v, d):
@@ -43,10 +39,8 @@ def scan_segments(points, seg_a, seg_b, u, v, d):
     Segment s runs from corner seg_a[s] to corner seg_b[s]; segments may
     share corners, and two that do are never tested for a crossing.
     `projection.crossing_table` is its one caller, for whole graphs and
-    loose curves alike.  Returns (status, payload): payload is the
-    crossing list when status is OK, else a small witness tuple naming
-    the violation, with segment and corner indices; a degenerate
-    segment's witness is its segment index alone.
+    loose curves alike.  Returns the crossing list, or raises
+    GenericityFailure at the first check that fails.
     """
     ux, uy, uz = u
     vx, vy, vz = v
@@ -62,12 +56,12 @@ def scan_segments(points, seg_a, seg_b, u, v, d):
     for s in range(ns):
         a, b = seg_a[s], seg_b[s]
         if px[a] == px[b] and py[a] == py[b]:
-            return (FAIL_DEGENERATE_SEGMENT, s)
+            raise GenericityFailure("degenerate-segment", s)
 
     for a in range(nv):
         for b in range(a + 1, nv):
             if px[a] == px[b] and py[a] == py[b]:
-                return (FAIL_VERTEX_COINCIDE, (a, b))
+                raise GenericityFailure("vertex-coincide", (a, b))
 
     for w in range(nv):
         wx, wy = px[w], py[w]
@@ -82,7 +76,7 @@ def scan_segments(points, seg_a, seg_b, u, v, d):
                 continue
             dot = ex * rx + ey * ry
             if 0 < dot < ex * ex + ey * ey:
-                return (FAIL_VERTEX_ON_SEGMENT, (w, s))
+                raise GenericityFailure("vertex-on-segment", (w, s))
 
     crossings = []
     for si in range(ns):
@@ -113,11 +107,11 @@ def scan_segments(points, seg_a, seg_b, u, v, d):
             hi = ph[a] * den + tnum * (ph[b] - ph[a])
             hj = ph[c] * den + snum * (ph[e] - ph[c])
             if hi == hj:
-                return (FAIL_INTERSECT_3D, (si, sj))
+                raise GenericityFailure("intersect-3d", (si, sj))
             i_over = 1 if hi > hj else 0
             if i_over:
                 sign = 1 if cr > 0 else -1
             else:
                 sign = -1 if cr > 0 else 1
             crossings.append((si, sj, tnum, snum, den, i_over, sign))
-    return (OK, crossings)
+    return crossings

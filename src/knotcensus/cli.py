@@ -34,7 +34,7 @@ from .geometry import (
     read_embedding,
 )
 from .graphs import Cycle, k331_graph
-from .invariants import AUDIT_CROSSING_LIMIT, knot_invariant, link_invariant
+from .invariants import AUDIT_CROSSING_LIMIT, curve_invariant
 from .projection import FRAME_RETRY_LIMIT
 from .theorems import (
     EmbeddingAnalysis,
@@ -206,6 +206,9 @@ def _cmd_embed(args) -> int:
     e = _load_embedding(args)
     doc = _stamp(args, embedding_to_json(e))
     if args.format == "csv":
+        if not e.rectilinear:
+            raise ValueError("csv lists vertices only and would drop the edge waypoints; "
+                             "use --format json")
         rows = [
             {"vertex": v, "x": x, "y": y, "z": z}
             for v, (x, y, z) in sorted(e.vertex_positions.items())
@@ -302,43 +305,29 @@ def _cmd_invariant(args) -> int:
         raise ValueError("give exactly one of --cycle or --pair")
     e = _load_embedding(args)
     if args.cycle:
-        c = _parse_cycle(args.cycle)
-        if not c.is_subgraph_of(e.graph):
-            raise ValueError(f"cycle {c.vertices} is not in the graph")
-        value, ncross, fidx, audited = knot_invariant(
-            e.cycle_points_scaled(c),
-            args.seed,
-            verify_frames=args.verify_frames,
-            retry_limit=args.frame_retries,
-            audit=args.audit,
-        )
-        doc = {"kind": "knot", "cycle": list(c.vertices), "a2": value}
+        cycles = (_parse_cycle(args.cycle),)
     else:
         parts = args.pair.split(";")
         if len(parts) != 2:
             raise ValueError("a pair is two cycles joined by ';'")
-        ca, cb = (_parse_cycle(p) for p in parts)
-        if set(ca.vertices) & set(cb.vertices):
+        cycles = tuple(_parse_cycle(p) for p in parts)
+        if set(cycles[0].vertices) & set(cycles[1].vertices):
             raise ValueError("pair cycles must be disjoint")
-        for c in (ca, cb):
-            if not c.is_subgraph_of(e.graph):
-                raise ValueError(f"cycle {c.vertices} is not in the graph")
-        value, ncross, fidx, audited = link_invariant(
-            e.cycle_points_scaled(ca),
-            e.cycle_points_scaled(cb),
-            args.seed,
-            verify_frames=args.verify_frames,
-            retry_limit=args.frame_retries,
-            audit=args.audit,
-        )
-        doc = {
-            "kind": "link",
-            "pair": [list(ca.vertices), list(cb.vertices)],
-            "lk": value,
-        }
-    doc.update(
-        {"crossings": ncross, "frame_index": fidx, "audited": audited}
+    for c in cycles:
+        if not c.is_subgraph_of(e.graph):
+            raise ValueError(f"cycle {c.vertices} is not in the graph")
+    value, ncross, fidx, audited = curve_invariant(
+        tuple(e.cycle_points_scaled(c) for c in cycles),
+        args.seed,
+        verify_frames=args.verify_frames,
+        retry_limit=args.frame_retries,
+        audit=args.audit,
     )
+    if args.cycle:
+        doc = {"kind": "knot", "cycle": list(cycles[0].vertices), "a2": value}
+    else:
+        doc = {"kind": "link", "pair": [list(c.vertices) for c in cycles], "lk": value}
+    doc.update({"crossings": ncross, "frame_index": fidx, "audited": audited})
     if args.format == "csv":
         _emit(args, _csv_lines([doc], list(doc.keys())))
     else:

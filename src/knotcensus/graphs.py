@@ -181,7 +181,8 @@ def enumerate_cycles(g: SimpleGraph, k: int) -> tuple[Cycle, ...]:
 
     Depth-first search rooted at each vertex in turn; a path is extended
     only through vertices larger than its root, so every cycle is emitted
-    exactly once, already in canonical form.
+    exactly once, already in canonical form.  Roots and neighbours are
+    visited in increasing order, so the cycles come out sorted.
     """
     if not (3 <= k <= g.vertex_count):
         raise ValueError(f"cycle length {k} out of range for n={g.vertex_count}")
@@ -203,12 +204,14 @@ def enumerate_cycles(g: SimpleGraph, k: int) -> tuple[Cycle, ...]:
 
     for s in g.vertices:
         extend([s], {s})
-    out.sort()
     return tuple(out)
 
 
 def enumerate_disjoint_pairs(g: SimpleGraph, k: int, l: int) -> tuple[DisjointCyclePair, ...]:
-    """All unordered pairs of vertex-disjoint cycles of lengths k and l."""
+    """All unordered pairs of vertex-disjoint cycles of lengths k and l.
+
+    Sorted, as the nested loops over sorted cycle lists emit them.
+    """
     if k > l:
         k, l = l, k
     if k + l > g.vertex_count:
@@ -228,7 +231,6 @@ def enumerate_disjoint_pairs(g: SimpleGraph, k: int, l: int) -> tuple[DisjointCy
             for b in ls:
                 if not sa & set(b.vertices):
                     out.append(DisjointCyclePair(a, b))
-    out.sort()
     return tuple(out)
 
 

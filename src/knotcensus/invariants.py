@@ -25,10 +25,9 @@ met along one cycle's edges with the other's
 frames of `projection.accepted_tables`, the one frame policy, and
 checked by one loop (`cycle_invariant`): an embedding's cycles at
 the frames where its whole graph is generic, loose curves
-(`knot_invariant`, `link_invariant`) at the frames where the curves'
-own scan is.  A `LinkDiagram` is restricted from the first table only
-to be audited, or for the crossing count that `knot_invariant` and
-`link_invariant` report.
+(`curve_invariant`) at the frames where the curves' own scan is.  A
+`LinkDiagram` is restricted from the first table only to be audited,
+or for the crossing count that `curve_invariant` reports.
 
 The skein oracle (`conway_skein_oracle`) computes the full Conway
 polynomial by crossing-switch/smoothing recursion down to descending
@@ -49,7 +48,6 @@ from .projection import (
     FRAME_RETRY_LIMIT,
     Arrow,
     CrossingTable,
-    GaussDiagram,
     LinkDiagram,
     Passage,
     Walks,
@@ -218,27 +216,6 @@ def conway_skein_oracle(
 
 
 # ---------------------------------------------------------------------------
-# Linking number
-
-
-def _half(total: int) -> int:
-    if total % 2 != 0:
-        raise InvariantContractError("odd signed mutual-crossing total")
-    return total // 2
-
-
-def linking_number(d: LinkDiagram) -> int:
-    """Half the signed count of crossings between the two components."""
-    if d.component_count != 2:
-        raise ValueError("linking number needs a two-component diagram")
-    comps_of: dict[int, set[int]] = {}
-    for ci, ps in enumerate(d.passages):
-        for cid, _ in ps:
-            comps_of.setdefault(cid, set()).add(ci)
-    return _half(sum(d.signs[cid] for cid, cs in comps_of.items() if len(cs) == 2))
-
-
-# ---------------------------------------------------------------------------
 # Second Conway coefficient from the Gauss diagram
 
 # A two-arrow pattern is (first_over, second_over): an interleaved arrow
@@ -276,24 +253,29 @@ def _a2_with_pattern(
     return sign * total
 
 
-def a2_gauss_formula(g: GaussDiagram) -> int:
-    """Second Conway coefficient by the calibrated two-arrow count.
-
-    Quadratic in the number of crossings; evaluated at the diagram's
-    stored basepoint.  Equality with the oracle's z^2 coefficient is
-    asserted on every audited diagram rather than assumed.
-    """
-    return _a2_with_pattern(g.arrows, A2_PATTERN, A2_SIGN)
+def _knot_arrows(d: LinkDiagram) -> list[Arrow]:
+    """The Gauss arrows of a knot diagram, as `CrossingTable.arrows`
+    gives them, listed by crossing."""
+    if d.component_count != 1:
+        raise ValueError("gauss arrows need a knot diagram (one component)")
+    over_pos: dict[int, int] = {}
+    under_pos: dict[int, int] = {}
+    for pos, (cid, over) in enumerate(d.passages[0]):
+        (over_pos if over else under_pos)[cid] = pos
+    if set(over_pos) != set(under_pos):
+        raise ValueError("every crossing must be passed once over and once under")
+    return [(over_pos[c], under_pos[c], d.signs[c]) for c in sorted(over_pos)]
 
 
 def calibrate_a2_patterns(
-    samples: Iterable[tuple[GaussDiagram, int]]
+    samples: Iterable[tuple[LinkDiagram, int]]
 ) -> list[tuple[tuple[bool, bool], int]]:
-    """All two-arrow patterns reproducing the expected value on every sample."""
+    """All two-arrow patterns reproducing the expected a2 on every knot diagram."""
     survivors = list(_ALL_PATTERNS)
-    for g, expected in samples:
+    for d, expected in samples:
+        arrows = _knot_arrows(d)
         survivors = [
-            (p, s) for p, s in survivors if _a2_with_pattern(g.arrows, p, s) == expected
+            (p, s) for p, s in survivors if _a2_with_pattern(arrows, p, s) == expected
         ]
         if not survivors:
             break
@@ -488,8 +470,9 @@ class InvariantRecord:
 def a2_from_table(table: CrossingTable, cycles: tuple[tuple[int, ...], ...]) -> int:
     """a2 of one cycle read straight from a crossing table.
 
-    The same two-arrow count as `a2_gauss_formula` on the arrows of
-    `table.restrict(cycles)`, with no diagram built.
+    The calibrated two-arrow count (A2_PATTERN, A2_SIGN) on the arrows
+    of `table.restrict(cycles)`, with no diagram built.  Quadratic in
+    the number of crossings.
     """
     return _a2_with_pattern(table.arrows(cycles[0]), A2_PATTERN, A2_SIGN)
 
@@ -497,10 +480,13 @@ def a2_from_table(table: CrossingTable, cycles: tuple[tuple[int, ...], ...]) -> 
 def linking_number_from_table(table: CrossingTable, cycles: tuple[tuple[int, ...], ...]) -> int:
     """lk of a disjoint cycle pair read straight from a crossing table.
 
-    Equal to `linking_number(table.restrict(cycles))`, with no diagram
-    built.
+    Half the signed count of the mutual crossings of
+    `table.restrict(cycles)`, with no diagram built.
     """
-    return _half(table.linking_total(*cycles))
+    total = table.linking_total(*cycles)
+    if total % 2 != 0:
+        raise InvariantContractError("odd signed mutual-crossing total")
+    return total // 2
 
 
 def _audit_knot(d: LinkDiagram, value: int) -> None:
@@ -552,33 +538,22 @@ def cycle_invariant(
     return value, audited
 
 
-def _curve_invariant(curves, seed, verify_frames, retry_limit, audit):
-    """(value, crossing count, frame index, audited) at the first accepted frame."""
+def curve_invariant(
+    curves: Sequence[tuple[IntPoint, ...]],
+    seed,
+    verify_frames: int = 1,
+    retry_limit: int = FRAME_RETRY_LIMIT,
+    audit: bool = False,
+) -> tuple[int, int, int, bool]:
+    """(value, crossing count, frame index, audited) of loose curves.
+
+    One closed polygon gives its a2, two give their lk, as
+    `cycle_invariant` decides by the number of walks.  The value is
+    read at the accepted frames of the curves' own scan; the crossing
+    count and frame index are the first accepted frame's.
+    """
     walks = curve_walks(curves)
     tables, _, _ = accepted_tables(partial(curve_table, curves), seed, verify_frames, retry_limit)
     value, audited = cycle_invariant(tables, walks, audit)
     index, first = tables[0]
     return value, first.restrict(walks).crossing_count, index, audited
-
-
-def knot_invariant(
-    points: tuple[IntPoint, ...],
-    seed,
-    verify_frames: int = 1,
-    retry_limit: int = FRAME_RETRY_LIMIT,
-    audit: bool = False,
-) -> tuple[int, int, int, bool]:
-    """(a2, crossing count, frame index, audited) for one closed polygon."""
-    return _curve_invariant((points,), seed, verify_frames, retry_limit, audit)
-
-
-def link_invariant(
-    points_a: tuple[IntPoint, ...],
-    points_b: tuple[IntPoint, ...],
-    seed,
-    verify_frames: int = 1,
-    retry_limit: int = FRAME_RETRY_LIMIT,
-    audit: bool = False,
-) -> tuple[int, int, int, bool]:
-    """(lk, crossing count, frame index, audited) for a curve pair."""
-    return _curve_invariant((points_a, points_b), seed, verify_frames, retry_limit, audit)

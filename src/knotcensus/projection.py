@@ -28,7 +28,8 @@ Every diagram and every value comes from a `CrossingTable`: one scan
 table gives a cycle's Gauss arrows (`CrossingTable.arrows`) and a cycle
 pair's signed mutual-crossing total (`CrossingTable.linking_total`)
 without a diagram.  The one way to a `LinkDiagram` is
-`CrossingTable.restrict`, used by `project`, the audit and tests.
+`CrossingTable.restrict`, used by the audit and by `project`, which
+gives the skein oracle its diagrams.
 """
 
 from __future__ import annotations
@@ -40,23 +41,11 @@ from math import gcd
 from random import Random
 from typing import Callable, Iterator, Sequence
 
-from . import _pykernels
-from ._pykernels import (
-    FAIL_DEGENERATE_SEGMENT,
-    FAIL_VERTEX_COINCIDE,
-    FAIL_VERTEX_ON_SEGMENT,
-    OK,
-)
+from ._pykernels import scan_segments
 from .errors import GenericityExhausted, GenericityFailure
 from .geometry import IntPoint, SpatialEmbedding, _cross, _dot, _is_zero
 
 FRAME_RETRY_LIMIT = 64
-
-_FAIL_NAMES = {
-    FAIL_DEGENERATE_SEGMENT: "degenerate-segment",
-    FAIL_VERTEX_COINCIDE: "vertex-coincide",
-    FAIL_VERTEX_ON_SEGMENT: "vertex-on-segment",
-}
 
 
 @dataclass(frozen=True)
@@ -211,10 +200,12 @@ class CrossingTable:
     def arrows(self, vs: tuple[int, ...]) -> list[Arrow]:
         """The Gauss-diagram arrows of one cycle, read without a diagram.
 
-        The walk is `restrict`'s, so `gauss_diagram(self.restrict((vs,)))`
-        has the same arrows, listed by first encounter there and by
-        second here.  Raises ValueError, as `gauss_diagram` does, unless
-        every kept crossing is passed once over and once under.
+        Arrow i is (over position, under position, sign): the two walk
+        positions (in 0..2c-1 for c kept crossings) at which a crossing
+        is passed over and under, and its sign in `restrict((vs,))`,
+        whose walk this is.  Arrows are listed by second encounter.
+        Raises ValueError unless every kept crossing is passed once over
+        and once under.
         """
         forward = self.forward
         edges = _oriented_edges(vs)
@@ -242,10 +233,11 @@ class CrossingTable:
     def linking_total(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
         """Signed mutual-crossing total of a disjoint cycle pair.
 
-        The sum `linking_number` takes over `self.restrict((a, b))`:
-        walking `a`'s edges, each crossing with an edge of `b` adds its
-        sign times both edges' orientation factors.  Each such crossing
-        is listed once under its edge on `a`, so it is counted once.
+        Twice lk of `self.restrict((a, b))`: walking `a`'s edges, each
+        crossing with an edge of `b` adds its sign in that diagram, the
+        table's sign times both edges' orientation factors.  Each such
+        crossing is listed once under its edge on `a`, so it is counted
+        once.
         """
         forward = self.forward
         factor = dict(_oriented_edges(b))
@@ -269,18 +261,14 @@ def crossing_table(
 
     Segment s runs from corner `seg_a[s]` to corner `seg_b[s]` of
     `points` and lies on edge `seg_edge[s]`; an edge (i, j), i < j,
-    lists its segments consecutively, in walk order from i to j.  Raises
-    GenericityFailure at the first check of `_pykernels.scan_segments`
+    lists its segments consecutively, in walk order from i to j.  The
+    kernel `scan_segments` raises GenericityFailure at the first check
     that fails, with the condition "intersect-3d" where two segments
     touch in 3-space (`curve_table` makes that a ValueError).  Crossings
     along a segment are sorted exactly; a tie is two crossings at one
     diagram point, the condition "triple-point".
     """
-    status, raw = _pykernels.scan_segments(
-        points, seg_a, seg_b, frame.axis_u, frame.axis_v, frame.direction
-    )
-    if status != OK:
-        raise GenericityFailure(_FAIL_NAMES.get(status, "intersect-3d"), raw)
+    raw = scan_segments(points, seg_a, seg_b, frame.axis_u, frame.axis_v, frame.direction)
 
     on_segment: list[list[tuple[Fraction, int]]] = [[] for _ in seg_edge]
     for gid, (si, sj, tn, sn, den, _, _) in enumerate(raw):
@@ -419,34 +407,3 @@ class GraphProjection:
             partial(crossing_table, points, seg_a, seg_b, seg_edge),
             seed, verify_frames, retry_limit,
         )
-
-
-@dataclass(frozen=True)
-class GaussDiagram:
-    """Chord diagram of a knot diagram read from its basepoint.
-
-    Arrow i is (over_pos, under_pos, sign): the two walk positions (in
-    0..2c-1) at which crossing i is passed over and under.
-    """
-
-    arrows: tuple[tuple[int, int, int], ...]
-
-    @property
-    def length(self) -> int:
-        return 2 * len(self.arrows)
-
-
-def gauss_diagram(d: LinkDiagram) -> GaussDiagram:
-    """Gauss diagram of a one-component diagram."""
-    if d.component_count != 1:
-        raise ValueError("gauss diagram needs a knot diagram (one component)")
-    over_pos: dict[int, int] = {}
-    under_pos: dict[int, int] = {}
-    for pos, (cid, over) in enumerate(d.passages[0]):
-        (over_pos if over else under_pos)[cid] = pos
-    if set(over_pos) != set(under_pos):
-        raise ValueError("every crossing must be passed once over and once under")
-    arrows = tuple(
-        (over_pos[c], under_pos[c], d.signs[c]) for c in sorted(over_pos)
-    )
-    return GaussDiagram(arrows)

@@ -568,9 +568,18 @@ def verify_embedding(
     raise_on_fail: bool = False,
     **kw,
 ):
-    """Run the selected (default: all applicable) checks; return reports."""
+    """Run the selected (default: all applicable) checks; return reports.
+
+    Raises ValueError when nothing is selected, so a run that checks
+    nothing never reports a pass.
+    """
     a = _analysis_for(e, analysis, **kw)
     selection = applicable_identities(a.embedding) if identities is None else identities
+    if not selection:
+        raise ValueError(
+            "no identity applies to this embedding" if identities is None
+            else "no identities selected"
+        )
     unknown = [i for i in selection if i not in CATALOG]
     if unknown:
         raise ValueError(f"unknown identities: {unknown}")

@@ -18,7 +18,7 @@ from knotcensus.geometry import (
     random_rectilinear_embedding,
 )
 from knotcensus.graphs import enumerate_cycles, enumerate_disjoint_pairs
-from knotcensus.invariants import knot_invariant, link_invariant
+from knotcensus.invariants import curve_invariant
 from knotcensus.theorems import (
     EmbeddingAnalysis,
     census,
@@ -170,15 +170,10 @@ def test_criterion_7_frame_independence():
         e = random_rectilinear_embedding(7, seed=77)
         cycles = enumerate_cycles(e.graph, 7)[:15]
         pairs = enumerate_disjoint_pairs(e.graph, 3, 3)[:10]
-        for c in cycles:
-            knot_invariant(e.cycle_points_scaled(c), seed=0, verify_frames=4)
-        for p in pairs:
-            link_invariant(
-                e.cycle_points_scaled(p.first),
-                e.cycle_points_scaled(p.second),
-                seed=0,
-                verify_frames=4,
-            )
+        subjects = [(c,) for c in cycles] + [(p.first, p.second) for p in pairs]
+        for subject in subjects:
+            curves = tuple(e.cycle_points_scaled(c) for c in subject)
+            curve_invariant(curves, seed=0, verify_frames=4)
         return "15 knots + 10 links, 5 frames each"
 
     _criterion(

@@ -95,6 +95,18 @@ def test_embed_csv_lists_vertices(capsys):
     assert len(lines) == 7
 
 
+def test_embed_csv_refuses_waypoints(capsys):
+    code, out, err = run(capsys, "embed", "--n", "6", "--kind", "polyline", "--format", "csv")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("knotcensus: csv lists vertices only") and err.count("\n") == 1
+    # Without waypoints a polyline embedding is rectilinear, and csv holds all of it.
+    code, out, _ = run(capsys, "embed", "--n", "6", "--kind", "polyline", "--bent-edges", "0",
+                       "--format", "csv")
+    assert code == 0
+    assert len(out.strip().split("\n")) == 7
+
+
 def test_verify_csv_format(capsys):
     code, out, _ = run(
         capsys, "verify", "--n", "6", "--kind", "moment", "--format", "csv"
@@ -125,6 +137,18 @@ def test_unknown_identity_is_usage_error(capsys):
     )
     assert code == 2
     assert "zorp" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--n", "5"), "no identity applies to this embedding"),
+    (("--n", "6", "--identities", ","), "no identities selected"),
+])
+def test_empty_identity_selection_is_usage_error(capsys, argv, message):
+    # A run that checks nothing must not report a pass.
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"knotcensus: {message}\n"
 
 
 def test_sampling_exhaustion_exit_code(capsys):

@@ -5,8 +5,8 @@ per accepted frame of the whole graph.  These tests hold it to the
 per-cycle route: the same diagrams, the same values, the same crossing
 count, frame index and audit flag wherever the whole graph is generic at
 every frame the cycles' own scans accept, and one exhaustion per
-embedding.  Values read straight from a table are held to the values of
-its restricted diagrams.
+embedding.  Values read straight from a table are held to the audit
+routes on its restricted diagrams.
 """
 
 from __future__ import annotations
@@ -34,18 +34,17 @@ from knotcensus.geometry import (
 from knotcensus.graphs import Cycle, enumerate_cycles, enumerate_disjoint_pairs
 from knotcensus.invariants import (
     AUDIT_CROSSING_LIMIT,
+    _knot_arrows,
     a2_from_table,
-    a2_gauss_formula,
-    knot_invariant,
-    link_invariant,
-    linking_number,
+    alexander_a2,
+    curve_invariant,
     linking_number_from_table,
+    one_sided_linking_number,
 )
 from knotcensus.projection import (
     CrossingTable,
     GraphProjection,
     frame_sequence,
-    gauss_diagram,
     project,
 )
 from knotcensus.theorems import EmbeddingAnalysis
@@ -68,10 +67,7 @@ def _frame(seed, index: int):
 
 
 def _per_cycle(e: SpatialEmbedding, subject, seed, audit=False):
-    pts = _curves(e, subject)
-    if len(pts) == 1:
-        return knot_invariant(pts[0], seed, audit=audit)
-    return link_invariant(pts[0], pts[1], seed, audit=audit)
+    return curve_invariant(_curves(e, subject), seed, audit=audit)
 
 
 def _fields(r) -> tuple:
@@ -157,17 +153,18 @@ def test_restriction_handles_reversed_edges_with_several_crossings():
 
 
 # ---------------------------------------------------------------------------
-# Values read straight from the table against values of the restriction
+# Values read straight from the table against the audit routes on the restriction
 
 
 def _assert_table_values_match_restriction(table: CrossingTable, subject) -> int:
-    """Check one subject at one table; return its crossing count."""
+    """Check one subject at one table against the audit routes on its
+    restricted diagram; return its crossing count."""
     d = table.restrict(subject)
     if len(subject) == 1:
-        assert sorted(table.arrows(subject[0])) == sorted(gauss_diagram(d).arrows), subject
-        assert a2_from_table(table, subject) == a2_gauss_formula(gauss_diagram(d)), subject
+        assert sorted(table.arrows(subject[0])) == sorted(_knot_arrows(d)), subject
+        assert a2_from_table(table, subject) == alexander_a2(d), subject
     else:
-        assert linking_number_from_table(table, subject) == linking_number(d), subject
+        assert linking_number_from_table(table, subject) == one_sided_linking_number(d), subject
     return d.crossing_count
 
 
@@ -190,7 +187,6 @@ def test_unaudited_records_build_no_diagram_at_generic_frames(monkeypatch):
     e = random_polyline_embedding(7, 0, bent_edges=8)
     assert GraphProjection(e, 0, verify_frames=1, retry_limit=64).rejects == {}
     monkeypatch.setattr(projection, "LinkDiagram", refuse)
-    monkeypatch.setattr(projection, "GaussDiagram", refuse)
     a = EmbeddingAnalysis(e, seed=0)
     assert _analysis_records(a, range(3, 8))
     with pytest.raises(AssertionError, match="a diagram was built"):
@@ -241,7 +237,7 @@ def test_crossing_passed_over_twice_is_refused():
     with pytest.raises(ValueError, match="once over and once under"):
         a2_from_table(table, (TRIANGLE,))
     with pytest.raises(ValueError, match="once over and once under"):
-        gauss_diagram(table.restrict((TRIANGLE,)))
+        _knot_arrows(table.restrict((TRIANGLE,)))
 
 
 def test_crossing_met_once_is_refused():
@@ -254,8 +250,6 @@ def test_odd_linking_total_is_refused():
     table = _doctored({(1, 2): [(0, (4, 5), 1, 1)], (4, 5): [(0, (1, 2), 0, 1)]})
     with pytest.raises(InvariantContractError, match="odd"):
         linking_number_from_table(table, (TRIANGLE, OTHER))
-    with pytest.raises(InvariantContractError, match="odd"):
-        linking_number(table.restrict((TRIANGLE, OTHER)))
 
 
 def test_linking_total_counts_only_crossings_between_the_pair():
@@ -275,7 +269,7 @@ def test_linking_total_counts_only_crossings_between_the_pair():
     d = table.restrict((TRIANGLE, OTHER))
     assert d.crossing_count == 3
     assert table.linking_total(TRIANGLE, OTHER) == table.linking_total(OTHER, TRIANGLE) == 2
-    assert linking_number_from_table(table, (TRIANGLE, OTHER)) == linking_number(d) == 1
+    assert linking_number_from_table(table, (TRIANGLE, OTHER)) == 1
 
 
 # ---------------------------------------------------------------------------

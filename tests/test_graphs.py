@@ -73,8 +73,18 @@ def test_cycle_counts_match_formula(n):
 
 
 def test_enumeration_is_sorted_and_duplicate_free():
-    cycles = enumerate_cycles(complete_graph(7), 5)
-    assert list(cycles) == sorted(set(cycles))
+    # Both enumerations emit in sorted order with no sort of their own.
+    graphs = [complete_graph(n) for n in range(3, 10)]
+    graphs += [k331_graph(), k331_h_subgraph(k331_graph())]
+    for g in graphs:
+        n = g.vertex_count
+        for k in range(3, n + 1):
+            cycles = enumerate_cycles(g, k)
+            assert list(cycles) == sorted(set(cycles)), (n, k)
+        for k in range(3, n // 2 + 1):
+            for l in range(k, n - k + 1):
+                pairs = enumerate_disjoint_pairs(g, k, l)
+                assert list(pairs) == sorted(set(pairs)), (n, k, l)
 
 
 @pytest.mark.parametrize(

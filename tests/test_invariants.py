@@ -19,16 +19,14 @@ from knotcensus.invariants import (
     ConwayPolynomial,
     _a2_with_pattern,
     _determinant,
+    _knot_arrows,
     a2_from_table,
-    a2_gauss_formula,
     alexander_a2,
     alexander_polynomial,
     calibrate_a2_patterns,
     classify_triangle_triangle,
     conway_skein_oracle,
-    knot_invariant,
-    link_invariant,
-    linking_number,
+    curve_invariant,
     linking_number_from_table,
     one_sided_linking_number,
     stick_bound_a2,
@@ -36,11 +34,11 @@ from knotcensus.invariants import (
 from knotcensus.theorems import EmbeddingAnalysis
 from knotcensus.projection import (
     FRAME_RETRY_LIMIT,
-    GaussDiagram,
+    Arrow,
+    CrossingTable,
     GraphProjection,
     LinkDiagram,
     frame_sequence,
-    gauss_diagram,
     project,
 )
 
@@ -72,6 +70,18 @@ def hopf_diagram(sign: int) -> LinkDiagram:
         passages=(((0, True), (1, False)), ((0, False), (1, True))),
         signs=(sign, sign),
     )
+
+
+HOPF_WALKS = ((0, 1, 2), (3, 4, 5))
+
+
+def hopf_table(sign: int) -> CrossingTable:
+    """Two triangles whose restriction is `hopf_diagram(sign)`: crossing 0
+    of edges 0-1 and 3-4, crossing 1 of edges 1-2 and 4-5."""
+    return CrossingTable({
+        (0, 1): ((0, (3, 4), 1, sign),), (1, 2): ((1, (4, 5), 0, sign),), (0, 2): (),
+        (3, 4): ((0, (0, 1), 0, sign),), (4, 5): ((1, (1, 2), 1, sign),), (3, 5): (),
+    })
 
 
 UNKNOT = LinkDiagram(passages=((),), signs=())
@@ -149,13 +159,14 @@ def test_oracle_rejects_oversized_and_malformed_diagrams():
 
 
 def test_linking_number_of_hopf_diagram():
-    assert linking_number(hopf_diagram(1)) == 1
-    assert linking_number(hopf_diagram(-1)) == -1
-    with pytest.raises(ValueError):
-        linking_number(UNKNOT)
-    odd = LinkDiagram(passages=(((0, True),), ((0, False),)), signs=(1,))
+    for sign in (1, -1):
+        table = hopf_table(sign)
+        assert table.restrict(HOPF_WALKS) == hopf_diagram(sign)
+        assert linking_number_from_table(table, HOPF_WALKS) == sign
+    # One mutual crossing alone leaves an odd total.
+    odd = CrossingTable({**hopf_table(1).forward, (1, 2): (), (4, 5): ()})
     with pytest.raises(InvariantContractError):
-        linking_number(odd)
+        linking_number_from_table(odd, HOPF_WALKS)
 
 
 def test_calibration_survivors_are_the_two_mirror_duals():
@@ -163,10 +174,10 @@ def test_calibration_survivors_are_the_two_mirror_duals():
     for k, expected in ((3, 1), (5, 3), (7, 6)):
         for sign in (1, -1):
             d = torus_2k_diagram(k, sign)
-            samples.append((gauss_diagram(d), expected))
+            samples.append((d, expected))
     pts, a2, _ = STICK_ANCHORS["figure_eight_heptagon"]
     for dia, _ in diagram_for((pts,), seed=0):
-        samples.append((gauss_diagram(dia), a2))
+        samples.append((dia, a2))
         break
     # Randomized widening: many hexagons, expected value from the oracle.
     made = 0
@@ -177,9 +188,7 @@ def test_calibration_survivors_are_the_two_mirror_duals():
         for c in enumerate_cycles(e.graph, 6)[:4]:
             for dia, _ in diagram_for((e.cycle_points_scaled(c),), seed=0):
                 if dia.crossing_count <= 12:
-                    samples.append(
-                        (gauss_diagram(dia), conway_skein_oracle(dia).a2)
-                    )
+                    samples.append((dia, conway_skein_oracle(dia).a2))
                     made += 1
                 break
     survivors = calibrate_a2_patterns(samples)
@@ -191,7 +200,7 @@ def test_calibration_survivors_are_the_two_mirror_duals():
 
 def test_frozen_pattern_matches_oracle_on_anchor_sticks():
     for name, (pts, a2, conway) in STICK_ANCHORS.items():
-        value, ncross, _, _ = knot_invariant(pts, seed=0, verify_frames=3)
+        value, ncross, _, _ = curve_invariant((pts,), seed=0, verify_frames=3)
         assert value == a2, name
         for dia, _ in diagram_for((pts,), seed=0):
             assert conway_skein_oracle(dia).coefficients == conway, name
@@ -200,14 +209,14 @@ def test_frozen_pattern_matches_oracle_on_anchor_sticks():
 
 def test_audit_flag_reports_oracle_agreement():
     pts, a2, _ = STICK_ANCHORS["trefoil_hexagon"]
-    value, ncross, frame_index, audited = knot_invariant(pts, seed=0, audit=True)
+    value, ncross, frame_index, audited = curve_invariant((pts,), seed=0, audit=True)
     assert (value, audited) == (a2, True)
     assert ncross >= 3
     assert frame_index == 0
 
 
 def test_positive_hopf_pair_has_linking_number_plus_one():
-    lk, ncross, _, audited = link_invariant(*HOPF_STICKS, seed=0, audit=True)
+    lk, ncross, _, audited = curve_invariant(HOPF_STICKS, seed=0, audit=True)
     assert lk == 1
     assert audited
     assert ncross >= 2
@@ -215,23 +224,23 @@ def test_positive_hopf_pair_has_linking_number_plus_one():
 
 def test_reversing_one_component_negates_lk():
     a, b = HOPF_STICKS
-    lk_pp, *_ = link_invariant(a, b, seed=0)
-    lk_pr, *_ = link_invariant(a, tuple(reversed(b)), seed=0)
-    lk_rr, *_ = link_invariant(tuple(reversed(a)), tuple(reversed(b)), seed=0)
+    lk_pp, *_ = curve_invariant((a, b), seed=0)
+    lk_pr, *_ = curve_invariant((a, tuple(reversed(b))), seed=0)
+    lk_rr, *_ = curve_invariant((tuple(reversed(a)), tuple(reversed(b))), seed=0)
     assert lk_pr == -lk_pp
     assert lk_rr == lk_pp
 
 
 def test_reversing_orientation_preserves_a2():
     for name, (pts, a2, _) in STICK_ANCHORS.items():
-        value, *_ = knot_invariant(tuple(reversed(pts)), seed=0)
+        value, *_ = curve_invariant((tuple(reversed(pts)),), seed=0)
         assert value == a2, name
 
 
 def test_mirror_image_preserves_a2():
     for name, (pts, a2, _) in STICK_ANCHORS.items():
         mirrored = tuple((x, y, -z) for x, y, z in pts)
-        value, *_ = knot_invariant(mirrored, seed=0)
+        value, *_ = curve_invariant((mirrored,), seed=0)
         assert value == a2, name
 
 
@@ -239,7 +248,7 @@ def test_mirror_image_negates_lk():
     a, b = HOPF_STICKS
     ma = tuple((x, y, -z) for x, y, z in a)
     mb = tuple((x, y, -z) for x, y, z in b)
-    lk, *_ = link_invariant(ma, mb, seed=0)
+    lk, *_ = curve_invariant((ma, mb), seed=0)
     assert lk == -1
 
 
@@ -248,17 +257,14 @@ def test_values_are_frame_independent(seed):
     e = random_rectilinear_embedding(6, seed=seed)
     for c in enumerate_cycles(e.graph, 6)[:8]:
         pts = e.cycle_points_scaled(c)
-        v1, *_ = knot_invariant(pts, seed=0, verify_frames=4)
-        v2, *_ = knot_invariant(pts, seed="other-frames", verify_frames=2)
+        v1, *_ = curve_invariant((pts,), seed=0, verify_frames=4)
+        v2, *_ = curve_invariant((pts,), seed="other-frames", verify_frames=2)
         assert v1 == v2
 
 
-def _rotate(g: GaussDiagram, shift: int) -> GaussDiagram:
-    n = g.length
-    arrows = tuple(
-        ((o + shift) % n, (u + shift) % n, s) for o, u, s in g.arrows
-    )
-    return GaussDiagram(arrows)
+def _rotate(arrows: list[Arrow], shift: int) -> list[Arrow]:
+    n = 2 * len(arrows)
+    return [((o + shift) % n, (u + shift) % n, s) for o, u, s in arrows]
 
 
 def test_a2_is_basepoint_independent_on_small_diagrams():
@@ -268,10 +274,10 @@ def test_a2_is_basepoint_independent_on_small_diagrams():
         diagrams.append(dia)
         break
     for dia in diagrams:
-        g = gauss_diagram(dia)
-        base = a2_gauss_formula(g)
-        for shift in range(1, g.length):
-            assert a2_gauss_formula(_rotate(g, shift)) == base
+        arrows = _knot_arrows(dia)
+        base = _a2_with_pattern(arrows, A2_PATTERN, A2_SIGN)
+        for shift in range(1, 2 * len(arrows)):
+            assert _a2_with_pattern(_rotate(arrows, shift), A2_PATTERN, A2_SIGN) == base
 
 
 def test_rejected_patterns_fail_on_the_figure_eight():
@@ -279,20 +285,20 @@ def test_rejected_patterns_fail_on_the_figure_eight():
     # eight's a2 of -1, leaving only the two mirror-dual survivors.
     pts, a2, _ = STICK_ANCHORS["figure_eight_heptagon"]
     for dia, _ in diagram_for((pts,), seed=0):
-        g = gauss_diagram(dia)
+        arrows = _knot_arrows(dia)
         break
     for pattern in ((True, True), (False, False)):
         for sign in (1, -1):
-            assert _a2_with_pattern(g.arrows, pattern, sign) != a2
-    assert _a2_with_pattern(g.arrows, A2_PATTERN, -A2_SIGN) != a2
-    assert _a2_with_pattern(g.arrows, A2_PATTERN, A2_SIGN) == a2
+            assert _a2_with_pattern(arrows, pattern, sign) != a2
+    assert _a2_with_pattern(arrows, A2_PATTERN, -A2_SIGN) != a2
+    assert _a2_with_pattern(arrows, A2_PATTERN, A2_SIGN) == a2
 
 
 def test_moment_trefoil_knot():
     e = moment_curve_embedding(7)
     c = Cycle.canonical((1, 3, 5, 7, 2, 4, 6))
-    value, ncross, _, audited = knot_invariant(
-        e.cycle_points_scaled(c), seed=0, audit=True
+    value, ncross, _, audited = curve_invariant(
+        (e.cycle_points_scaled(c),), seed=0, audit=True
     )
     assert value == 1
     assert audited
@@ -331,7 +337,7 @@ def test_triangle_pair_classification():
 def test_random_hexagons_stay_within_stick_bound(seed):
     e = random_rectilinear_embedding(6, seed=f"hex:{seed}", coord_range=12)
     c = enumerate_cycles(e.graph, 6)[0]
-    value, *_ = knot_invariant(e.cycle_points_scaled(c), seed=0)
+    value, *_ = curve_invariant((e.cycle_points_scaled(c),), seed=0)
     assert abs(value) <= stick_bound_a2(6)
 
 
@@ -427,15 +433,15 @@ def test_alexander_a2_matches_gauss_formula_on_dense_k9_diagrams():
     e = random_rectilinear_embedding(9, seed=0)
     index, table = GraphProjection(e, 0, 1, FRAME_RETRY_LIMIT).tables[0]
     assert index == 0
-    per_count: dict[int, list[LinkDiagram]] = {}
+    per_count: dict[int, list[tuple[int, ...]]] = {}
     for c in enumerate_cycles(e.graph, 9):
         count = len(table.arrows(c.vertices))
         if count >= 13 and len(per_count.setdefault(count, [])) < 5:
-            per_count[count].append(table.restrict((c.vertices,)))
-    diagrams = [d for ds in per_count.values() for d in ds]
-    assert sorted(per_count) == list(range(13, 22)) and len(diagrams) == 42
-    for d in diagrams:
-        assert alexander_a2(d) == a2_gauss_formula(gauss_diagram(d))
+            per_count[count].append(c.vertices)
+    walks = [(vs,) for vss in per_count.values() for vs in vss]
+    assert sorted(per_count) == list(range(13, 22)) and len(walks) == 42
+    for w in walks:
+        assert alexander_a2(table.restrict(w)) == a2_from_table(table, w)
 
 
 def test_one_sided_count_of_hopf_diagrams():
@@ -455,9 +461,11 @@ def test_audit_routes_match_the_skein_oracle(seed, n):
         if dia.crossing_count <= 12:
             assert alexander_a2(dia) == conway_skein_oracle(dia).a2
     for p in enumerate_disjoint_pairs(e.graph, 3, 3)[:6]:
-        dia = _first_diagram(e.cycle_points_scaled(p.first), e.cycle_points_scaled(p.second))
+        curves = (e.cycle_points_scaled(p.first), e.cycle_points_scaled(p.second))
+        dia = _first_diagram(*curves)
         lk = one_sided_linking_number(dia)
-        assert lk == conway_skein_oracle(dia).a1 == linking_number(dia)
+        assert lk == conway_skein_oracle(dia).a1
+        assert lk == curve_invariant(curves, seed=0, verify_frames=0)[0]
 
 
 def _off_by_one_reading(fn):
@@ -468,7 +476,7 @@ def _off_by_one_reading(fn):
 
 
 def test_audit_catches_a_wrong_fast_path_value(monkeypatch):
-    # Loose curves (knot_invariant, link_invariant) and embeddings
+    # Loose curves (curve_invariant) and embeddings
     # (EmbeddingAnalysis) read every value through the same two table
     # functions; both are made wrong by one.
     pts, _, _ = STICK_ANCHORS["trefoil_hexagon"]
@@ -476,13 +484,13 @@ def test_audit_catches_a_wrong_fast_path_value(monkeypatch):
     monkeypatch.setattr(
         invariants, "linking_number_from_table", _off_by_one_reading(linking_number_from_table)
     )
-    knot_invariant(pts, seed=0)
-    link_invariant(*HOPF_STICKS, seed=0)
+    curve_invariant((pts,), seed=0)
+    curve_invariant(HOPF_STICKS, seed=0)
     EmbeddingAnalysis(moment_curve_embedding(6)).knot_records(6)
     with pytest.raises(InvariantContractError, match="Alexander"):
-        knot_invariant(pts, seed=0, audit=True)
+        curve_invariant((pts,), seed=0, audit=True)
     with pytest.raises(InvariantContractError, match="one-sided"):
-        link_invariant(*HOPF_STICKS, seed=0, audit=True)
+        curve_invariant(HOPF_STICKS, seed=0, audit=True)
     with pytest.raises(InvariantContractError, match="Alexander"):
         EmbeddingAnalysis(moment_curve_embedding(6), audit=True).knot_records(6)
     with pytest.raises(InvariantContractError, match="one-sided"):
@@ -496,6 +504,6 @@ def test_bad_frame_budget_is_refused(verify_frames, retry_limit):
         EmbeddingAnalysis(moment_curve_embedding(6), **budget)
     a, b = HOPF_STICKS
     with pytest.raises(ValueError):
-        knot_invariant(a, seed=0, **budget)
+        curve_invariant((a,), seed=0, **budget)
     with pytest.raises(ValueError):
-        link_invariant(a, b, seed=0, **budget)
+        curve_invariant((a, b), seed=0, **budget)

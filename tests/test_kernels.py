@@ -1,4 +1,4 @@
-"""The exact crossing kernel: failure statuses, scale invariance, determinism.
+"""The exact crossing kernel: failure conditions, scale invariance, determinism.
 
 Each case runs through the scan (`_pykernels.scan_segments`) and through
 `project`, which reads the scan's crossing table.
@@ -11,14 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from knotcensus._pykernels import (
-    FAIL_DEGENERATE_SEGMENT,
-    FAIL_INTERSECT_3D,
-    FAIL_VERTEX_COINCIDE,
-    FAIL_VERTEX_ON_SEGMENT,
-    OK,
-    scan_segments,
-)
+from knotcensus._pykernels import scan_segments
 from knotcensus.errors import GenericityFailure
 from knotcensus.geometry import (
     moment_curve_embedding,
@@ -47,9 +40,10 @@ def scan(polys, frame):
     )
 
 
-def _failure(polys, frame) -> tuple:
+def _failure(run, polys, frame) -> tuple:
+    """(condition, witness) of the GenericityFailure `run(polys, frame)` raises."""
     with pytest.raises(GenericityFailure) as info:
-        project(polys, frame)
+        run(polys, frame)
     return info.value.condition, info.value.detail
 
 
@@ -61,9 +55,8 @@ def test_oversized_coordinates_keep_crossings():
     small = e.cycle_points_scaled(c)
     big = tuple(tuple(x * 10**40 for x in p) for p in small)
     frame = _frames(0, 1)[0]
-    st_small, rows_small = scan((small,), frame)
-    st_big, rows_big = scan((big,), frame)
-    assert st_small == st_big == OK
+    rows_small = scan((small,), frame)
+    rows_big = scan((big,), frame)
     assert len(rows_small) == 5
     # Scaling every coordinate uniformly cannot change which segment
     # pairs cross, where along them, nor over/under or sign.
@@ -85,17 +78,16 @@ def test_failure_statuses_match():
     tip = tuple(3 * c for c in d)
     off = (d[1] - 7 * d[2], d[2] + 11 * d[0], d[0] + 5 * d[1])
     degenerate = ((base, tip, off),)
-    status, payload = scan(degenerate, frame)
-    assert status == FAIL_DEGENERATE_SEGMENT
-    # The witness is the segment index, as the scan gives it.
-    assert _failure(degenerate, frame) == ("degenerate-segment", payload)
+    # The witness is the segment index alone.
+    assert _failure(scan, degenerate, frame) == ("degenerate-segment", 0)
+    assert _failure(project, degenerate, frame) == ("degenerate-segment", 0)
 
     # Two corners on one viewing ray coincide in projection.
     shifted = tuple(c + 2 * w for c, w in zip(base, d))
     coincide = ((base, (9, 1, 7), shifted, (-6, 5, 4)),)
-    status, payload = scan(coincide, frame)
-    assert status == FAIL_VERTEX_COINCIDE
-    assert _failure(coincide, frame) == ("vertex-coincide", payload)
+    failure = _failure(scan, coincide, frame)
+    assert failure[0] == "vertex-coincide"
+    assert _failure(project, coincide, frame) == failure
 
 
 def test_vertex_on_segment_detected():
@@ -109,9 +101,9 @@ def test_vertex_on_segment_detected():
     tri1 = (a, b, tuple(5 * vc for vc in v))
     tri2 = (mid, tuple(7 * vc + uc for vc, uc in zip(v, u)),
             tuple(-3 * uc + 2 * vc for uc, vc in zip(u, v)))
-    status, payload = scan((tri1, tri2), frame)
-    assert status == FAIL_VERTEX_ON_SEGMENT
-    assert _failure((tri1, tri2), frame) == ("vertex-on-segment", payload)
+    failure = _failure(scan, (tri1, tri2), frame)
+    assert failure[0] == "vertex-on-segment"
+    assert _failure(project, (tri1, tri2), frame) == failure
 
 
 def test_true_intersection_reported():
@@ -124,8 +116,7 @@ def test_true_intersection_reported():
     )
     c1 = (p(-2, 0, 0), p(2, 0, 0), p(0, 5, 9))
     c2 = (p(0, -2, 0), p(0, 2, 0), p(5, 0, -7))
-    status, payload = scan((c1, c2), frame)
-    assert status == FAIL_INTERSECT_3D
+    assert _failure(scan, (c1, c2), frame)[0] == "intersect-3d"
     with pytest.raises(ValueError, match="intersect in 3-space"):
         project((c1, c2), frame)
 
