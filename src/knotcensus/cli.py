@@ -81,7 +81,7 @@ def _add_frame_options(p: argparse.ArgumentParser) -> None:
 
 def _add_analysis_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=int, default=1,
-                   help="worker processes (default 1)")
+                   help="processes evaluating each record class (default 1)")
     _add_frame_options(p)
     p.add_argument("--allow-large", action="store_true",
                    help="lift the Hamiltonian size ceiling")
@@ -176,6 +176,10 @@ def _stamp(args, doc: dict) -> dict:
 
 
 def _csv_cell(v) -> str:
+    if isinstance(v, list):
+        # A cycle or a pair, one quoted cell in --cycle/--pair syntax.
+        cycles = v if isinstance(v[0], list) else [v]
+        return '"' + ";".join(",".join(map(str, c)) for c in cycles) + '"'
     if isinstance(v, Fraction):
         return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
     if isinstance(v, bool):
@@ -208,6 +212,9 @@ def _cmd_embed(args) -> int:
     if args.format == "csv":
         if not e.rectilinear:
             raise ValueError("csv lists vertices only and would drop the edge waypoints; "
+                             "use --format json")
+        if e.graph.tags:
+            raise ValueError("csv lists vertices only and would drop the tripartite graph; "
                              "use --format json")
         rows = [
             {"vertex": v, "x": x, "y": y, "z": z}

@@ -8,8 +8,9 @@ class KnotCensusError(Exception):
 
     Subclasses whose constructor takes fields rather than the message
     define `__reduce__` to rebuild from those fields: the default pickle
-    round trip (used to return a worker's exception through the process
-    pool) calls the constructor with the formatted message instead.
+    round trip (used to return a shard process's exception to the process
+    that forked it) calls the constructor with the formatted message
+    instead.
     """
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterable
 
 
@@ -179,31 +179,26 @@ class DisjointCyclePair:
 def enumerate_cycles(g: SimpleGraph, k: int) -> tuple[Cycle, ...]:
     """All k-cycles of g, sorted by canonical vertex tuple.
 
-    Depth-first search rooted at each vertex in turn; a path is extended
-    only through vertices larger than its root, so every cycle is emitted
-    exactly once, already in canonical form.  Roots and neighbours are
-    visited in increasing order, so the cycles come out sorted.
+    Each cycle starts at its smallest vertex, so it is the root followed
+    by an arrangement of k-1 larger vertices, and of the arrangement and
+    its reverse only the one whose first vertex is smaller is canonical.
+    Roots ascend and `permutations` of the ascending larger vertices
+    comes out in lexicographic order, so the cycles come out sorted.
+    Edges are checked only where g is not complete.
     """
-    if not (3 <= k <= g.vertex_count):
-        raise ValueError(f"cycle length {k} out of range for n={g.vertex_count}")
+    n = g.vertex_count
+    if not (3 <= k <= n):
+        raise ValueError(f"cycle length {k} out of range for n={n}")
+    complete = g.edge_count == n * (n - 1) // 2
     out: list[Cycle] = []
-    adj = {v: g.neighbors(v) for v in g.vertices}
-
-    def extend(path: list[int], used: set[int]):
-        if len(path) == k:
-            if path[1] < path[-1] and g.has_edge(path[-1], path[0]):
-                out.append(Cycle(tuple(path)))
-            return
-        for w in adj[path[-1]]:
-            if w > path[0] and w not in used:
-                path.append(w)
-                used.add(w)
-                extend(path, used)
-                used.remove(w)
-                path.pop()
-
-    for s in g.vertices:
-        extend([s], {s})
+    for root in g.vertices:
+        for rest in permutations(range(root + 1, n + 1), k - 1):
+            if rest[0] < rest[-1]:
+                path = (root, *rest)
+                if complete or all(
+                    g.has_edge(a, b) for a, b in zip(path, path[1:] + path[:1])
+                ):
+                    out.append(Cycle(path))
     return tuple(out)
 
 
@@ -217,20 +212,13 @@ def enumerate_disjoint_pairs(g: SimpleGraph, k: int, l: int) -> tuple[DisjointCy
     if k + l > g.vertex_count:
         return ()
     ks = enumerate_cycles(g, k)
+    ls = ks if k == l else enumerate_cycles(g, l)
     out: list[DisjointCyclePair] = []
-    if k == l:
-        for i, a in enumerate(ks):
-            sa = set(a.vertices)
-            for b in ks[i + 1 :]:
-                if not sa & set(b.vertices):
-                    out.append(DisjointCyclePair(a, b))
-    else:
-        ls = enumerate_cycles(g, l)
-        for a in ks:
-            sa = set(a.vertices)
-            for b in ls:
-                if not sa & set(b.vertices):
-                    out.append(DisjointCyclePair(a, b))
+    for i, a in enumerate(ks):
+        sa = set(a.vertices)
+        for b in ls[i + 1 :] if k == l else ls:
+            if sa.isdisjoint(b.vertices):
+                out.append(DisjointCyclePair(a, b))
     return tuple(out)
 
 

@@ -35,6 +35,8 @@ checks.  Every row reports through one `IdentityReport`:
 
 from __future__ import annotations
 
+import marshal
+import os
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -61,18 +63,89 @@ HAMILTONIAN_CEILING = 10
 WITNESS_CAP = 128
 
 
-# Set in each pool worker by its initializer: the record function with
-# the analysis's whole-graph tables bound in, shipped once per worker.
-_worker_record = None
+def _run_shard(record, shard, fd: int) -> None:
+    """Child side: evaluate `shard`, write the results to `fd`, and exit.
+
+    The results go out as b"R" and their marshal, an exception as b"E"
+    and its pickle.  The child always leaves through `os._exit`, so it
+    never flushes the parent's buffers, runs its atexit handlers or
+    returns into the caller.
+    """
+    code = 1
+    try:
+        try:
+            data = b"R" + marshal.dumps([record(s) for s in shard])
+        except Exception as exc:
+            import pickle
+
+            data = b"E" + pickle.dumps(exc)
+        with open(fd, "wb") as fh:
+            fh.write(data)
+        code = 0
+    finally:
+        os._exit(code)
 
 
-def _init_worker(record) -> None:
-    global _worker_record
-    _worker_record = record
+def _fork_shard(record, shard):
+    """Fork a child evaluating `shard`; return its pid and the reader of its results."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        os.close(read_fd)
+        _run_shard(record, shard, write_fd)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
 
 
-def _record_task(cycles):
-    return _worker_record(cycles)
+def _evaluate(record, subjects: list, threads: int) -> list:
+    """`[record(s) for s in subjects]`, split over `threads` processes.
+
+    Sixteen subjects or fewer are evaluated here; more are cut into
+    `threads` contiguous shards of near-equal size.  The calling
+    process evaluates the first and a forked child each of the others;
+    a child inherits the whole-graph tables bound into `record`, so
+    nothing is sent to it.  Results are joined in shard order, so they
+    equal the serial ones for every process count.  A child's exception
+    is raised here; on any failure every child still running is killed
+    and reaped first.
+    """
+    if threads == 1 or len(subjects) <= 16:
+        return [record(s) for s in subjects]
+    bounds = [len(subjects) * i // threads for i in range(threads + 1)]
+    children = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            children.append(_fork_shard(record, subjects[lo:hi]))
+        results = [record(s) for s in subjects[: bounds[1]]]
+        while children:
+            pid, reader = children[0]
+            data = reader.read()
+            reader.close()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            if data[:1] == b"E":
+                import pickle
+
+                raise pickle.loads(data[1:])
+            if data[:1] != b"R":
+                raise ChildProcessError(
+                    f"shard process {pid} ended with exit status "
+                    f"{os.waitstatus_to_exitcode(status)} and no result"
+                )
+            results += marshal.loads(data[1:])
+    finally:
+        if children:
+            import signal
+        for pid, reader in children:
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return results
 
 
 def _check_stick_knot(k: int, rec: InvariantRecord) -> None:
@@ -100,13 +173,14 @@ class EmbeddingAnalysis:
     """Cached per-class invariant records for one embedding.
 
     Records are computed once per cycle class and shared by every
-    identity that needs them.  Work is data-parallel over cycles with a
-    deterministic reduction order (sorted canonical keys), so sums do
-    not depend on the worker count.
+    identity that needs them.  With `threads` above 1 a class is split
+    into contiguous shards, one per process (see `_evaluate`), and
+    joined back in canonical order, so records, sums and witnesses do
+    not depend on the process count.
 
     Values are read from whole-graph crossing tables at the embedding's
     accepted frames, built on the first request for records and freed
-    with the analysis.  Pool workers receive those tables only.
+    with the analysis.  Forked shard processes inherit those tables.
     """
 
     def __init__(
@@ -121,6 +195,8 @@ class EmbeddingAnalysis:
     ):
         if threads < 1:
             raise ValueError(f"threads must be at least 1, got {threads}")
+        if threads > 1 and not hasattr(os, "fork"):
+            raise ValueError("threads above 1 need os.fork, which this platform lacks")
         check_frame_budget(verify_frames, retry_limit)
         self.embedding = embedding
         self.seed = seed
@@ -181,14 +257,7 @@ class EmbeddingAnalysis:
                 self.embedding, self.seed, self.verify_frames, self.retry_limit
             )
         record = partial(cycle_invariant, self._projection.tables, audit=self.audit)
-        if self.threads > 1 and len(subjects) > 16:
-            from multiprocessing import Pool
-
-            chunk = max(1, len(subjects) // (self.threads * 8))
-            with Pool(self.threads, initializer=_init_worker, initargs=(record,)) as pool:
-                results = pool.map(_record_task, subjects, chunksize=chunk)
-        else:
-            results = [record(s) for s in subjects]
+        results = _evaluate(record, subjects, self.threads)
         out = []
         for s, result in zip(subjects, results):
             rec = InvariantRecord(s[0] if len(s) == 1 else s, *result)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import subprocess
@@ -27,8 +28,8 @@ def run(capsys, *argv):
 
 
 def test_import_leaves_pool_and_clock_modules_unloaded():
-    # Only `--threads` above 1 needs multiprocessing, and only
-    # `--timestamps` needs datetime; a serial run pays for neither.
+    # Nothing imports multiprocessing, and only `--timestamps` needs
+    # datetime; a run without it pays for neither.
     src = os.path.dirname(os.path.dirname(knotcensus.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     probe = "import sys, knotcensus.cli; print(sorted({'multiprocessing', 'datetime'} & set(sys.modules)))"
@@ -36,6 +37,27 @@ def test_import_leaves_pool_and_clock_modules_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out == "[]\n"
+
+
+def test_parallel_census_imports_no_multiprocessing():
+    # `--threads 2` forks shard processes itself; warnings are errors, so
+    # a fork with threads running (a DeprecationWarning on 3.12) fails.
+    src = os.path.dirname(os.path.dirname(knotcensus.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import sys\n"
+        "from knotcensus import cli\n"
+        "code = cli.main(['census', '--n', '7', '--kind', 'polyline', '--seed', '0',"
+        " '--threads', '2'])\n"
+        "print(code, 'multiprocessing' in sys.modules, file=sys.stderr)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", probe], env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert done.returncode == 0
+    assert done.stderr == "0 False\n"
+    assert json.loads(done.stdout)["pass"] is True
 
 
 def test_verify_moment_k6_passes(capsys):
@@ -105,6 +127,15 @@ def test_embed_csv_refuses_waypoints(capsys):
                        "--format", "csv")
     assert code == 0
     assert len(out.strip().split("\n")) == 7
+
+
+def test_embed_csv_refuses_the_tripartite_graph(capsys):
+    # csv has no column for the graph, so K_{3,3,1} would read as K7.
+    code, out, err = run(capsys, "embed", "--graph", "k331", "--seed", "3", "--format", "csv")
+    assert code == 2
+    assert out == ""
+    assert err == ("knotcensus: csv lists vertices only and would drop the tripartite "
+                   "graph; use --format json\n")
 
 
 def test_verify_csv_format(capsys):
@@ -259,6 +290,22 @@ def test_invariant_knot_and_link(capsys):
     doc = json.loads(out)
     assert doc["kind"] == "link"
     assert abs(doc["lk"]) == 1
+
+
+@pytest.mark.parametrize(
+    "subject,cell,value",
+    [("--cycle", "1,3,5,7,2,4,6", "1"), ("--pair", "1,3,5;2,4,6", "-1")],
+)
+def test_invariant_csv_row_has_one_cell_per_column(capsys, subject, cell, value):
+    code, out, _ = run(capsys, "invariant", "--n", "7", "--kind", "moment",
+                       subject, cell, "--format", "csv")
+    assert code == 0
+    header, row = csv.reader(out.splitlines())
+    assert len(row) == len(header) == 6
+    doc = dict(zip(header, row))
+    # The cycle or pair reads back in the syntax the option takes.
+    assert doc[subject[2:]] == cell
+    assert doc["a2" if subject == "--cycle" else "lk"] == value
 
 
 def test_invariant_usage_errors(capsys):

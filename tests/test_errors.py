@@ -1,4 +1,4 @@
-"""Package exceptions survive the pickle round trip of the worker pool."""
+"""Package exceptions survive the pickle round trip from a shard process."""
 
 from __future__ import annotations
 

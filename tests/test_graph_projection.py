@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
-import multiprocessing
+import os
 import weakref
 from fractions import Fraction
 from itertools import islice
@@ -333,10 +333,10 @@ def test_whole_graph_exhaustion_is_raised_before_any_pool(monkeypatch):
     assert info.value.attempts == 1
     assert info.value.last.condition == "vertex-on-segment"
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a pool was started")
+    def refuse():
+        raise AssertionError("a shard process was forked")
 
-    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
     a = EmbeddingAnalysis(e, seed=0, threads=2, retry_limit=1)
     with pytest.raises(GenericityExhausted) as info:
         a.knot_records(6)

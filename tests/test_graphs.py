@@ -65,6 +65,23 @@ def test_enumeration_matches_brute_force(n):
         assert got == brute_force_cycles(g, k)
 
 
+@pytest.mark.parametrize(
+    "g",
+    [complete_graph(n) for n in range(3, 8)] + [k331_graph(), k331_h_subgraph(k331_graph())],
+    ids=[f"K{n}" for n in range(3, 8)] + ["K331", "H"],
+)
+def test_enumeration_equals_canonicalised_permutations(g):
+    # Every arrangement of k vertices that closes up in g, canonicalised:
+    # the same cycles, in the same order, as the enumeration.
+    for k in range(3, g.vertex_count + 1):
+        brute = {
+            Cycle.canonical(seq)
+            for seq in permutations(g.vertices, k)
+            if all(g.has_edge(a, b) for a, b in zip(seq, seq[1:] + seq[:1]))
+        }
+        assert enumerate_cycles(g, k) == tuple(sorted(brute)), k
+
+
 @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
 def test_cycle_counts_match_formula(n):
     g = complete_graph(n)

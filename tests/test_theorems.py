@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import re
 import sys
 from fractions import Fraction
 from math import comb
@@ -9,8 +11,9 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotcensus.errors import IdentityViolation, ScaleLimitExceeded
-from knotcensus.graphs import Cycle, DisjointCyclePair
+from knotcensus import cli, theorems
+from knotcensus.errors import IdentityViolation, InvariantContractError, ScaleLimitExceeded
+from knotcensus.graphs import Cycle, DisjointCyclePair, enumerate_cycles
 from knotcensus.geometry import (
     SpatialEmbedding,
     embedding_from_json,
@@ -364,6 +367,83 @@ def test_parallel_and_serial_sums_agree():
     assert [r.value for r in serial.knot_records(6)] == [
         r.value for r in parallel.knot_records(6)
     ]
+
+
+@pytest.mark.parametrize(
+    "e",
+    [moment_curve_embedding(7), random_polyline_embedding(7, 0)],
+    ids=["moment", "polyline"],
+)
+def test_records_do_not_depend_on_process_count(e, monkeypatch):
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    seventeen = [(c.vertices,) for c in enumerate_cycles(e.graph, 5)][:17]
+    seen = []
+    for threads in (1, 2, 3):
+        a = EmbeddingAnalysis(e, seed=0, threads=threads)
+        seen.append((
+            a.knot_records(7),
+            a.link_records(3, 4),
+            a._records({}, "seventeen", lambda: seventeen, None),
+        ))
+    assert seen[0] == seen[1] == seen[2]
+    assert [len(records) for records in seen[0]] == [360, 105, 17]
+    # N processes evaluate a class: the caller and N - 1 forked children.
+    assert len(forks) == 3 * (1 + 2)
+
+
+def _planted(monkeypatch, subject, fail):
+    """Make `fail(subject)` happen when the records reach `subject`."""
+    real = theorems.cycle_invariant
+
+    def record(tables, walks, audit=False):
+        if walks == subject:
+            fail(walks)
+        return real(tables, walks, audit=audit)
+
+    monkeypatch.setattr(theorems, "cycle_invariant", record)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# Three processes split the 360 Hamiltonian cycles of K7 at 120 and
+# 240: the caller's shard, a child with a child after it, the last child.
+@pytest.mark.parametrize("index", [0, 120, 359], ids=["caller", "middle", "last"])
+def test_shard_error_reaches_the_caller_and_no_child_is_left(monkeypatch, index):
+    e = moment_curve_embedding(7)
+    subject = (enumerate_cycles(e.graph, 7)[index].vertices,)
+
+    def fail(walks):
+        raise InvariantContractError(f"planted at {walks}")
+
+    _planted(monkeypatch, subject, fail)
+    a = EmbeddingAnalysis(e, seed=0, threads=3)
+    with pytest.raises(InvariantContractError, match=re.escape(f"planted at {subject}")) as info:
+        a.knot_records(7)
+    assert type(info.value) is InvariantContractError
+    _assert_no_child_left()
+
+
+def test_shard_child_dying_without_a_result_is_an_error(monkeypatch):
+    e = moment_curve_embedding(7)
+    _planted(monkeypatch, (enumerate_cycles(e.graph, 7)[200].vertices,), lambda w: os._exit(5))
+    a = EmbeddingAnalysis(e, seed=0, threads=2)
+    with pytest.raises(ChildProcessError, match="exit status 5 and no result"):
+        a.knot_records(7)
+    _assert_no_child_left()
+
+
+def test_threads_above_one_need_fork(monkeypatch, capsys):
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(ValueError, match="os.fork"):
+        EmbeddingAnalysis(moment_curve_embedding(6), threads=2)
+    assert EmbeddingAnalysis(moment_curve_embedding(6), threads=1).threads == 1
+    assert cli.main(["census", "--n", "6", "--kind", "moment", "--threads", "2"]) == 2
+    assert "os.fork" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("threads", [0, -3])
