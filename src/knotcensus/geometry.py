@@ -16,14 +16,14 @@ any arc, and no three graph vertices are collinear.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from math import lcm
 from random import Random
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
-from .errors import SamplingExhausted
+from .errors import InvariantContractError, SamplingExhausted
 from .graphs import Cycle, SimpleGraph, complete_graph, k331_graph
 
 Point = tuple[Fraction, Fraction, Fraction]
@@ -117,8 +117,7 @@ def segment_intersection(p1: IntPoint, p2: IntPoint, p3: IntPoint, p4: IntPoint)
     return ("overlap",)
 
 
-@dataclass(frozen=True)
-class EmbeddingCertificate:
+class EmbeddingCertificate(NamedTuple):
     """Outcome of a validity check, with a witness on failure."""
 
     valid: bool
@@ -129,25 +128,35 @@ class EmbeddingCertificate:
         return self.valid
 
 
-@dataclass(frozen=True)
 class SpatialEmbedding:
     """A graph with exact rational vertex positions and edge paths.
 
     `edge_paths` maps an edge (i, j) with i < j to the tuple of interior
     waypoints traversed from i to j; straight edges are simply absent.
-    An embedding with no waypoints anywhere is rectilinear.
+    An embedding with no waypoints anywhere is rectilinear.  Embeddings
+    compare equal when their graph, positions and paths are equal.
     """
 
-    graph: SimpleGraph
-    vertex_positions: Mapping[int, Point]
-    edge_paths: Mapping[tuple[int, int], tuple[Point, ...]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if set(self.vertex_positions) != set(self.graph.vertices):
+    def __init__(
+        self,
+        graph: SimpleGraph,
+        vertex_positions: Mapping[int, Point],
+        edge_paths: Mapping[tuple[int, int], tuple[Point, ...]] | None = None,
+    ):
+        self.graph = graph
+        self.vertex_positions = vertex_positions
+        self.edge_paths = {} if edge_paths is None else edge_paths
+        if set(vertex_positions) != set(graph.vertices):
             raise ValueError("positions must cover exactly the graph vertices")
         for e in self.edge_paths:
-            if e not in self.graph.edges:
+            if e not in graph.edges:
                 raise ValueError(f"waypoints given for non-edge {e}")
+
+    def _key(self) -> tuple:
+        return (self.graph, self.vertex_positions, self.edge_paths)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is SpatialEmbedding else NotImplemented
 
     @property
     def n(self) -> int:
@@ -256,12 +265,9 @@ def validate_embedding(e: SpatialEmbedding) -> EmbeddingCertificate:
             return EmbeddingCertificate(False, "coincident-points", (seen[p], pid))
         seen[p] = pid
 
-    for a in range(len(verts)):
-        for b in range(a + 1, len(verts)):
-            for c in range(b + 1, len(verts)):
-                va, vb, vc = verts[a], verts[b], verts[c]
-                if collinear(pos[va], pos[vb], pos[vc]):
-                    return EmbeddingCertificate(False, "collinear-vertices", (va, vb, vc))
+    for va, vb, vc in combinations(verts, 3):
+        if collinear(pos[va], pos[vb], pos[vc]):
+            return EmbeddingCertificate(False, "collinear-vertices", (va, vb, vc))
 
     segs = _segments_of(e)
     coord_of = dict(points)
@@ -314,8 +320,6 @@ def moment_curve_embedding(n: int, graph: SimpleGraph | None = None) -> SpatialE
 def _require_valid(e: SpatialEmbedding) -> None:
     cert = validate_embedding(e)
     if not cert:
-        from .errors import InvariantContractError
-
         raise InvariantContractError(f"{cert.violation}: {cert.detail}")
 
 
@@ -337,35 +341,13 @@ def general_position_sample(
             tuple(rng.randint(-coord_range, coord_range) for _ in range(3))
             for _ in range(n)
         ]
-        if len(set(pts)) != n:
-            continue
-        ok = True
-        for a in range(n):
-            for b in range(a + 1, n):
-                for c in range(b + 1, n):
-                    if collinear(pts[a], pts[b], pts[c]):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        for quad in _quadruples(n):
-            a, b, c, d = quad
-            if orient3d(pts[a], pts[b], pts[c], pts[d]) == 0:
-                ok = False
-                break
-        if ok:
+        if (
+            len(set(pts)) == n
+            and not any(collinear(*t) for t in combinations(pts, 3))
+            and all(orient3d(*q) for q in combinations(pts, 4))
+        ):
             return {i + 1: pts[i] for i in range(n)}
     raise SamplingExhausted(attempts, coord_range)
-
-
-def _quadruples(n: int):
-    from itertools import combinations
-
-    return combinations(range(n), 4)
 
 
 def random_rectilinear_embedding(

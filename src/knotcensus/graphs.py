@@ -8,29 +8,41 @@ vertex's two cycle neighbours.  Enumeration is deterministic and sorted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, permutations
 from typing import Iterable
 
 
-@dataclass(frozen=True)
 class SimpleGraph:
     """Undirected simple graph on vertices 1..vertex_count.
 
     `edges` holds each edge once as an (i, j) pair with i < j.  `tags`
     optionally attaches a role string to a vertex (used to mark the apex
-    of the tripartite graph below).
+    of the tripartite graph below).  Graphs compare and hash by these
+    three fields.
     """
 
-    vertex_count: int
-    edges: frozenset[tuple[int, int]]
-    tags: tuple[tuple[int, str], ...] = field(default=())
+    def __init__(
+        self,
+        vertex_count: int,
+        edges: frozenset[tuple[int, int]],
+        tags: tuple[tuple[int, str], ...] = (),
+    ):
+        for i, j in edges:
+            if not (1 <= i < j <= vertex_count):
+                raise ValueError(f"bad edge ({i}, {j}) for n={vertex_count}")
+        self.vertex_count = vertex_count
+        self.edges = edges
+        self.tags = tags
 
-    def __post_init__(self):
-        for i, j in self.edges:
-            if not (1 <= i < j <= self.vertex_count):
-                raise ValueError(f"bad edge ({i}, {j}) for n={self.vertex_count}")
+    def _key(self) -> tuple:
+        return (self.vertex_count, self.edges, self.tags)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is SimpleGraph else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def vertices(self) -> range:
@@ -109,11 +121,30 @@ def k331_h_subgraph(g: SimpleGraph) -> SimpleGraph:
     return SimpleGraph(6, edges)
 
 
-@dataclass(frozen=True, order=True)
 class Cycle:
-    """A cycle through distinct vertices, in canonical orientation."""
+    """A cycle through distinct vertices, in canonical orientation.
 
-    vertices: tuple[int, ...]
+    Cycles compare, sort and hash by their vertex tuples.
+    """
+
+    __slots__ = ("vertices",)
+
+    def __init__(self, vertices: tuple[int, ...]):
+        if len(vertices) < 3 or vertices[0] != min(vertices) or vertices[1] > vertices[-1]:
+            raise ValueError(f"not in canonical form: {vertices}")
+        self.vertices = vertices
+
+    def __eq__(self, other):
+        return self.vertices == other.vertices if type(other) is Cycle else NotImplemented
+
+    def __lt__(self, other):
+        return self.vertices < other.vertices if type(other) is Cycle else NotImplemented
+
+    def __hash__(self):
+        return hash((self.vertices,))
+
+    def __repr__(self):
+        return f"Cycle({self.vertices})"
 
     @staticmethod
     def canonical(seq: Iterable[int]) -> "Cycle":
@@ -134,11 +165,6 @@ class Cycle:
         bwd = tuple(vs[(i - j) % k] for j in range(k))
         return Cycle(fwd if fwd[1] < bwd[1] else bwd)
 
-    def __post_init__(self):
-        vs = self.vertices
-        if len(vs) < 3 or vs[0] != min(vs) or vs[1] > vs[-1]:
-            raise ValueError(f"not in canonical form: {vs}")
-
     @property
     def length(self) -> int:
         return len(self.vertices)
@@ -151,29 +177,42 @@ class Cycle:
         return all(e in g.edges for e in self.edges())
 
 
-@dataclass(frozen=True, order=True)
 class DisjointCyclePair:
-    """Two vertex-disjoint cycles, ordered by (length, vertex tuple)."""
+    """Two vertex-disjoint cycles, ordered by (length, vertex tuple).
 
-    first: Cycle
-    second: Cycle
+    Pairs compare, sort and hash by (first, second).
+    """
+
+    __slots__ = ("first", "second")
+
+    def __init__(self, first: Cycle, second: Cycle):
+        if set(first.vertices) & set(second.vertices):
+            raise ValueError("cycles share a vertex")
+        if (first.length, first.vertices) > (second.length, second.vertices):
+            raise ValueError("pair not in canonical order")
+        self.first = first
+        self.second = second
 
     @staticmethod
     def of(a: Cycle, b: Cycle) -> "DisjointCyclePair":
-        if set(a.vertices) & set(b.vertices):
-            raise ValueError("cycles share a vertex")
         if (a.length, a.vertices) > (b.length, b.vertices):
             a, b = b, a
         return DisjointCyclePair(a, b)
 
-    def __post_init__(self):
-        if set(self.first.vertices) & set(self.second.vertices):
-            raise ValueError("cycles share a vertex")
-        if (self.first.length, self.first.vertices) > (
-            self.second.length,
-            self.second.vertices,
-        ):
-            raise ValueError("pair not in canonical order")
+    def _key(self) -> tuple:
+        return (self.first, self.second)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is DisjointCyclePair else NotImplemented
+
+    def __lt__(self, other):
+        return self._key() < other._key() if type(other) is DisjointCyclePair else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"DisjointCyclePair({self.first}, {self.second})"
 
 
 def enumerate_cycles(g: SimpleGraph, k: int) -> tuple[Cycle, ...]:

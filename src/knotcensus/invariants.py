@@ -18,16 +18,19 @@ of that value on the first accepted diagram of at most
 
 A disagreement is an engine defect, raised as InvariantContractError.
 
-Both fast paths read a crossing table, never a diagram: the Gauss
-arrows of a cycle's walk (`a2_from_table`) and the signed crossings
-met along one cycle's edges with the other's
-(`linking_number_from_table`).  Every value is read at the accepted
-frames of `projection.accepted_tables`, the one frame policy, and
-checked by one loop (`cycle_invariant`): an embedding's cycles at
-the frames where its whole graph is generic, loose curves
-(`curve_invariant`) at the frames where the curves' own scan is.  A
-`LinkDiagram` is restricted from the first table only to be audited,
-or for the crossing count that `curve_invariant` reports.
+Both fast paths read a crossing table, never a diagram.  One loop
+(`cycle_invariant`) reads every value: it codes a record's walk once
+(`projection.coded_walk`: its directed edge codes in walk order and
+each edge's orientation factor) and reads that walk at every accepted
+table of `projection.accepted_tables`, the one frame policy.  At each
+table a knot's value is the two-arrow count of the table's Gauss arrows
+(`CrossingTable.arrows`), a link's half the signed crossings met along
+one cycle's edges with the other's (`CrossingTable.linking_total`).
+An embedding's cycles are read at the frames where its whole graph is
+generic, loose curves (`curve_invariant`) at the frames where the
+curves' own scan is.  A `LinkDiagram` is restricted from the first
+table only to be audited, or for the crossing count that
+`curve_invariant` reports.
 
 The skein oracle (`conway_skein_oracle`) computes the full Conway
 polynomial by crossing-switch/smoothing recursion down to descending
@@ -38,9 +41,8 @@ constants below) and anchors both routes in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvariantContractError, OracleLimitExceeded
 from .geometry import IntPoint
@@ -52,6 +54,7 @@ from .projection import (
     Passage,
     Walks,
     accepted_tables,
+    coded_walk,
     curve_table,
     curve_walks,
 )
@@ -64,8 +67,7 @@ AUDIT_CROSSING_LIMIT = 12
 # Conway polynomial
 
 
-@dataclass(frozen=True)
-class ConwayPolynomial:
+class ConwayPolynomial(NamedTuple):
     """Polynomial in z with integer coefficients, constant term first."""
 
     coefficients: tuple[int, ...]
@@ -238,17 +240,25 @@ _ALL_PATTERNS = [
 def _a2_with_pattern(
     arrows: Sequence[Arrow], pattern: tuple[bool, bool], sign: int
 ) -> int:
-    """The two-arrow count of `arrows` in one pattern, times `sign`."""
-    spans = [
-        (o, u, o < u, s) if o < u else (u, o, o < u, s) for o, u, s in arrows
-    ]
+    """The two-arrow count of `arrows` in one pattern, times `sign`.
+
+    Each arrow is taken as a span (start, end, sign); `firsts` holds
+    those whose first passage the pattern asks of the earlier-starting
+    arrow, `seconds` those it asks of the later one.
+    """
+    firsts, seconds = [], []
+    for o, u, s in arrows:
+        first_over = o < u
+        span = (o, u, s) if first_over else (u, o, s)
+        if first_over == pattern[0]:
+            firsts.append(span)
+        if first_over == pattern[1]:
+            seconds.append(span)
     total = 0
-    for a1, a2, a_first_over, si in spans:
-        if a_first_over != pattern[0]:
-            continue
-        for b1, b2, b_first_over, sj in spans:
+    for a1, a2, si in firsts:
+        for b1, b2, sj in seconds:
             # arrows interleave with the first one starting first
-            if a1 < b1 < a2 < b2 and b_first_over == pattern[1]:
+            if a1 < b1 < a2 < b2:
                 total += si * sj
     return sign * total
 
@@ -450,8 +460,7 @@ def classify_triangle_triangle(lk_value: int, rectilinear: bool) -> str:
 # Frame-verified invariant records
 
 
-@dataclass(frozen=True)
-class InvariantRecord:
+class InvariantRecord(NamedTuple):
     """One cycle's (or pair's) invariant and whether it was audited.
 
     `value` was read at the first of the embedding's accepted frames
@@ -465,28 +474,6 @@ class InvariantRecord:
     subject: tuple
     value: int
     audited: bool
-
-
-def a2_from_table(table: CrossingTable, cycles: tuple[tuple[int, ...], ...]) -> int:
-    """a2 of one cycle read straight from a crossing table.
-
-    The calibrated two-arrow count (A2_PATTERN, A2_SIGN) on the arrows
-    of `table.restrict(cycles)`, with no diagram built.  Quadratic in
-    the number of crossings.
-    """
-    return _a2_with_pattern(table.arrows(cycles[0]), A2_PATTERN, A2_SIGN)
-
-
-def linking_number_from_table(table: CrossingTable, cycles: tuple[tuple[int, ...], ...]) -> int:
-    """lk of a disjoint cycle pair read straight from a crossing table.
-
-    Half the signed count of the mutual crossings of
-    `table.restrict(cycles)`, with no diagram built.
-    """
-    total = table.linking_total(*cycles)
-    if total % 2 != 0:
-        raise InvariantContractError("odd signed mutual-crossing total")
-    return total // 2
 
 
 def _audit_knot(d: LinkDiagram, value: int) -> None:
@@ -512,26 +499,35 @@ def cycle_invariant(
 
     `walks` is one cycle's walk (a2) or two disjoint ones (lk) in the
     accepted `tables`, (frame index, table) pairs from
-    `accepted_tables`.  The value is read from the first table
-    (`a2_from_table`, `linking_number_from_table`); with `audit`, the
-    diagram is restricted from it and, if it has at most
-    AUDIT_CROSSING_LIMIT crossings, checked by the independent route.
-    Every further table must give the same value, or
+    `accepted_tables`.  Each walk is coded once (`coded_walk`) and read
+    at every table: a2 is the calibrated two-arrow count (A2_PATTERN,
+    A2_SIGN) of the table's arrows, lk half the signed mutual-crossing
+    total, which must be even.  With `audit`, the diagram is restricted
+    from the first table and, if it has at most AUDIT_CROSSING_LIMIT
+    crossings, its value is checked by the independent route.  Every
+    further table must give the first table's value, or
     InvariantContractError is raised.
     """
     knot = len(walks) == 1
-    read = a2_from_table if knot else linking_number_from_table
-    (first_index, first), *rest = tables
-    value = read(first, walks)
+    coded = list(map(coded_walk, walks))
+    first_index = tables[0][0]
     audited = False
-    if audit:
-        d = first.restrict(walks)
-        audited = d.crossing_count <= AUDIT_CROSSING_LIMIT
-        if audited:
-            (_audit_knot if knot else _audit_link)(d, value)
-    for index, table in rest:
-        v = read(table, walks)
-        if v != value:
+    for index, table in tables:
+        if knot:
+            v = _a2_with_pattern(table.arrows(coded[0]), A2_PATTERN, A2_SIGN)
+        else:
+            total = table.linking_total(*coded)
+            if total % 2:
+                raise InvariantContractError("odd signed mutual-crossing total")
+            v = total // 2
+        if index == first_index:
+            value = v
+            if audit:
+                d = table.restrict(walks)
+                audited = d.crossing_count <= AUDIT_CROSSING_LIMIT
+                if audited:
+                    (_audit_knot if knot else _audit_link)(d, value)
+        elif v != value:
             raise InvariantContractError(
                 f"frame {index} disagrees: {v} != {value} (frame {first_index})"
             )

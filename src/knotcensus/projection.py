@@ -24,8 +24,14 @@ restricting the graph's table to them gives the diagram of their own
 scan.
 
 Every diagram and every value comes from a `CrossingTable`: one scan
-(`crossing_table`) of edge-labelled segments through one frame.  A
-table gives a cycle's Gauss arrows (`CrossingTable.arrows`) and a cycle
+(`crossing_table`) of edge-labelled segments through one frame.  Its
+constructor lays the crossings out once for both walk directions of
+every edge, keyed by an integer code of the directed edge (`edge_code`):
+each pass is (crossing id, code of the other edge, over flag, sign times
+this direction's orientation factor).  A cycle is read as a `Walk`
+(`coded_walk`), coded once and read at every table: its directed codes
+in walk order and each edge's orientation factor.  From a walk a table
+gives a cycle's Gauss arrows (`CrossingTable.arrows`) and a cycle
 pair's signed mutual-crossing total (`CrossingTable.linking_total`)
 without a diagram.  The one way to a `LinkDiagram` is
 `CrossingTable.restrict`, used by the audit and by `project`, which
@@ -34,12 +40,11 @@ gives the skein oracle its diagrams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import gcd
 from random import Random
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from ._pykernels import scan_segments
 from .errors import GenericityExhausted, GenericityFailure
@@ -48,18 +53,15 @@ from .geometry import IntPoint, SpatialEmbedding, _cross, _dot, _is_zero
 FRAME_RETRY_LIMIT = 64
 
 
-@dataclass(frozen=True)
 class ProjectionFrame:
     """Right-handed integer frame: plane axes u, v and view direction d."""
 
-    axis_u: IntPoint
-    axis_v: IntPoint
-    direction: IntPoint
+    __slots__ = ("axis_u", "axis_v", "direction")
 
-    def __post_init__(self):
-        d = _dot(_cross(self.axis_u, self.axis_v), self.direction)
-        if d <= 0:
+    def __init__(self, axis_u: IntPoint, axis_v: IntPoint, direction: IntPoint):
+        if _dot(_cross(axis_u, axis_v), direction) <= 0:
             raise ValueError("frame must be right-handed")
+        self.axis_u, self.axis_v, self.direction = axis_u, axis_v, direction
 
 
 def _reduce(p: IntPoint) -> IntPoint:
@@ -112,8 +114,7 @@ def frame_sequence(seed) -> Iterator[ProjectionFrame]:
 Passage = tuple[int, int]  # (crossing id, 1 if passing over else 0)
 
 
-@dataclass(frozen=True)
-class LinkDiagram:
+class LinkDiagram(NamedTuple):
     """A regular diagram: oriented components with ordered passages.
 
     `passages[c]` lists, in traversal order from component c's basepoint,
@@ -141,19 +142,38 @@ Edge = tuple[int, int]
 # (crossing id, other strand's edge, 1 if this strand passes over else 0,
 #  sign with both edges oriented from the smaller vertex to the larger)
 EdgePass = tuple[int, Edge, int, int]
-
-
+# (crossing id, `edge_code` of the other strand's edge from its smaller
+#  vertex, over flag, the EdgePass sign times this direction's orientation
+#  factor)
+Pass = tuple[int, int, int, int]
+# (a cycle's directed edge codes in walk order, each edge's orientation
+#  factor by its code from the smaller vertex: +1 if walked from there, else -1)
+Walk = tuple[list[int], dict[int, int]]
 Arrow = tuple[int, int, int]  # (over position, under position, sign)
 Walks = tuple[tuple[int, ...], ...]  # one or two cycles' vertex (or corner) tuples
 
 
-def _oriented_edges(vs: tuple[int, ...]) -> list[tuple[Edge, int]]:
-    """The edges of cycle `vs` in walk order, each with its orientation
-    factor: +1 if the walk runs from the smaller vertex, else -1."""
-    return [((a, b), 1) if a < b else ((b, a), -1) for a, b in zip(vs, vs[1:] + vs[:1])]
+def edge_code(a: int, b: int) -> int:
+    """The integer code of the edge walked from a to b: the Cantor pairing,
+    one-to-one on pairs of non-negative integers."""
+    s = a + b
+    return s * (s + 1) // 2 + b
 
 
-@dataclass(frozen=True)
+def coded_walk(vs: tuple[int, ...]) -> Walk:
+    """The `Walk` of cycle `vs`, from its first vertex along its order."""
+    codes = []
+    factor = {}
+    for a, b in zip(vs, vs[1:] + vs[:1]):
+        t = (a + b) * (a + b + 1) // 2  # edge_code(a, b) - b = edge_code(b, a) - a
+        codes.append(t + b)
+        if a < b:
+            factor[t + b] = 1
+        else:
+            factor[t + a] = -1
+    return codes, factor
+
+
 class CrossingTable:
     """Every crossing of a whole embedded graph at one generic frame.
 
@@ -161,10 +181,24 @@ class CrossingTable:
     walked from i to j: its segments in order and each segment's
     crossings in parameter order; the walk from j to i meets them in
     reverse.  Each crossing is listed once under each of its two edges.
-    Every diagram, a2 and lk of a cycle or pair is read from `forward`.
+
+    `passes[edge_code(a, b)]` lists the same crossings as met walking
+    edge {a, b} from a to b, as `Pass`es.  The constructor lays them out
+    for every table, scanned or built by hand from `forward`, and they
+    are freed with it.  A walk keeps a pass whose other edge has a factor
+    in the walk, and the crossing's sign in the walk's `restrict` is the
+    pass's sign times that factor.
     """
 
-    forward: dict[Edge, tuple[EdgePass, ...]]
+    __slots__ = ("forward", "passes")
+
+    def __init__(self, forward: dict[Edge, tuple[EdgePass, ...]]):
+        self.forward = forward
+        self.passes: dict[int, tuple[Pass, ...]] = {}
+        for (i, j), edge_passes in forward.items():
+            ps = [(gid, edge_code(*other), over, sign) for gid, other, over, sign in edge_passes]
+            self.passes[edge_code(i, j)] = tuple(ps)
+            self.passes[edge_code(j, i)] = tuple((g, o, v, -s) for g, o, v, s in reversed(ps))
 
     def restrict(self, cycles: Sequence[tuple[int, ...]]) -> LinkDiagram:
         """The diagram of one cycle or a disjoint pair.
@@ -176,51 +210,49 @@ class CrossingTable:
         determinant, so a sign is the table's sign times the orientation
         factor (+1 or -1) of each of its two edges.
         """
-        forward = self.forward
-        walks = [_oriented_edges(vs) for vs in cycles]
-        factor = {edge: f for edges in walks for edge, f in edges}
+        passes = self.passes
+        walks = [coded_walk(vs) for vs in cycles]
+        factor = {code: f for _, fs in walks for code, f in fs.items()}
         relabel: dict[int, int] = {}
         signs: list[int] = []
         passages = []
-        for edges in walks:
+        for codes, _ in walks:
             ps: list[Passage] = []
-            for edge, f in edges:
-                for gid, other, over, sign in forward[edge] if f > 0 else reversed(forward[edge]):
+            for code in codes:
+                for gid, other, over, sign in passes[code]:
                     g = factor.get(other)
                     if g is None:
                         continue
                     cid = relabel.get(gid)
                     if cid is None:
                         cid = relabel[gid] = len(signs)
-                        signs.append(sign * f * g)
+                        signs.append(sign * g)
                     ps.append((cid, over))
             passages.append(tuple(ps))
         return LinkDiagram(tuple(passages), tuple(signs))
 
-    def arrows(self, vs: tuple[int, ...]) -> list[Arrow]:
-        """The Gauss-diagram arrows of one cycle, read without a diagram.
+    def arrows(self, walk: Walk) -> list[Arrow]:
+        """The Gauss-diagram arrows of one cycle's walk, without a diagram.
 
         Arrow i is (over position, under position, sign): the two walk
         positions (in 0..2c-1 for c kept crossings) at which a crossing
-        is passed over and under, and its sign in `restrict((vs,))`,
-        whose walk this is.  Arrows are listed by second encounter.
-        Raises ValueError unless every kept crossing is passed once over
-        and once under.
+        is passed over and under, and its sign in the cycle's
+        `restrict`, whose walk this is.  Arrows are listed by second
+        encounter.  Raises ValueError unless every kept crossing is
+        passed once over and once under.
         """
-        forward = self.forward
-        edges = _oriented_edges(vs)
-        factor = dict(edges)
+        passes = self.passes
+        codes, factor = walk
         opened: dict[int, tuple[int, int, int]] = {}
         out: list[Arrow] = []
         pos = 0
-        for edge, f in edges:
-            for gid, other, over, sign in forward[edge] if f > 0 else reversed(forward[edge]):
-                g = factor.get(other)
-                if g is None:
+        for code in codes:
+            for gid, other, over, sign in passes[code]:
+                if other not in factor:
                     continue
                 first = opened.pop(gid, None)
                 if first is None:
-                    opened[gid] = (pos, over, sign * f * g)
+                    opened[gid] = (pos, over, sign * factor[other])
                 elif first[1] == over:
                     raise ValueError("every crossing must be passed once over and once under")
                 else:
@@ -230,23 +262,22 @@ class CrossingTable:
             raise ValueError("every crossing must be passed once over and once under")
         return out
 
-    def linking_total(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
-        """Signed mutual-crossing total of a disjoint cycle pair.
+    def linking_total(self, a: Walk, b: Walk) -> int:
+        """Signed mutual-crossing total of a disjoint cycle pair's walks.
 
-        Twice lk of `self.restrict((a, b))`: walking `a`'s edges, each
-        crossing with an edge of `b` adds its sign in that diagram, the
-        table's sign times both edges' orientation factors.  Each such
-        crossing is listed once under its edge on `a`, so it is counted
-        once.
+        Twice lk of the pair's `restrict`: walking `a`'s edges, each
+        crossing with an edge of `b` adds its sign in that diagram.
+        Each such crossing is listed once under its edge on `a`, so it
+        is counted once.
         """
-        forward = self.forward
-        factor = dict(_oriented_edges(b))
+        passes = self.passes
+        factor = b[1]
         total = 0
-        for e, f in _oriented_edges(a):
-            for _, other, _, sign in forward[e]:
+        for code in a[0]:
+            for _, other, _, sign in passes[code]:
                 g = factor.get(other)
                 if g is not None:
-                    total += sign * f * g
+                    total += sign * g
         return total
 
 
@@ -315,7 +346,10 @@ def curve_table(curves: Sequence[tuple[IntPoint, ...]], frame: ProjectionFrame) 
     and ValueError if the curves actually touch in 3-space.
     """
     points = [p for curve in curves for p in curve]
-    seg_edge = [edge for walk in curve_walks(curves) for edge, _ in _oriented_edges(walk)]
+    seg_edge: list[Edge] = []
+    for walk in curve_walks(curves):
+        seg_edge += zip(walk, walk[1:])
+        seg_edge.append((walk[0], walk[-1]))
     seg_a, seg_b = zip(*seg_edge)
     try:
         return crossing_table(points, seg_a, seg_b, seg_edge, frame)

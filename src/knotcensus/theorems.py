@@ -38,10 +38,10 @@ from __future__ import annotations
 import marshal
 import os
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import comb, factorial, inf
+from typing import NamedTuple
 
 from .errors import InvariantContractError, IdentityViolation, ScaleLimitExceeded
 from .geometry import SpatialEmbedding
@@ -102,11 +102,18 @@ def _fork_shard(record, shard):
     return pid, open(read_fd, "rb")
 
 
+def _shard_bounds(count: int, threads: int) -> list[int]:
+    """Bounds of min(threads, count) contiguous shards of `count`
+    subjects, near-equal in size and none empty."""
+    shards = max(1, min(threads, count))
+    return [count * i // shards for i in range(shards + 1)]
+
+
 def _evaluate(record, subjects: list, threads: int) -> list:
     """`[record(s) for s in subjects]`, split over `threads` processes.
 
     Sixteen subjects or fewer are evaluated here; more are cut into
-    `threads` contiguous shards of near-equal size.  The calling
+    `_shard_bounds` shards, at most one per subject.  The calling
     process evaluates the first and a forked child each of the others;
     a child inherits the whole-graph tables bound into `record`, so
     nothing is sent to it.  Results are joined in shard order, so they
@@ -116,7 +123,7 @@ def _evaluate(record, subjects: list, threads: int) -> list:
     """
     if threads == 1 or len(subjects) <= 16:
         return [record(s) for s in subjects]
-    bounds = [len(subjects) * i // threads for i in range(threads + 1)]
+    bounds = _shard_bounds(len(subjects), threads)
     children = []
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
@@ -313,12 +320,12 @@ def _json_value(v):
     return v
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Both sides of one identity, with the sums that built them.
 
     `extra` holds the keys a check row adds to its JSON: `modulus` for a
-    congruence, `rectilinear` and `upper` for the a2 bounds.
+    congruence, `rectilinear` and `upper` for the a2 bounds; it is None
+    for an equation row.
     """
 
     identity_id: str
@@ -328,7 +335,7 @@ class IdentityReport:
     rhs: int | Fraction
     passed: bool
     witnesses: tuple[dict, ...] = ()
-    extra: dict = field(default_factory=dict)
+    extra: dict | None = None
 
     def to_json(self) -> dict:
         return {
@@ -339,12 +346,11 @@ class IdentityReport:
             "rhs": _json_value(self.rhs),
             "pass": self.passed,
             "witnesses": list(self.witnesses),
-            **self.extra,
+            **(self.extra or {}),
         }
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(NamedTuple):
     """Counts, histograms, and bound checks for one embedding."""
 
     n: int
@@ -490,8 +496,7 @@ _SUMS = {
 }
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(NamedTuple):
     """One catalog row: an identity id and the embeddings it applies to.
 
     An equation row states, over the class sums s its `terms(n)` name,

@@ -39,6 +39,18 @@ def test_import_leaves_pool_and_clock_modules_unloaded():
     assert out == "[]\n"
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # Records, reports and the other value classes are NamedTuples or
+    # plain classes, so start-up pays for neither module.
+    src = os.path.dirname(os.path.dirname(knotcensus.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, knotcensus.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
+
+
 def test_parallel_census_imports_no_multiprocessing():
     # `--threads 2` forks shard processes itself; warnings are errors, so
     # a fork with threads running (a DeprecationWarning on 3.12) fails.

@@ -25,6 +25,7 @@ from knotcensus import cli, projection
 from knotcensus.errors import GenericityExhausted, InvariantContractError
 from knotcensus.geometry import (
     SpatialEmbedding,
+    moment_curve_embedding,
     random_k331_embedding,
     random_polyline_embedding,
     random_rectilinear_embedding,
@@ -35,15 +36,15 @@ from knotcensus.graphs import Cycle, enumerate_cycles, enumerate_disjoint_pairs
 from knotcensus.invariants import (
     AUDIT_CROSSING_LIMIT,
     _knot_arrows,
-    a2_from_table,
     alexander_a2,
     curve_invariant,
-    linking_number_from_table,
+    cycle_invariant,
     one_sided_linking_number,
 )
 from knotcensus.projection import (
     CrossingTable,
     GraphProjection,
+    coded_walk,
     frame_sequence,
     project,
 )
@@ -160,11 +161,12 @@ def _assert_table_values_match_restriction(table: CrossingTable, subject) -> int
     """Check one subject at one table against the audit routes on its
     restricted diagram; return its crossing count."""
     d = table.restrict(subject)
+    value, _ = cycle_invariant([(0, table)], subject)
     if len(subject) == 1:
-        assert sorted(table.arrows(subject[0])) == sorted(_knot_arrows(d)), subject
-        assert a2_from_table(table, subject) == alexander_a2(d), subject
+        assert sorted(table.arrows(coded_walk(subject[0]))) == sorted(_knot_arrows(d)), subject
+        assert value == alexander_a2(d), subject
     else:
-        assert linking_number_from_table(table, subject) == one_sided_linking_number(d), subject
+        assert value == one_sided_linking_number(d), subject
     return d.crossing_count
 
 
@@ -222,6 +224,24 @@ def test_table_values_with_an_edge_that_crosses_itself():
             _assert_table_values_match_restriction(table, subject)
 
 
+@pytest.mark.parametrize(
+    "e",
+    [moment_curve_embedding(7), random_rectilinear_embedding(7, seed=0),
+     random_polyline_embedding(7, 0), random_k331_embedding(0)],
+    ids=["moment", "random", "polyline", "k331"],
+)
+def test_one_walk_per_record_reads_every_table(e):
+    # Every cycle and (3,3)/(3,4) pair: each accepted table alone gives
+    # the audit routes' value on its restriction, and one walk read at
+    # both tables gives that value.
+    tables = GraphProjection(e, 0, verify_frames=1, retry_limit=64).tables
+    for subject in _subjects(e, range(3, e.n + 1)):
+        value, _ = cycle_invariant(tables, subject)
+        for index, table in tables:
+            _assert_table_values_match_restriction(table, subject)
+            assert cycle_invariant([(index, table)], subject) == (value, False), subject
+
+
 # A triangle (1, 2, 3), a disjoint triangle (4, 5, 6) and an edge 7-8
 # on neither, with crossings entered by hand.
 TRIANGLE, OTHER = (1, 2, 3), (4, 5, 6)
@@ -235,21 +255,61 @@ def _doctored(forward: dict) -> CrossingTable:
 def test_crossing_passed_over_twice_is_refused():
     table = _doctored({(1, 2): [(0, (2, 3), 1, 1)], (2, 3): [(0, (1, 2), 1, 1)]})
     with pytest.raises(ValueError, match="once over and once under"):
-        a2_from_table(table, (TRIANGLE,))
+        cycle_invariant([(0, table)], (TRIANGLE,))
     with pytest.raises(ValueError, match="once over and once under"):
         _knot_arrows(table.restrict((TRIANGLE,)))
+
+
+def test_crossing_passed_over_twice_is_refused_at_either_table():
+    good = _doctored({(1, 2): [(0, (2, 3), 1, 1)], (2, 3): [(0, (1, 2), 0, 1)]})
+    bad = _doctored({(1, 2): [(0, (2, 3), 1, 1)], (2, 3): [(0, (1, 2), 1, 1)]})
+    assert cycle_invariant([(0, good), (1, good)], (TRIANGLE,)) == (0, False)
+    for tables in ([(0, bad), (1, good)], [(0, good), (1, bad)]):
+        with pytest.raises(ValueError, match="once over and once under"):
+            cycle_invariant(tables, (TRIANGLE,))
+
+
+def _linked(sign: int) -> CrossingTable:
+    """The triangles linked with lk = sign: edge 1-2 passes over 4-5 and
+    1-3 under 4-6.  The walks run 1-3 and 4-6 backwards, so each
+    crossing adds sign."""
+    return _doctored({
+        (1, 2): [(0, (4, 5), 1, sign)], (1, 3): [(1, (4, 6), 0, sign)],
+        (4, 5): [(0, (1, 2), 0, sign)], (4, 6): [(1, (1, 3), 1, sign)],
+    })
+
+
+def test_a_second_table_that_disagrees_is_refused():
+    pair = (TRIANGLE, OTHER)
+    assert cycle_invariant([(0, _linked(1)), (5, _linked(1))], pair) == (1, False)
+    with pytest.raises(InvariantContractError) as info:
+        cycle_invariant([(0, _linked(1)), (5, _linked(-1))], pair)
+    assert str(info.value) == "frame 5 disagrees: -1 != 1 (frame 0)"
+    # The trefoil of moment K7 against a table with its crossings removed.
+    (i, table), (j, _) = GraphProjection(moment_curve_embedding(7), 0, 1, 64).tables
+    bare = CrossingTable({edge: () for edge in table.forward})
+    with pytest.raises(InvariantContractError) as info:
+        cycle_invariant([(i, table), (j, bare)], ((1, 3, 5, 7, 2, 4, 6),))
+    assert str(info.value) == f"frame {j} disagrees: 0 != 1 (frame {i})"
+
+
+def test_odd_linking_total_is_refused_at_either_table():
+    odd = _doctored({(1, 2): [(0, (4, 5), 1, 1)], (4, 5): [(0, (1, 2), 0, 1)]})
+    for tables in ([(0, odd), (1, _linked(1))], [(0, _linked(1)), (1, odd)]):
+        with pytest.raises(InvariantContractError, match="odd signed mutual-crossing total"):
+            cycle_invariant(tables, (TRIANGLE, OTHER))
 
 
 def test_crossing_met_once_is_refused():
     table = _doctored({(1, 2): [(0, (2, 3), 1, 1)]})
     with pytest.raises(ValueError, match="once over and once under"):
-        a2_from_table(table, (TRIANGLE,))
+        cycle_invariant([(0, table)], (TRIANGLE,))
 
 
 def test_odd_linking_total_is_refused():
     table = _doctored({(1, 2): [(0, (4, 5), 1, 1)], (4, 5): [(0, (1, 2), 0, 1)]})
     with pytest.raises(InvariantContractError, match="odd"):
-        linking_number_from_table(table, (TRIANGLE, OTHER))
+        cycle_invariant([(0, table)], (TRIANGLE, OTHER))
 
 
 def test_linking_total_counts_only_crossings_between_the_pair():
@@ -268,8 +328,9 @@ def test_linking_total_counts_only_crossings_between_the_pair():
     })
     d = table.restrict((TRIANGLE, OTHER))
     assert d.crossing_count == 3
-    assert table.linking_total(TRIANGLE, OTHER) == table.linking_total(OTHER, TRIANGLE) == 2
-    assert linking_number_from_table(table, (TRIANGLE, OTHER)) == 1
+    a, b = coded_walk(TRIANGLE), coded_walk(OTHER)
+    assert table.linking_total(a, b) == table.linking_total(b, a) == 2
+    assert cycle_invariant([(0, table)], (TRIANGLE, OTHER)) == (1, False)
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,13 @@ from knotcensus.invariants import (
     _a2_with_pattern,
     _determinant,
     _knot_arrows,
-    a2_from_table,
     alexander_a2,
     alexander_polynomial,
     calibrate_a2_patterns,
     classify_triangle_triangle,
     conway_skein_oracle,
     curve_invariant,
-    linking_number_from_table,
+    cycle_invariant,
     one_sided_linking_number,
     stick_bound_a2,
 )
@@ -38,6 +37,7 @@ from knotcensus.projection import (
     CrossingTable,
     GraphProjection,
     LinkDiagram,
+    coded_walk,
     frame_sequence,
     project,
 )
@@ -162,11 +162,11 @@ def test_linking_number_of_hopf_diagram():
     for sign in (1, -1):
         table = hopf_table(sign)
         assert table.restrict(HOPF_WALKS) == hopf_diagram(sign)
-        assert linking_number_from_table(table, HOPF_WALKS) == sign
+        assert cycle_invariant([(0, table)], HOPF_WALKS)[0] == sign
     # One mutual crossing alone leaves an odd total.
     odd = CrossingTable({**hopf_table(1).forward, (1, 2): (), (4, 5): ()})
     with pytest.raises(InvariantContractError):
-        linking_number_from_table(odd, HOPF_WALKS)
+        cycle_invariant([(0, odd)], HOPF_WALKS)
 
 
 def test_calibration_survivors_are_the_two_mirror_duals():
@@ -435,13 +435,13 @@ def test_alexander_a2_matches_gauss_formula_on_dense_k9_diagrams():
     assert index == 0
     per_count: dict[int, list[tuple[int, ...]]] = {}
     for c in enumerate_cycles(e.graph, 9):
-        count = len(table.arrows(c.vertices))
+        count = len(table.arrows(coded_walk(c.vertices)))
         if count >= 13 and len(per_count.setdefault(count, [])) < 5:
             per_count[count].append(c.vertices)
     walks = [(vs,) for vss in per_count.values() for vs in vss]
     assert sorted(per_count) == list(range(13, 22)) and len(walks) == 42
     for w in walks:
-        assert alexander_a2(table.restrict(w)) == a2_from_table(table, w)
+        assert alexander_a2(table.restrict(w)) == cycle_invariant([(0, table)], w)[0]
 
 
 def test_one_sided_count_of_hopf_diagrams():
@@ -468,22 +468,20 @@ def test_audit_routes_match_the_skein_oracle(seed, n):
         assert lk == curve_invariant(curves, seed=0, verify_frames=0)[0]
 
 
-def _off_by_one_reading(fn):
-    def wrong(table, cycles):
-        return fn(table, cycles) + 1
+def _off_by(fn, step):
+    def wrong(*args):
+        return fn(*args) + step
 
     return wrong
 
 
 def test_audit_catches_a_wrong_fast_path_value(monkeypatch):
     # Loose curves (curve_invariant) and embeddings
-    # (EmbeddingAnalysis) read every value through the same two table
-    # functions; both are made wrong by one.
+    # (EmbeddingAnalysis) read every value through the same two-arrow
+    # count and linking total; both are made wrong, a2 and lk by one.
     pts, _, _ = STICK_ANCHORS["trefoil_hexagon"]
-    monkeypatch.setattr(invariants, "a2_from_table", _off_by_one_reading(a2_from_table))
-    monkeypatch.setattr(
-        invariants, "linking_number_from_table", _off_by_one_reading(linking_number_from_table)
-    )
+    monkeypatch.setattr(invariants, "_a2_with_pattern", _off_by(_a2_with_pattern, 1))
+    monkeypatch.setattr(CrossingTable, "linking_total", _off_by(CrossingTable.linking_total, 2))
     curve_invariant((pts,), seed=0)
     curve_invariant(HOPF_STICKS, seed=0)
     EmbeddingAnalysis(moment_curve_embedding(6)).knot_records(6)

@@ -393,6 +393,19 @@ def test_records_do_not_depend_on_process_count(e, monkeypatch):
     assert len(forks) == 3 * (1 + 2)
 
 
+@pytest.mark.parametrize("count", [17, 18, 100, 2520])
+def test_shards_are_never_empty(count):
+    # The bounds alone, so no process starts whatever the thread count:
+    # 40 threads on a 17-subject class and 3,000 on the 2,520
+    # Hamiltonian cycles of K8 give one subject per shard.
+    for threads in (1, 2, 3, 16, count - 1, count, count + 1, 40, 3000, 10**6):
+        bounds = theorems._shard_bounds(count, threads)
+        sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+        assert bounds[0] == 0 and bounds[-1] == count
+        assert len(sizes) == min(threads, count)
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+
+
 def _planted(monkeypatch, subject, fail):
     """Make `fail(subject)` happen when the records reach `subject`."""
     real = theorems.cycle_invariant
