@@ -16,7 +16,6 @@ from .errors import (
     IdentityViolation,
     InvariantContractError,
     KnotCensusError,
-    OracleLimitExceeded,
     SamplingExhausted,
     ScaleLimitExceeded,
 )
@@ -48,13 +47,10 @@ from .projection import (
     ProjectionFrame,
     frame_from_direction,
     frame_sequence,
-    project,
 )
 from .invariants import (
-    ConwayPolynomial,
     InvariantRecord,
     classify_triangle_triangle,
-    conway_skein_oracle,
     curve_invariant,
     stick_bound_a2,
 )

@@ -62,10 +62,6 @@ class GenericityExhausted(KnotCensusError):
         return (type(self), (self.attempts, self.last))
 
 
-class OracleLimitExceeded(KnotCensusError):
-    """The skein-recursion oracle refused a diagram above its crossing cap."""
-
-
 class InvariantContractError(KnotCensusError):
     """An exactness contract failed: two generic frames disagreed on an
     invariant, or a computed value is impossible for the embedding class.

@@ -8,7 +8,6 @@ vertex's two cycle neighbours.  Enumeration is deterministic and sorted.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import combinations, permutations
 from typing import Iterable
 
@@ -21,6 +20,8 @@ class SimpleGraph:
     of the tripartite graph below).  Graphs compare and hash by these
     three fields.
     """
+
+    __slots__ = ("vertex_count", "edges", "tags")
 
     def __init__(
         self,
@@ -51,20 +52,6 @@ class SimpleGraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    @cached_property
-    def _adjacency(self) -> dict[int, tuple[int, ...]]:
-        nbrs: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for i, j in self.edges:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        return {v: tuple(sorted(ws)) for v, ws in nbrs.items()}
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adjacency[v]
-
-    def degree(self, v: int) -> int:
-        return len(self._adjacency[v])
 
     def has_edge(self, i: int, j: int) -> bool:
         if i > j:
@@ -259,10 +246,3 @@ def enumerate_disjoint_pairs(g: SimpleGraph, k: int, l: int) -> tuple[DisjointCy
             if sa.isdisjoint(b.vertices):
                 out.append(DisjointCyclePair(a, b))
     return tuple(out)
-
-
-def cycle_count_complete(n: int, k: int) -> int:
-    """Number of k-cycles in K_n: C(n, k) * (k-1)! / 2."""
-    from math import comb, factorial
-
-    return comb(n, k) * factorial(k - 1) // 2

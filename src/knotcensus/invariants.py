@@ -32,26 +32,23 @@ curves' own scan is.  A `LinkDiagram` is restricted from the first
 table only to be audited, or for the crossing count that
 `curve_invariant` reports.
 
-The skein oracle (`conway_skein_oracle`) computes the full Conway
-polynomial by crossing-switch/smoothing recursion down to descending
-diagrams.  It is exponential in the crossing number, so it is not used
-on the audit path; it calibrates the two-arrow count (see the pattern
-constants below) and anchors both routes in the tests.
+The two-arrow pattern `_a2` counts was calibrated against a Conway
+skein oracle; that oracle, exponential in the crossing number, is the
+test suite's reference and is not part of the package.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .errors import InvariantContractError, OracleLimitExceeded
+from .errors import InvariantContractError
 from .geometry import IntPoint
 from .projection import (
     FRAME_RETRY_LIMIT,
     Arrow,
     CrossingTable,
     LinkDiagram,
-    Passage,
     Walks,
     accepted_tables,
     coded_walk,
@@ -59,237 +56,35 @@ from .projection import (
     curve_walks,
 )
 
-ORACLE_CROSSING_LIMIT = 20
 AUDIT_CROSSING_LIMIT = 12
-
-
-# ---------------------------------------------------------------------------
-# Conway polynomial
-
-
-class ConwayPolynomial(NamedTuple):
-    """Polynomial in z with integer coefficients, constant term first."""
-
-    coefficients: tuple[int, ...]
-
-    def coefficient(self, k: int) -> int:
-        return self.coefficients[k] if 0 <= k < len(self.coefficients) else 0
-
-    @property
-    def a1(self) -> int:
-        return self.coefficient(1)
-
-    @property
-    def a2(self) -> int:
-        return self.coefficient(2)
-
-    def __str__(self) -> str:
-        terms = []
-        for k, c in enumerate(self.coefficients):
-            if c:
-                terms.append(f"{c}" if k == 0 else f"{c}*z^{k}")
-        return " + ".join(terms) if terms else "0"
-
-
-def _poly_trim(cs: list[int]) -> tuple[int, ...]:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def _poly_add(a: tuple[int, ...], b: tuple[int, ...], bsign: int) -> tuple[int, ...]:
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] += bsign * c
-    return _poly_trim(out)
-
-
-def _poly_shift(a: tuple[int, ...]) -> tuple[int, ...]:
-    return (0,) + a if a else ()
-
-
-Comps = tuple[tuple[Passage, ...], ...]
-
-
-def _canonical_code(comps: Comps, signs: dict[int, int]):
-    """Relabel crossings by first encounter so equal diagrams share a key."""
-    relabel: dict[int, int] = {}
-    for ps in comps:
-        for cid, _ in ps:
-            if cid not in relabel:
-                relabel[cid] = len(relabel)
-    code = tuple(tuple((relabel[c], o) for c, o in ps) for ps in comps)
-    sgn = tuple(s for _, s in sorted((relabel[c], s) for c, s in signs.items()))
-    return (code, sgn)
-
-
-def _first_ascending(comps: Comps):
-    """First crossing met on its under-strand before its over-strand."""
-    seen: set[int] = set()
-    for ci, ps in enumerate(comps):
-        for pi, (cid, over) in enumerate(ps):
-            if cid in seen:
-                continue
-            seen.add(cid)
-            if not over:
-                return ci, pi, cid
-    return None
-
-
-def _locate(comps: Comps, cid: int) -> list[tuple[int, int]]:
-    return [
-        (ci, pi)
-        for ci, ps in enumerate(comps)
-        for pi, (c, _) in enumerate(ps)
-        if c == cid
-    ]
-
-
-def _switch(comps: Comps, cid: int) -> Comps:
-    return tuple(
-        tuple((c, (1 - o) if c == cid else o) for c, o in ps) for ps in comps
-    )
-
-
-def _smooth(comps: Comps, cid: int) -> Comps:
-    """Orientation-respecting smoothing: split one component or merge two."""
-    (ci, pi), (cj, pj) = _locate(comps, cid)
-    if ci == cj:
-        ps = comps[ci]
-        first = ps[pi + 1 : pj]
-        second = ps[pj + 1 :] + ps[:pi]
-        return comps[:ci] + (first, second) + comps[ci + 1 :]
-    x, y = comps[ci], comps[cj]
-    merged = x[:pi] + y[pj + 1 :] + y[:pj] + x[pi + 1 :]
-    out = list(comps)
-    out[ci] = merged
-    del out[cj]
-    return tuple(out)
-
-
-def _conway(comps: Comps, signs: dict[int, int], memo: dict) -> tuple[int, ...]:
-    key = _canonical_code(comps, signs)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    bad = _first_ascending(comps)
-    if bad is None:
-        # Descending diagram: an unknot, or a split unlink if several
-        # components remain.
-        value = (1,) if len(comps) == 1 else ()
-    else:
-        _, _, cid = bad
-        eps = signs[cid]
-        switched = _switch(comps, cid)
-        sw_signs = dict(signs)
-        sw_signs[cid] = -eps
-        smoothed = _smooth(comps, cid)
-        sm_signs = {c: s for c, s in signs.items() if c != cid}
-        a = _conway(switched, sw_signs, memo)
-        b = _poly_shift(_conway(smoothed, sm_signs, memo))
-        value = _poly_add(a, b, eps)
-    memo[key] = value
-    return value
-
-
-def conway_skein_oracle(
-    d: LinkDiagram, limit: int = ORACLE_CROSSING_LIMIT
-) -> ConwayPolynomial:
-    """Full Conway polynomial of a diagram by skein recursion.
-
-    Deliberately the slow, independent route: switch the first crossing
-    met under-first (a step toward a descending diagram) and smooth it
-    (one crossing fewer), recursing on both.  Intended for diagrams of
-    at most `limit` crossings.  Subdiagrams are memoized on canonical
-    codes for the length of one call only.
-    """
-    if d.crossing_count > limit:
-        raise OracleLimitExceeded(
-            f"{d.crossing_count} crossings exceeds oracle limit {limit}"
-        )
-    counts: dict[int, int] = {}
-    for ps in d.passages:
-        for cid, _ in ps:
-            counts[cid] = counts.get(cid, 0) + 1
-    if any(c != 2 for c in counts.values()) or len(counts) != d.crossing_count:
-        raise ValueError("every crossing must be passed exactly twice")
-    signs = {cid: d.signs[cid] for cid in range(d.crossing_count)}
-    return ConwayPolynomial(_conway(d.passages, signs, {}))
 
 
 # ---------------------------------------------------------------------------
 # Second Conway coefficient from the Gauss diagram
 
-# A two-arrow pattern is (first_over, second_over): an interleaved arrow
-# pair contributes when the earlier-starting arrow is first met on its
-# over (resp. under) strand per first_over, and likewise for the later
-# one; contributions are products of crossing signs, scaled by A2_SIGN.
-# Calibration against the skein oracle on both chiralities of the (2,3),
-# (2,5), (2,7) torus diagrams, a figure-eight polygon, and a randomized
-# 120-polygon suite leaves exactly the two mirror-dual patterns
-# ((True, False), +1) and ((False, True), +1); the first is fixed here
-# and the tests lock the choice in.
-A2_PATTERN = (True, False)
-A2_SIGN = 1
 
-_ALL_PATTERNS = [
-    ((f, s), g) for f in (False, True) for s in (False, True) for g in (1, -1)
-]
+def _a2(arrows: Sequence[Arrow]) -> int:
+    """The calibrated two-arrow count of a knot's Gauss arrows: its a2.
 
-
-def _a2_with_pattern(
-    arrows: Sequence[Arrow], pattern: tuple[bool, bool], sign: int
-) -> int:
-    """The two-arrow count of `arrows` in one pattern, times `sign`.
-
-    Each arrow is taken as a span (start, end, sign); `firsts` holds
-    those whose first passage the pattern asks of the earlier-starting
-    arrow, `seconds` those it asks of the later one.
+    Each arrow is taken as a span (start, end, sign).  An interleaved
+    pair of spans a1 < b1 < a2 < b2 adds the product of its signs when
+    the earlier-starting arrow is first passed over and the later one
+    first passed under; the total is taken with sign +1.  Of the eight
+    (pattern, sign) choices only this one and its mirror dual give the
+    skein oracle's a2 on every calibration diagram.
     """
     firsts, seconds = [], []
     for o, u, s in arrows:
-        first_over = o < u
-        span = (o, u, s) if first_over else (u, o, s)
-        if first_over == pattern[0]:
-            firsts.append(span)
-        if first_over == pattern[1]:
-            seconds.append(span)
+        if o < u:
+            firsts.append((o, u, s))
+        else:
+            seconds.append((u, o, s))
     total = 0
     for a1, a2, si in firsts:
         for b1, b2, sj in seconds:
-            # arrows interleave with the first one starting first
             if a1 < b1 < a2 < b2:
                 total += si * sj
-    return sign * total
-
-
-def _knot_arrows(d: LinkDiagram) -> list[Arrow]:
-    """The Gauss arrows of a knot diagram, as `CrossingTable.arrows`
-    gives them, listed by crossing."""
-    if d.component_count != 1:
-        raise ValueError("gauss arrows need a knot diagram (one component)")
-    over_pos: dict[int, int] = {}
-    under_pos: dict[int, int] = {}
-    for pos, (cid, over) in enumerate(d.passages[0]):
-        (over_pos if over else under_pos)[cid] = pos
-    if set(over_pos) != set(under_pos):
-        raise ValueError("every crossing must be passed once over and once under")
-    return [(over_pos[c], under_pos[c], d.signs[c]) for c in sorted(over_pos)]
-
-
-def calibrate_a2_patterns(
-    samples: Iterable[tuple[LinkDiagram, int]]
-) -> list[tuple[tuple[bool, bool], int]]:
-    """All two-arrow patterns reproducing the expected a2 on every knot diagram."""
-    survivors = list(_ALL_PATTERNS)
-    for d, expected in samples:
-        arrows = _knot_arrows(d)
-        survivors = [
-            (p, s) for p, s in survivors if _a2_with_pattern(arrows, p, s) == expected
-        ]
-        if not survivors:
-            break
-    return survivors
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +295,8 @@ def cycle_invariant(
     `walks` is one cycle's walk (a2) or two disjoint ones (lk) in the
     accepted `tables`, (frame index, table) pairs from
     `accepted_tables`.  Each walk is coded once (`coded_walk`) and read
-    at every table: a2 is the calibrated two-arrow count (A2_PATTERN,
-    A2_SIGN) of the table's arrows, lk half the signed mutual-crossing
+    at every table: a2 is the calibrated two-arrow count (`_a2`) of the
+    table's arrows, lk half the signed mutual-crossing
     total, which must be even.  With `audit`, the diagram is restricted
     from the first table and, if it has at most AUDIT_CROSSING_LIMIT
     crossings, its value is checked by the independent route.  Every
@@ -514,7 +309,7 @@ def cycle_invariant(
     audited = False
     for index, table in tables:
         if knot:
-            v = _a2_with_pattern(table.arrows(coded[0]), A2_PATTERN, A2_SIGN)
+            v = _a2(table.arrows(coded[0]))
         else:
             total = table.linking_total(*coded)
             if total % 2:

@@ -34,8 +34,8 @@ in walk order and each edge's orientation factor.  From a walk a table
 gives a cycle's Gauss arrows (`CrossingTable.arrows`) and a cycle
 pair's signed mutual-crossing total (`CrossingTable.linking_total`)
 without a diagram.  The one way to a `LinkDiagram` is
-`CrossingTable.restrict`, used by the audit and by `project`, which
-gives the skein oracle its diagrams.
+`CrossingTable.restrict`, which only the audit and `curve_invariant`'s
+crossing count call.
 """
 
 from __future__ import annotations
@@ -119,8 +119,8 @@ class LinkDiagram(NamedTuple):
 
     `passages[c]` lists, in traversal order from component c's basepoint,
     the crossings met along c with an over/under flag; `signs[i]` is the
-    sign of crossing i.  Passages and signs are all any invariant, its
-    audit, or the skein oracle reads.
+    sign of crossing i.  Passages and signs are all the audit routes
+    read.
     """
 
     passages: tuple[tuple[Passage, ...], ...]
@@ -177,23 +177,22 @@ def coded_walk(vs: tuple[int, ...]) -> Walk:
 class CrossingTable:
     """Every crossing of a whole embedded graph at one generic frame.
 
-    `forward[edge]` lists the crossings met along edge (i, j), i < j,
-    walked from i to j: its segments in order and each segment's
-    crossings in parameter order; the walk from j to i meets them in
-    reverse.  Each crossing is listed once under each of its two edges.
+    It is built from `forward`, where `forward[edge]` lists the
+    crossings met along edge (i, j), i < j, walked from i to j: its
+    segments in order and each segment's crossings in parameter order;
+    the walk from j to i meets them in reverse.  Each crossing is listed
+    once under each of its two edges.  Only the layout below is kept.
 
     `passes[edge_code(a, b)]` lists the same crossings as met walking
     edge {a, b} from a to b, as `Pass`es.  The constructor lays them out
-    for every table, scanned or built by hand from `forward`, and they
-    are freed with it.  A walk keeps a pass whose other edge has a factor
-    in the walk, and the crossing's sign in the walk's `restrict` is the
-    pass's sign times that factor.
+    for every table, scanned or built by hand.  A walk keeps a pass
+    whose other edge has a factor in the walk, and the crossing's sign
+    in the walk's `restrict` is the pass's sign times that factor.
     """
 
-    __slots__ = ("forward", "passes")
+    __slots__ = ("passes",)
 
-    def __init__(self, forward: dict[Edge, tuple[EdgePass, ...]]):
-        self.forward = forward
+    def __init__(self, forward: dict[Edge, Sequence[EdgePass]]):
         self.passes: dict[int, tuple[Pass, ...]] = {}
         for (i, j), edge_passes in forward.items():
             ps = [(gid, edge_code(*other), over, sign) for gid, other, over, sign in edge_passes]
@@ -316,7 +315,7 @@ def crossing_table(
             si, sj, _, _, _, i_over, sign = raw[gid]
             other, over = (sj, i_over) if si == s else (si, 1 - i_over)
             passes.append((gid, seg_edge[other], over, sign))
-    return CrossingTable({edge: tuple(ps) for edge, ps in forward.items()})
+    return CrossingTable(forward)
 
 
 def curve_walks(curves: Sequence[tuple[IntPoint, ...]]) -> Walks:
@@ -357,15 +356,6 @@ def curve_table(curves: Sequence[tuple[IntPoint, ...]], frame: ProjectionFrame) 
         if exc.condition == "intersect-3d":
             raise ValueError(f"curves intersect in 3-space near segments {exc.detail}") from None
         raise
-
-
-def project(curves: Sequence[tuple[IntPoint, ...]], frame: ProjectionFrame) -> LinkDiagram:
-    """Project closed integer polygons through a frame to a diagram.
-
-    Raises GenericityFailure when the frame is not generic for these
-    curves, and ValueError if the curves actually touch in 3-space.
-    """
-    return curve_table(curves, frame).restrict(curve_walks(curves))
 
 
 # ---------------------------------------------------------------------------

@@ -408,6 +408,8 @@ def _witnesses_from(*record_sets) -> tuple[dict, ...]:
 def _analysis_for(e, analysis, **kw) -> EmbeddingAnalysis:
     if analysis is None:
         return EmbeddingAnalysis(e, **kw)
+    if kw:
+        raise ValueError(f"analysis keywords {sorted(kw)} given with an analysis")
     if e is not None and e is not analysis.embedding:
         raise ValueError("the analysis belongs to another embedding")
     return analysis
@@ -609,7 +611,7 @@ def verify_identity(identity_id: str, e=None, analysis=None, raise_on_fail=True,
 
     Raises ValueError for an unknown id or one that does not apply to the
     embedding.  Extra keywords configure the analysis built when none is
-    given.
+    given; given with an analysis, they raise ValueError.
     """
     row = CATALOG.get(identity_id)
     if row is None:

@@ -51,6 +51,30 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     assert out == "[]\n"
 
 
+PUBLIC_NAMES = [
+    "CATALOG", "CensusReport", "Cycle", "DisjointCyclePair", "EmbeddingAnalysis",
+    "GenericityExhausted", "GenericityFailure", "IdentityReport", "IdentityViolation",
+    "InvariantContractError", "InvariantRecord", "KnotCensusError", "LinkDiagram",
+    "ProjectionFrame", "SamplingExhausted", "ScaleLimitExceeded", "SimpleGraph",
+    "SpatialEmbedding", "annotations", "applicable_identities", "census",
+    "classify_triangle_triangle", "complete_graph", "curve_invariant", "cycle_curve",
+    "embedding_from_json", "embedding_to_json", "enumerate_cycles",
+    "enumerate_disjoint_pairs", "errors", "expected_residue", "frame_from_direction",
+    "frame_sequence", "geometry", "graphs", "invariants", "k331_graph",
+    "k331_h_subgraph", "lower_bound_value", "moment_curve_embedding", "projection",
+    "r_n", "random_k331_embedding", "random_polyline_embedding",
+    "random_rectilinear_embedding", "read_embedding", "stick_bound_a2", "theorems",
+    "upper_bound_value", "validate_embedding", "verify_embedding", "verify_identity",
+    "write_embedding",
+]
+
+
+def test_public_api_is_pinned():
+    # The skein oracle, its polynomial type and limit error, and
+    # `project` are the tests' reference, not the package's.
+    assert sorted(knotcensus.__all__) == PUBLIC_NAMES
+
+
 def test_parallel_census_imports_no_multiprocessing():
     # `--threads 2` forks shard processes itself; warnings are errors, so
     # a fork with threads running (a DeprecationWarning on 3.12) fails.

@@ -35,7 +35,6 @@ from knotcensus.geometry import (
 from knotcensus.graphs import Cycle, enumerate_cycles, enumerate_disjoint_pairs
 from knotcensus.invariants import (
     AUDIT_CROSSING_LIMIT,
-    _knot_arrows,
     alexander_a2,
     curve_invariant,
     cycle_invariant,
@@ -45,10 +44,12 @@ from knotcensus.projection import (
     CrossingTable,
     GraphProjection,
     coded_walk,
+    edge_code,
     frame_sequence,
-    project,
 )
 from knotcensus.theorems import EmbeddingAnalysis
+
+from oracle import _knot_arrows, project
 
 
 def _subjects(e: SpatialEmbedding, ks) -> list[tuple[tuple[int, ...], ...]]:
@@ -134,7 +135,7 @@ def test_restriction_equals_projection_at_every_generic_frame(e, frame_seed):
 def _reversed_edge_crossings(table: CrossingTable, subject) -> int:
     """Crossings on the edges that the subject walks from the larger vertex."""
     edges = {(a, b) for vs in subject for a, b in zip(vs, vs[1:] + vs[:1]) if a > b}
-    return sum(len(table.forward[(b, a)]) for a, b in edges)
+    return sum(len(table.passes[edge_code(b, a)]) for a, b in edges)
 
 
 def test_restriction_handles_reversed_edges_with_several_crossings():
@@ -219,7 +220,7 @@ def test_table_values_with_an_edge_that_crosses_itself():
     tables = [t for _, t in g.tables]
     assert len(tables) == 2
     for table in tables:
-        assert (1, 2) in [other for _, other, _, _ in table.forward[(1, 2)]]
+        assert edge_code(1, 2) in [other for _, other, _, _ in table.passes[edge_code(1, 2)]]
         for subject in _subjects(e, range(3, 7)):
             _assert_table_values_match_restriction(table, subject)
 
@@ -286,8 +287,9 @@ def test_a_second_table_that_disagrees_is_refused():
         cycle_invariant([(0, _linked(1)), (5, _linked(-1))], pair)
     assert str(info.value) == "frame 5 disagrees: -1 != 1 (frame 0)"
     # The trefoil of moment K7 against a table with its crossings removed.
-    (i, table), (j, _) = GraphProjection(moment_curve_embedding(7), 0, 1, 64).tables
-    bare = CrossingTable({edge: () for edge in table.forward})
+    e = moment_curve_embedding(7)
+    (i, table), (j, _) = GraphProjection(e, 0, 1, 64).tables
+    bare = CrossingTable({edge: () for edge in e.graph.edges})
     with pytest.raises(InvariantContractError) as info:
         cycle_invariant([(i, table), (j, bare)], ((1, 3, 5, 7, 2, 4, 6),))
     assert str(info.value) == f"frame {j} disagrees: 0 != 1 (frame {i})"

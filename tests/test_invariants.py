@@ -1,5 +1,6 @@
 """Invariant engine: oracle anchors, calibration lock, audit routes and
-exactness laws."""
+exactness laws.  The skein oracle and the calibration are the tests'
+reference in `oracle.py`."""
 
 from __future__ import annotations
 
@@ -9,22 +10,16 @@ from math import prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from knotcensus.errors import GenericityFailure, InvariantContractError, OracleLimitExceeded
+from knotcensus.errors import GenericityFailure, InvariantContractError
 from knotcensus.geometry import moment_curve_embedding, random_rectilinear_embedding
 from knotcensus.graphs import Cycle, enumerate_cycles, enumerate_disjoint_pairs
 from knotcensus import invariants
 from knotcensus.invariants import (
-    A2_PATTERN,
-    A2_SIGN,
-    ConwayPolynomial,
-    _a2_with_pattern,
+    _a2,
     _determinant,
-    _knot_arrows,
     alexander_a2,
     alexander_polynomial,
-    calibrate_a2_patterns,
     classify_triangle_triangle,
-    conway_skein_oracle,
     curve_invariant,
     cycle_invariant,
     one_sided_linking_number,
@@ -39,6 +34,17 @@ from knotcensus.projection import (
     LinkDiagram,
     coded_walk,
     frame_sequence,
+)
+
+from oracle import (
+    A2_PATTERN,
+    A2_SIGN,
+    ConwayPolynomial,
+    OracleLimitExceeded,
+    _a2_with_pattern,
+    _knot_arrows,
+    calibrate_a2_patterns,
+    conway_skein_oracle,
     project,
 )
 
@@ -75,13 +81,14 @@ def hopf_diagram(sign: int) -> LinkDiagram:
 HOPF_WALKS = ((0, 1, 2), (3, 4, 5))
 
 
-def hopf_table(sign: int) -> CrossingTable:
-    """Two triangles whose restriction is `hopf_diagram(sign)`: crossing 0
-    of edges 0-1 and 3-4, crossing 1 of edges 1-2 and 4-5."""
-    return CrossingTable({
+def hopf_forward(sign: int) -> dict:
+    """The `CrossingTable` mapping of two triangles whose restriction is
+    `hopf_diagram(sign)`: crossing 0 of edges 0-1 and 3-4, crossing 1 of
+    edges 1-2 and 4-5."""
+    return {
         (0, 1): ((0, (3, 4), 1, sign),), (1, 2): ((1, (4, 5), 0, sign),), (0, 2): (),
         (3, 4): ((0, (0, 1), 0, sign),), (4, 5): ((1, (1, 2), 1, sign),), (3, 5): (),
-    })
+    }
 
 
 UNKNOT = LinkDiagram(passages=((),), signs=())
@@ -160,11 +167,11 @@ def test_oracle_rejects_oversized_and_malformed_diagrams():
 
 def test_linking_number_of_hopf_diagram():
     for sign in (1, -1):
-        table = hopf_table(sign)
+        table = CrossingTable(hopf_forward(sign))
         assert table.restrict(HOPF_WALKS) == hopf_diagram(sign)
         assert cycle_invariant([(0, table)], HOPF_WALKS)[0] == sign
     # One mutual crossing alone leaves an odd total.
-    odd = CrossingTable({**hopf_table(1).forward, (1, 2): (), (4, 5): ()})
+    odd = CrossingTable({**hopf_forward(1), (1, 2): (), (4, 5): ()})
     with pytest.raises(InvariantContractError):
         cycle_invariant([(0, odd)], HOPF_WALKS)
 
@@ -196,6 +203,10 @@ def test_calibration_survivors_are_the_two_mirror_duals():
     assert ((False, True), 1) in survivors
     assert len(survivors) == 2
     assert (A2_PATTERN, A2_SIGN) in survivors
+    # The package's `_a2` is that survivor.
+    for d, _ in samples:
+        arrows = _knot_arrows(d)
+        assert _a2(arrows) == _a2_with_pattern(arrows, A2_PATTERN, A2_SIGN)
 
 
 def test_frozen_pattern_matches_oracle_on_anchor_sticks():
@@ -275,9 +286,9 @@ def test_a2_is_basepoint_independent_on_small_diagrams():
         break
     for dia in diagrams:
         arrows = _knot_arrows(dia)
-        base = _a2_with_pattern(arrows, A2_PATTERN, A2_SIGN)
+        base = _a2(arrows)
         for shift in range(1, 2 * len(arrows)):
-            assert _a2_with_pattern(_rotate(arrows, shift), A2_PATTERN, A2_SIGN) == base
+            assert _a2(_rotate(arrows, shift)) == base
 
 
 def test_rejected_patterns_fail_on_the_figure_eight():
@@ -480,7 +491,7 @@ def test_audit_catches_a_wrong_fast_path_value(monkeypatch):
     # (EmbeddingAnalysis) read every value through the same two-arrow
     # count and linking total; both are made wrong, a2 and lk by one.
     pts, _, _ = STICK_ANCHORS["trefoil_hexagon"]
-    monkeypatch.setattr(invariants, "_a2_with_pattern", _off_by(_a2_with_pattern, 1))
+    monkeypatch.setattr(invariants, "_a2", _off_by(_a2, 1))
     monkeypatch.setattr(CrossingTable, "linking_total", _off_by(CrossingTable.linking_total, 2))
     curve_invariant((pts,), seed=0)
     curve_invariant(HOPF_STICKS, seed=0)

@@ -1,7 +1,7 @@
 """The exact crossing kernel: failure conditions, scale invariance, determinism.
 
 Each case runs through the scan (`_pykernels.scan_segments`) and through
-`project`, which reads the scan's crossing table.
+the tests' `oracle.project`, which reads the scan's crossing table.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ from knotcensus.geometry import (
     random_rectilinear_embedding,
 )
 from knotcensus.graphs import Cycle, enumerate_cycles, enumerate_disjoint_pairs
-from knotcensus.projection import frame_sequence, project
+from knotcensus.projection import frame_sequence
+
+from oracle import project
 
 
 def _frames(seed, count):

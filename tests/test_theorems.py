@@ -647,6 +647,21 @@ def test_relabelling_moves_every_record_to_its_image(case):
     ]
 
 
+def test_analysis_keywords_with_an_analysis_are_refused():
+    # They would configure an analysis that is not built: the given one
+    # was configured when it was made.
+    e = moment_curve_embedding(6)
+    a = EmbeddingAnalysis(e, seed=0)
+    with pytest.raises(ValueError, match="keywords"):
+        verify_embedding(e, analysis=a, audit=True)
+    with pytest.raises(ValueError, match="keywords"):
+        verify_identity("k6-identity", analysis=a, verify_frames=-5)
+    with pytest.raises(ValueError, match="keywords"):
+        census(e, analysis=a, seed=1)
+    assert a.stats["graph_frames"] == []
+    assert verify_identity("k6-identity", analysis=a).passed
+
+
 def test_an_analysis_of_another_embedding_is_refused():
     moment = moment_curve_embedding(6)
     a = EmbeddingAnalysis(random_polyline_embedding(6, seed=16, bent_edges=3), seed=0)
