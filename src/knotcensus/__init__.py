@@ -6,7 +6,7 @@ coefficients of the knots and links their cycles trace, and verifies the
 integer identities those invariants satisfy, all in exact arithmetic.
 """
 
-from __future__ import annotations
+from types import ModuleType as _ModuleType
 
 __version__ = "0.1.0"
 
@@ -20,9 +20,8 @@ from .errors import (
     ScaleLimitExceeded,
 )
 from .graphs import (
-    Cycle,
-    DisjointCyclePair,
     SimpleGraph,
+    canonical_cycle,
     complete_graph,
     enumerate_cycles,
     enumerate_disjoint_pairs,
@@ -69,4 +68,9 @@ from .theorems import (
     verify_identity,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Importing a submodule binds it in this namespace; it is not an export.
+__all__ = [
+    name
+    for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]

@@ -33,7 +33,7 @@ from .geometry import (
     random_rectilinear_embedding,
     read_embedding,
 )
-from .graphs import Cycle, k331_graph
+from .graphs import canonical_cycle, is_cycle_of, k331_graph
 from .invariants import AUDIT_CROSSING_LIMIT, curve_invariant
 from .projection import FRAME_RETRY_LIMIT
 from .theorems import (
@@ -299,12 +299,12 @@ def _cmd_rn_table(args) -> int:
     return 0
 
 
-def _parse_cycle(text: str) -> Cycle:
+def _parse_cycle(text: str) -> tuple[int, ...]:
     try:
         verts = tuple(int(s) for s in text.split(","))
     except ValueError as exc:
         raise ValueError(f"bad cycle {text!r}") from exc
-    return Cycle.canonical(verts)
+    return canonical_cycle(verts)
 
 
 def _cmd_invariant(args) -> int:
@@ -318,11 +318,11 @@ def _cmd_invariant(args) -> int:
         if len(parts) != 2:
             raise ValueError("a pair is two cycles joined by ';'")
         cycles = tuple(_parse_cycle(p) for p in parts)
-        if set(cycles[0].vertices) & set(cycles[1].vertices):
+        if set(cycles[0]) & set(cycles[1]):
             raise ValueError("pair cycles must be disjoint")
     for c in cycles:
-        if not c.is_subgraph_of(e.graph):
-            raise ValueError(f"cycle {c.vertices} is not in the graph")
+        if not is_cycle_of(e.graph, c):
+            raise ValueError(f"cycle {c} is not in the graph")
     value, ncross, fidx, audited = curve_invariant(
         tuple(e.cycle_points_scaled(c) for c in cycles),
         args.seed,
@@ -331,9 +331,9 @@ def _cmd_invariant(args) -> int:
         audit=args.audit,
     )
     if args.cycle:
-        doc = {"kind": "knot", "cycle": list(cycles[0].vertices), "a2": value}
+        doc = {"kind": "knot", "cycle": list(cycles[0]), "a2": value}
     else:
-        doc = {"kind": "link", "pair": [list(c.vertices) for c in cycles], "lk": value}
+        doc = {"kind": "link", "pair": [list(c) for c in cycles], "lk": value}
     doc.update({"crossings": ncross, "frame_index": fidx, "audited": audited})
     if args.format == "csv":
         _emit(args, _csv_lines([doc], list(doc.keys())))

@@ -24,7 +24,7 @@ from random import Random
 from typing import Mapping, NamedTuple
 
 from .errors import InvariantContractError, SamplingExhausted
-from .graphs import Cycle, SimpleGraph, complete_graph, k331_graph
+from .graphs import SimpleGraph, complete_graph, k331_graph
 
 Point = tuple[Fraction, Fraction, Fraction]
 IntPoint = tuple[int, int, int]
@@ -201,26 +201,25 @@ class SpatialEmbedding:
             inner = tuple(reversed(inner))
         return (self.scaled_positions[i],) + inner + (self.scaled_positions[j],)
 
-    def cycle_points_scaled(self, cycle: Cycle) -> tuple[IntPoint, ...]:
-        """Closed polygon of a cycle in the scaled integer model.
+    def cycle_points_scaled(self, vs: tuple[int, ...]) -> tuple[IntPoint, ...]:
+        """Closed polygon of the cycle `vs` in the scaled integer model.
 
         Consecutive vertices contribute their edge polylines; the final
         point of each edge is dropped since the next edge repeats it, so
         the polygon closes implicitly from the last point to the first.
         """
-        vs = cycle.vertices
         pts: list[IntPoint] = []
         for a, b in zip(vs, vs[1:] + vs[:1]):
             pts.extend(self.edge_polyline(a, b)[:-1])
         return tuple(pts)
 
 
-def cycle_curve(e: SpatialEmbedding, cycle: Cycle) -> tuple[Point, ...]:
-    """Closed polygon of a cycle as exact rational points."""
+def cycle_curve(e: SpatialEmbedding, vs: tuple[int, ...]) -> tuple[Point, ...]:
+    """Closed polygon of the cycle `vs` as exact rational points."""
     s = Fraction(e.scale)
     return tuple(
         (Fraction(x) / s, Fraction(y) / s, Fraction(z) / s)
-        for x, y, z in e.cycle_points_scaled(cycle)
+        for x, y, z in e.cycle_points_scaled(vs)
     )
 
 

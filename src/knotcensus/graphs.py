@@ -1,9 +1,12 @@
 """Simple graphs and exact enumeration of cycles and disjoint cycle pairs.
 
-Vertices are the integers 1..n.  A cycle is stored in canonical form so it
-can serve as a dictionary key: the vertex tuple is rotated to start at its
-smallest vertex and reflected so the second entry is the smaller of that
-vertex's two cycle neighbours.  Enumeration is deterministic and sorted.
+Vertices are the integers 1..n.  A cycle is a plain tuple of its vertices
+in canonical form (`canonical_cycle`): rotated to start at its smallest
+vertex and reflected so the second entry is the smaller of that vertex's
+two cycle neighbours.  A disjoint pair is the tuple (a, b) of two such
+cycles.  Plain tuples compare, sort and hash by their vertices, so they
+serve as dictionary keys and record subjects as they are.  Enumeration is
+deterministic and sorted.
 """
 
 from __future__ import annotations
@@ -58,12 +61,6 @@ class SimpleGraph:
             i, j = j, i
         return (i, j) in self.edges
 
-    def tag_of(self, v: int) -> str | None:
-        for w, t in self.tags:
-            if w == v:
-                return t
-        return None
-
 
 def _edge(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
@@ -108,101 +105,29 @@ def k331_h_subgraph(g: SimpleGraph) -> SimpleGraph:
     return SimpleGraph(6, edges)
 
 
-class Cycle:
-    """A cycle through distinct vertices, in canonical orientation.
+def canonical_cycle(seq: Iterable[int]) -> tuple[int, ...]:
+    """Canonicalize a vertex sequence read around a cycle.
 
-    Cycles compare, sort and hash by their vertex tuples.
+    Rotates the smallest vertex to the front, then picks the traversal
+    direction whose second vertex is smaller.  Rotations and
+    reflections of the same cycle all map to one representative.
     """
-
-    __slots__ = ("vertices",)
-
-    def __init__(self, vertices: tuple[int, ...]):
-        if len(vertices) < 3 or vertices[0] != min(vertices) or vertices[1] > vertices[-1]:
-            raise ValueError(f"not in canonical form: {vertices}")
-        self.vertices = vertices
-
-    def __eq__(self, other):
-        return self.vertices == other.vertices if type(other) is Cycle else NotImplemented
-
-    def __lt__(self, other):
-        return self.vertices < other.vertices if type(other) is Cycle else NotImplemented
-
-    def __hash__(self):
-        return hash((self.vertices,))
-
-    def __repr__(self):
-        return f"Cycle({self.vertices})"
-
-    @staticmethod
-    def canonical(seq: Iterable[int]) -> "Cycle":
-        """Canonicalize a vertex sequence read around a cycle.
-
-        Rotates the smallest vertex to the front, then picks the traversal
-        direction whose second vertex is smaller.  Rotations and
-        reflections of the same cycle all map to one representative.
-        """
-        vs = tuple(seq)
-        if len(vs) < 3:
-            raise ValueError("a cycle needs at least 3 vertices")
-        if len(set(vs)) != len(vs):
-            raise ValueError(f"repeated vertex in cycle {vs}")
-        k = len(vs)
-        i = vs.index(min(vs))
-        fwd = tuple(vs[(i + j) % k] for j in range(k))
-        bwd = tuple(vs[(i - j) % k] for j in range(k))
-        return Cycle(fwd if fwd[1] < bwd[1] else bwd)
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices)
-
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        vs = self.vertices
-        return tuple(_edge(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs)))
-
-    def is_subgraph_of(self, g: SimpleGraph) -> bool:
-        return all(e in g.edges for e in self.edges())
+    vs = tuple(seq)
+    if len(vs) < 3:
+        raise ValueError("a cycle needs at least 3 vertices")
+    if len(set(vs)) != len(vs):
+        raise ValueError(f"repeated vertex in cycle {vs}")
+    i = vs.index(min(vs))
+    fwd = vs[i:] + vs[:i]
+    return fwd if fwd[1] < fwd[-1] else fwd[:1] + fwd[:0:-1]
 
 
-class DisjointCyclePair:
-    """Two vertex-disjoint cycles, ordered by (length, vertex tuple).
-
-    Pairs compare, sort and hash by (first, second).
-    """
-
-    __slots__ = ("first", "second")
-
-    def __init__(self, first: Cycle, second: Cycle):
-        if set(first.vertices) & set(second.vertices):
-            raise ValueError("cycles share a vertex")
-        if (first.length, first.vertices) > (second.length, second.vertices):
-            raise ValueError("pair not in canonical order")
-        self.first = first
-        self.second = second
-
-    @staticmethod
-    def of(a: Cycle, b: Cycle) -> "DisjointCyclePair":
-        if (a.length, a.vertices) > (b.length, b.vertices):
-            a, b = b, a
-        return DisjointCyclePair(a, b)
-
-    def _key(self) -> tuple:
-        return (self.first, self.second)
-
-    def __eq__(self, other):
-        return self._key() == other._key() if type(other) is DisjointCyclePair else NotImplemented
-
-    def __lt__(self, other):
-        return self._key() < other._key() if type(other) is DisjointCyclePair else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"DisjointCyclePair({self.first}, {self.second})"
+def is_cycle_of(g: SimpleGraph, vs: tuple[int, ...]) -> bool:
+    """Whether every edge of the closed walk `vs`, the last to the first too, is in g."""
+    return all(g.has_edge(a, b) for a, b in zip(vs, vs[1:] + vs[:1]))
 
 
-def enumerate_cycles(g: SimpleGraph, k: int) -> tuple[Cycle, ...]:
+def enumerate_cycles(g: SimpleGraph, k: int) -> tuple[tuple[int, ...], ...]:
     """All k-cycles of g, sorted by canonical vertex tuple.
 
     Each cycle starts at its smallest vertex, so it is the root followed
@@ -216,22 +141,24 @@ def enumerate_cycles(g: SimpleGraph, k: int) -> tuple[Cycle, ...]:
     if not (3 <= k <= n):
         raise ValueError(f"cycle length {k} out of range for n={n}")
     complete = g.edge_count == n * (n - 1) // 2
-    out: list[Cycle] = []
+    out = []
     for root in g.vertices:
         for rest in permutations(range(root + 1, n + 1), k - 1):
             if rest[0] < rest[-1]:
                 path = (root, *rest)
-                if complete or all(
-                    g.has_edge(a, b) for a, b in zip(path, path[1:] + path[:1])
-                ):
-                    out.append(Cycle(path))
+                if complete or is_cycle_of(g, path):
+                    out.append(path)
     return tuple(out)
 
 
-def enumerate_disjoint_pairs(g: SimpleGraph, k: int, l: int) -> tuple[DisjointCyclePair, ...]:
-    """All unordered pairs of vertex-disjoint cycles of lengths k and l.
+def enumerate_disjoint_pairs(
+    g: SimpleGraph, k: int, l: int
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """All unordered pairs (a, b) of vertex-disjoint cycles of lengths k and l.
 
-    Sorted, as the nested loops over sorted cycle lists emit them.
+    The shorter cycle comes first, and of two equally long ones the
+    smaller tuple, so a pair is ordered by (length, tuple).  The pairs
+    are sorted, as the nested loops over sorted cycle lists emit them.
     """
     if k > l:
         k, l = l, k
@@ -239,10 +166,10 @@ def enumerate_disjoint_pairs(g: SimpleGraph, k: int, l: int) -> tuple[DisjointCy
         return ()
     ks = enumerate_cycles(g, k)
     ls = ks if k == l else enumerate_cycles(g, l)
-    out: list[DisjointCyclePair] = []
+    out = []
     for i, a in enumerate(ks):
-        sa = set(a.vertices)
+        sa = set(a)
         for b in ls[i + 1 :] if k == l else ls:
-            if sa.isdisjoint(b.vertices):
-                out.append(DisjointCyclePair(a, b))
+            if sa.isdisjoint(b):
+                out.append((a, b))
     return tuple(out)

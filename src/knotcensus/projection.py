@@ -202,8 +202,9 @@ class CrossingTable:
     def restrict(self, cycles: Sequence[tuple[int, ...]]) -> LinkDiagram:
         """The diagram of one cycle or a disjoint pair.
 
-        Each cycle is walked from its first vertex along its vertex
-        order, as `cycle_points_scaled` lists its points.  Only crossings
+        Each cycle is a vertex tuple, the same one `cycle_points_scaled`
+        takes, and is walked from its first vertex in tuple order, as
+        that method lists the cycle's points.  Only crossings
         between edges of the given cycles are kept, relabelled by first
         encounter.  Reversing a strand flips its direction in the sign's
         determinant, so a sign is the table's sign times the orientation

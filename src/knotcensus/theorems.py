@@ -155,6 +155,11 @@ def _evaluate(record, subjects: list, threads: int) -> list:
     return results
 
 
+def _subject_invariant(tables, audit: bool, subject: tuple) -> tuple[int, bool]:
+    """`cycle_invariant` of a record subject: a cycle or a pair of cycles."""
+    return cycle_invariant(tables, (subject,) if type(subject[0]) is int else subject, audit)
+
+
 def _check_stick_knot(k: int, rec: InvariantRecord) -> None:
     # A k-cycle with straight edges is a k-stick polygon: below six
     # sticks only the unknot is possible, and in general its second
@@ -252,8 +257,9 @@ class EmbeddingAnalysis:
     def _records(self, cache: dict, key: tuple, subjects, check) -> tuple[InvariantRecord, ...]:
         """The records of `subjects()`, built on the first request for `key`.
 
-        `subjects()` lists one cycle's vertex tuple (a2) or two disjoint
-        ones (lk) per record; each record goes through `check`, when not
+        `subjects()` is the `enumerate_cycles` (a2) or
+        `enumerate_disjoint_pairs` (lk) output, and each item is one
+        record's subject; each record goes through `check`, when not
         None, before it is cached.
         """
         if key in cache:
@@ -263,11 +269,11 @@ class EmbeddingAnalysis:
             self._projection = GraphProjection(
                 self.embedding, self.seed, self.verify_frames, self.retry_limit
             )
-        record = partial(cycle_invariant, self._projection.tables, audit=self.audit)
+        record = partial(_subject_invariant, self._projection.tables, self.audit)
         results = _evaluate(record, subjects, self.threads)
         out = []
         for s, result in zip(subjects, results):
-            rec = InvariantRecord(s[0] if len(s) == 1 else s, *result)
+            rec = InvariantRecord(s, *result)
             if check is not None:
                 check(rec)
             out.append(rec)
@@ -286,7 +292,7 @@ class EmbeddingAnalysis:
         return self._records(
             self._knots,
             (k, g.edges),
-            lambda: [(c.vertices,) for c in enumerate_cycles(g, k)],
+            lambda: enumerate_cycles(g, k),
             partial(_check_stick_knot, k) if self.embedding.rectilinear else None,
         )
 
@@ -296,8 +302,7 @@ class EmbeddingAnalysis:
         return self._records(
             self._links,
             key,
-            lambda: [(p.first.vertices, p.second.vertices)
-                     for p in enumerate_disjoint_pairs(self.graph, *key)],
+            lambda: enumerate_disjoint_pairs(self.graph, *key),
             _check_triangle_pair if key == (3, 3) and self.embedding.rectilinear else None,
         )
 

@@ -170,7 +170,7 @@ def test_criterion_7_frame_independence():
         e = random_rectilinear_embedding(7, seed=77)
         cycles = enumerate_cycles(e.graph, 7)[:15]
         pairs = enumerate_disjoint_pairs(e.graph, 3, 3)[:10]
-        subjects = [(c,) for c in cycles] + [(p.first, p.second) for p in pairs]
+        subjects = [(c,) for c in cycles] + list(pairs)
         for subject in subjects:
             curves = tuple(e.cycle_points_scaled(c) for c in subject)
             curve_invariant(curves, seed=0, verify_frames=4)

@@ -32,7 +32,7 @@ from knotcensus.geometry import (
     validate_embedding,
     write_embedding,
 )
-from knotcensus.graphs import Cycle, enumerate_cycles, enumerate_disjoint_pairs
+from knotcensus.graphs import enumerate_cycles, enumerate_disjoint_pairs
 from knotcensus.invariants import (
     AUDIT_CROSSING_LIMIT,
     alexander_a2,
@@ -53,15 +53,14 @@ from oracle import _knot_arrows, project
 
 
 def _subjects(e: SpatialEmbedding, ks) -> list[tuple[tuple[int, ...], ...]]:
-    out = [(c.vertices,) for k in ks for c in enumerate_cycles(e.graph, k)]
+    out = [(c,) for k in ks for c in enumerate_cycles(e.graph, k)]
     for k, l in ((3, 3), (3, 4)):
-        out += [(p.first.vertices, p.second.vertices)
-                for p in enumerate_disjoint_pairs(e.graph, k, l)]
+        out += enumerate_disjoint_pairs(e.graph, k, l)
     return out
 
 
 def _curves(e: SpatialEmbedding, subject) -> list[tuple]:
-    return [e.cycle_points_scaled(Cycle(vs)) for vs in subject]
+    return [e.cycle_points_scaled(vs) for vs in subject]
 
 
 def _frame(seed, index: int):

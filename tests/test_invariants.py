@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from knotcensus.errors import GenericityFailure, InvariantContractError
 from knotcensus.geometry import moment_curve_embedding, random_rectilinear_embedding
-from knotcensus.graphs import Cycle, enumerate_cycles, enumerate_disjoint_pairs
+from knotcensus.graphs import canonical_cycle, enumerate_cycles, enumerate_disjoint_pairs
 from knotcensus import invariants
 from knotcensus.invariants import (
     _a2,
@@ -307,7 +307,7 @@ def test_rejected_patterns_fail_on_the_figure_eight():
 
 def test_moment_trefoil_knot():
     e = moment_curve_embedding(7)
-    c = Cycle.canonical((1, 3, 5, 7, 2, 4, 6))
+    c = canonical_cycle((1, 3, 5, 7, 2, 4, 6))
     value, ncross, _, audited = curve_invariant(
         (e.cycle_points_scaled(c),), seed=0, audit=True
     )
@@ -446,9 +446,9 @@ def test_alexander_a2_matches_gauss_formula_on_dense_k9_diagrams():
     assert index == 0
     per_count: dict[int, list[tuple[int, ...]]] = {}
     for c in enumerate_cycles(e.graph, 9):
-        count = len(table.arrows(coded_walk(c.vertices)))
+        count = len(table.arrows(coded_walk(c)))
         if count >= 13 and len(per_count.setdefault(count, [])) < 5:
-            per_count[count].append(c.vertices)
+            per_count[count].append(c)
     walks = [(vs,) for vss in per_count.values() for vs in vss]
     assert sorted(per_count) == list(range(13, 22)) and len(walks) == 42
     for w in walks:
@@ -471,8 +471,8 @@ def test_audit_routes_match_the_skein_oracle(seed, n):
         dia = _first_diagram(e.cycle_points_scaled(c))
         if dia.crossing_count <= 12:
             assert alexander_a2(dia) == conway_skein_oracle(dia).a2
-    for p in enumerate_disjoint_pairs(e.graph, 3, 3)[:6]:
-        curves = (e.cycle_points_scaled(p.first), e.cycle_points_scaled(p.second))
+    for a, b in enumerate_disjoint_pairs(e.graph, 3, 3)[:6]:
+        curves = (e.cycle_points_scaled(a), e.cycle_points_scaled(b))
         dia = _first_diagram(*curves)
         lk = one_sided_linking_number(dia)
         assert lk == conway_skein_oracle(dia).a1

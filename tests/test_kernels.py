@@ -18,7 +18,7 @@ from knotcensus.geometry import (
     random_polyline_embedding,
     random_rectilinear_embedding,
 )
-from knotcensus.graphs import Cycle, enumerate_cycles, enumerate_disjoint_pairs
+from knotcensus.graphs import canonical_cycle, enumerate_cycles, enumerate_disjoint_pairs
 from knotcensus.projection import frame_sequence
 
 from oracle import project
@@ -53,7 +53,7 @@ def test_oversized_coordinates_keep_crossings():
     # 10**40 puts the kernel's intermediates far beyond any fixed-width
     # integer; the arithmetic must stay exact.
     e = moment_curve_embedding(6)
-    c = Cycle.canonical((1, 3, 5, 2, 4, 6))
+    c = canonical_cycle((1, 3, 5, 2, 4, 6))
     small = e.cycle_points_scaled(c)
     big = tuple(tuple(x * 10**40 for x in p) for p in small)
     frame = _frames(0, 1)[0]
@@ -147,7 +147,7 @@ def test_project_output_is_pinned():
     count = 0
     for e in embeddings:
         subjects = [(c,) for k in (5, 7) for c in enumerate_cycles(e.graph, k)]
-        subjects += [(p.first, p.second) for p in enumerate_disjoint_pairs(e.graph, 3, 4)]
+        subjects += enumerate_disjoint_pairs(e.graph, 3, 4)
         for subject in subjects:
             curves = tuple(e.cycle_points_scaled(c) for c in subject)
             for frame in frames:

@@ -13,7 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 from knotcensus import cli, theorems
 from knotcensus.errors import IdentityViolation, InvariantContractError, ScaleLimitExceeded
-from knotcensus.graphs import Cycle, DisjointCyclePair, enumerate_cycles
+from knotcensus.graphs import (
+    canonical_cycle,
+    enumerate_cycles,
+    enumerate_disjoint_pairs,
+    k331_h_subgraph,
+)
 from knotcensus.geometry import (
     SpatialEmbedding,
     embedding_from_json,
@@ -358,6 +363,24 @@ def test_analysis_caches_and_reuses_records():
     assert a.link_records(3, 3) is a.link_records(3, 3)
 
 
+@pytest.mark.parametrize(
+    "e", [moment_curve_embedding(7), random_k331_embedding(0)], ids=["K7", "K331"]
+)
+def test_record_subjects_are_the_enumeration(e):
+    # A record's subject is the enumerated cycle or pair itself, in order.
+    a = EmbeddingAnalysis(e, seed=0)
+    g = e.graph
+    for k in range(3, 8):
+        assert [r.subject for r in a.knot_records(k)] == list(enumerate_cycles(g, k))
+    for k, l in ((3, 3), (3, 4)):
+        assert [r.subject for r in a.link_records(k, l)] == list(
+            enumerate_disjoint_pairs(g, k, l)
+        )
+    if g.tags:
+        h = k331_h_subgraph(g)
+        assert [r.subject for r in a.knot_records(6, h)] == list(enumerate_cycles(h, 6))
+
+
 def test_parallel_and_serial_sums_agree():
     e = random_rectilinear_embedding(6, seed=4)
     serial = EmbeddingAnalysis(e, seed=0, threads=1)
@@ -378,7 +401,7 @@ def test_records_do_not_depend_on_process_count(e, monkeypatch):
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    seventeen = [(c.vertices,) for c in enumerate_cycles(e.graph, 5)][:17]
+    seventeen = enumerate_cycles(e.graph, 5)[:17]
     seen = []
     for threads in (1, 2, 3):
         a = EmbeddingAnalysis(e, seed=0, threads=threads)
@@ -428,7 +451,7 @@ def _assert_no_child_left():
 @pytest.mark.parametrize("index", [0, 120, 359], ids=["caller", "middle", "last"])
 def test_shard_error_reaches_the_caller_and_no_child_is_left(monkeypatch, index):
     e = moment_curve_embedding(7)
-    subject = (enumerate_cycles(e.graph, 7)[index].vertices,)
+    subject = (enumerate_cycles(e.graph, 7)[index],)
 
     def fail(walks):
         raise InvariantContractError(f"planted at {walks}")
@@ -443,7 +466,7 @@ def test_shard_error_reaches_the_caller_and_no_child_is_left(monkeypatch, index)
 
 def test_shard_child_dying_without_a_result_is_an_error(monkeypatch):
     e = moment_curve_embedding(7)
-    _planted(monkeypatch, (enumerate_cycles(e.graph, 7)[200].vertices,), lambda w: os._exit(5))
+    _planted(monkeypatch, (enumerate_cycles(e.graph, 7)[200],), lambda w: os._exit(5))
     a = EmbeddingAnalysis(e, seed=0, threads=2)
     with pytest.raises(ChildProcessError, match="exit status 5 and no result"):
         a.knot_records(7)
@@ -611,12 +634,12 @@ def _relabelled(e: SpatialEmbedding, label: dict[int, int]) -> SpatialEmbedding:
     return SpatialEmbedding(e.graph, positions, paths)
 
 
-def _image(cycle: tuple[int, ...], label: dict[int, int]) -> tuple[Cycle, int]:
+def _image(cycle: tuple[int, ...], label: dict[int, int]) -> tuple[tuple[int, ...], int]:
     """The canonical image of a cycle, and -1 if it runs the other way."""
     walk = tuple(label[v] for v in cycle)
-    image = Cycle.canonical(walk)
-    i = walk.index(image.vertices[0])
-    return image, 1 if walk[i:] + walk[:i] == image.vertices else -1
+    image = canonical_cycle(walk)
+    i = walk.index(image[0])
+    return image, 1 if walk[i:] + walk[:i] == image else -1
 
 
 @settings(max_examples=10, deadline=None)
@@ -631,12 +654,12 @@ def test_relabelling_moves_every_record_to_its_image(case):
     moved = _relabelled(e, label)
     knots, links = _record_values(e)
     m_knots, m_links = _record_values(moved)
-    assert m_knots == {_image(c, label)[0].vertices: v for c, v in knots.items()}
+    assert m_knots == {_image(c, label)[0]: v for c, v in knots.items()}
     expected = {}
     for (c1, c2), value in links.items():
         (a, sa), (b, sb) = _image(c1, label), _image(c2, label)
-        pair = DisjointCyclePair.of(a, b)
-        expected[(pair.first.vertices, pair.second.vertices)] = sa * sb * value
+        pair = (a, b) if (len(a), a) < (len(b), b) else (b, a)
+        expected[pair] = sa * sb * value
     assert m_links == expected
     reports, _ = verify_embedding(e)
     m_reports, _ = verify_embedding(moved)
