@@ -177,29 +177,30 @@ class SpatialEmbedding:
                 dens.extend(c.denominator for c in p)
         return lcm(*dens)
 
-    def _scaled(self, p: Point) -> IntPoint:
-        s = self.scale
-        return tuple(int(c * s) for c in p)  # exact: s kills every denominator
-
     @cached_property
-    def scaled_positions(self) -> dict[int, IntPoint]:
-        return {v: self._scaled(p) for v, p in self.vertex_positions.items()}
+    def corners(self) -> tuple[tuple[IntPoint, ...], dict[tuple[int, int], tuple[int, ...]]]:
+        """The scaled integer model as `(points, chains)`, the one corner
+        layout every reader of that model uses.
 
-    @cached_property
-    def scaled_paths(self) -> dict[tuple[int, int], tuple[IntPoint, ...]]:
-        return {
-            e: tuple(self._scaled(p) for p in path)
-            for e, path in self.edge_paths.items()
-            if path
-        }
+        Corner v - 1 is vertex v; each edge's waypoints follow, with the
+        edges in sorted order.  `chains[(i, j)]`, i < j, lists the
+        corners met walking edge (i, j) from i to j, both vertices
+        included.
+        """
+        s = self.scale  # exact: s kills every denominator
+        points = [tuple(int(c * s) for c in self.vertex_positions[v]) for v in self.graph.vertices]
+        chains = {}
+        for i, j in sorted(self.graph.edges):
+            start = len(points)
+            points.extend(tuple(int(c * s) for c in p) for p in self.edge_paths.get((i, j), ()))
+            chains[(i, j)] = (i - 1, *range(start, len(points)), j - 1)
+        return tuple(points), chains
 
     def edge_polyline(self, i: int, j: int) -> tuple[IntPoint, ...]:
         """Scaled points of edge i->j including both endpoints, oriented i->j."""
-        key = (i, j) if i < j else (j, i)
-        inner = self.scaled_paths.get(key, ())
-        if i > j:
-            inner = tuple(reversed(inner))
-        return (self.scaled_positions[i],) + inner + (self.scaled_positions[j],)
+        points, chains = self.corners
+        chain = chains[(i, j)] if i < j else chains[(j, i)][::-1]
+        return tuple(points[c] for c in chain)
 
     def cycle_points_scaled(self, vs: tuple[int, ...]) -> tuple[IntPoint, ...]:
         """Closed polygon of the cycle `vs` in the scaled integer model.
@@ -223,80 +224,51 @@ def cycle_curve(e: SpatialEmbedding, vs: tuple[int, ...]) -> tuple[Point, ...]:
     )
 
 
-def _segments_of(e: SpatialEmbedding):
-    """All scaled segments with logical endpoint identities.
-
-    A logical endpoint is ("v", vertex) for a graph vertex and
-    ("w", edge, index) for an interior waypoint; segments may legally meet
-    only at a shared logical endpoint.
-    """
-    segs = []
-    for i, j in sorted(e.graph.edges):
-        pts = e.edge_polyline(i, j)
-        ids = (
-            [("v", i)]
-            + [("w", (i, j), k) for k in range(len(pts) - 2)]
-            + [("v", j)]
-        )
-        for k in range(len(pts) - 1):
-            segs.append(((i, j), k, pts[k], pts[k + 1], ids[k], ids[k + 1]))
-    return segs
-
-
 def validate_embedding(e: SpatialEmbedding) -> EmbeddingCertificate:
     """Exact embedding-validity certificate.
 
-    Checks, in order: distinct points, no three collinear graph vertices,
-    no graph vertex interior to a non-incident segment, and pairwise
-    segment disjointness away from shared logical endpoints.  The first
-    violation found is reported with its witnesses.
+    Checks, in order: distinct corners (vertices and waypoints), no three
+    collinear graph vertices, no corner interior to a segment it does
+    not end, and pairwise segment disjointness away from shared corners.
+    The first violation found is reported with its witnesses: a corner
+    is named ("v", vertex) or ("w", edge, index), and a segment
+    (edge, index) by its place along its edge's chain in `e.corners`.
     """
-    pos = e.scaled_positions
-    verts = sorted(pos)
-    points: list[tuple[tuple, IntPoint]] = [(("v", v), pos[v]) for v in verts]
-    for edge in sorted(e.scaled_paths):
-        for k, p in enumerate(e.scaled_paths[edge]):
-            points.append((("w", edge, k), p))
+    points, chains = e.corners
+    names: list[tuple] = [("v", v) for v in e.graph.vertices]
+    segs = []
+    for edge, chain in chains.items():
+        names.extend(("w", edge, k) for k in range(len(chain) - 2))
+        segs.extend((edge, k, chain[k], chain[k + 1]) for k in range(len(chain) - 1))
 
-    seen: dict[IntPoint, tuple] = {}
-    for pid, p in points:
+    seen: dict[IntPoint, int] = {}
+    for c, p in enumerate(points):
         if p in seen:
-            return EmbeddingCertificate(False, "coincident-points", (seen[p], pid))
-        seen[p] = pid
+            return EmbeddingCertificate(False, "coincident-points", (names[seen[p]], names[c]))
+        seen[p] = c
 
-    for va, vb, vc in combinations(verts, 3):
-        if collinear(pos[va], pos[vb], pos[vc]):
+    for va, vb, vc in combinations(e.graph.vertices, 3):
+        if collinear(points[va - 1], points[vb - 1], points[vc - 1]):
             return EmbeddingCertificate(False, "collinear-vertices", (va, vb, vc))
 
-    segs = _segments_of(e)
-    coord_of = dict(points)
+    for c, p in enumerate(points):
+        for edge, k, a, b in segs:
+            if c != a and c != b and _strictly_inside(p, points[a], points[b]):
+                return EmbeddingCertificate(False, "point-on-segment", (names[c], (edge, k)))
 
-    for pid, p in points:
-        for edge, k, a, b, ia, ib in segs:
-            if pid in (ia, ib):
-                continue
-            if _strictly_inside(p, a, b):
-                return EmbeddingCertificate(False, "point-on-segment", (pid, (edge, k)))
-
-    for x in range(len(segs)):
-        e1, k1, a1, b1, ia1, ib1 = segs[x]
-        for y in range(x + 1, len(segs)):
-            e2, k2, a2, b2, ia2, ib2 = segs[y]
-            hit = segment_intersection(a1, b1, a2, b2)
-            if hit[0] == "empty":
-                continue
-            if hit[0] == "overlap":
-                return EmbeddingCertificate(False, "segments-overlap", ((e1, k1), (e2, k2)))
-            # A single-point intersection is legal only at a shared logical
-            # endpoint (common vertex, or the waypoint joining consecutive
-            # segments of one polyline edge).
-            shared = {ia1, ib1} & {ia2, ib2}
-            if not shared:
-                return EmbeddingCertificate(False, "segments-intersect", ((e1, k1), (e2, k2)))
-            sx, sy, sz = coord_of[next(iter(shared))]
-            _, pt, den = hit
-            if pt != (sx * den, sy * den, sz * den):
-                return EmbeddingCertificate(False, "segments-intersect", ((e1, k1), (e2, k2)))
+    for (e1, k1, a1, b1), (e2, k2, a2, b2) in combinations(segs, 2):
+        hit = segment_intersection(points[a1], points[b1], points[a2], points[b2])
+        if hit[0] == "empty":
+            continue
+        if hit[0] == "overlap":
+            return EmbeddingCertificate(False, "segments-overlap", ((e1, k1), (e2, k2)))
+        # A single-point intersection is legal only at a shared corner
+        # (common vertex, or the waypoint joining consecutive segments of
+        # one polyline edge).
+        shared = {a1, b1} & {a2, b2}
+        _, pt, den = hit
+        if not shared or pt != tuple(x * den for x in points[shared.pop()]):
+            return EmbeddingCertificate(False, "segments-intersect", ((e1, k1), (e2, k2)))
     return EmbeddingCertificate(True)
 
 

@@ -24,7 +24,9 @@ restricting the graph's table to them gives the diagram of their own
 scan.
 
 Every diagram and every value comes from a `CrossingTable`: one scan
-(`crossing_table`) of edge-labelled segments through one frame.  Its
+(`crossing_table`) of edge-labelled segments through one frame.  An
+embedding's segments join the corners of `SpatialEmbedding.corners`,
+the one numbering of its integer model.  Its
 constructor lays the crossings out once for both walk directions of
 every edge, keyed by an integer code of the directed edge (`edge_code`):
 each pass is (crossing id, code of the other edge, over flag, sign times
@@ -407,27 +409,16 @@ class GraphProjection:
     `tables` lists (frame index, table) as `accepted_tables` gives them
     for the graph scanned whole; `rejects` and `frames_tried` count the
     frames it looked at.  GenericityExhausted is raised here, once per
-    embedding, when the whole graph exhausts the retry budget.
+    embedding, when the whole graph exhausts the retry budget.  The
+    scanned segments are the consecutive corners of each edge's chain
+    in `e.corners`, edges in sorted order.
     """
 
     def __init__(self, e: SpatialEmbedding, seed, verify_frames: int, retry_limit: int):
-        # Vertices are the first corners, each edge's waypoints follow,
-        # and every edge runs from its smaller vertex.
-        vertices = sorted(e.scaled_positions)
-        corner_of = {v: k for k, v in enumerate(vertices)}
-        points = [e.scaled_positions[v] for v in vertices]
-        seg_edge: list[Edge] = []
-        seg_a: list[int] = []
-        seg_b: list[int] = []
-        for edge in sorted(e.graph.edges):
-            chain = [corner_of[edge[0]]]
-            for p in e.scaled_paths.get(edge, ()):
-                chain.append(len(points))
-                points.append(p)
-            chain.append(corner_of[edge[1]])
-            seg_edge.extend([edge] * (len(chain) - 1))
-            seg_a.extend(chain[:-1])
-            seg_b.extend(chain[1:])
+        points, chains = e.corners
+        seg_edge, seg_a, seg_b = zip(
+            *((edge, a, b) for edge, chain in chains.items() for a, b in zip(chain, chain[1:]))
+        )
         self.tables, self.rejects, self.frames_tried = accepted_tables(
             partial(crossing_table, points, seg_a, seg_b, seg_edge),
             seed, verify_frames, retry_limit,

@@ -417,6 +417,7 @@ def test_missing_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main([])
     assert info.value.code == 2
+    assert "required: command" in capsys.readouterr().err
 
 
 def test_allow_large_flag_is_wired(capsys):

@@ -112,6 +112,51 @@ def test_waypoint_collision_rejected():
     assert not validate_embedding(e)
 
 
+_K5 = moment_curve_embedding(5).vertex_positions
+
+
+def _mid(a, b):
+    return tuple((x + y) / 2 for x, y in zip(a, b))
+
+
+def _k5_bent(waypoint, moved=None):
+    """K5 on the moment curve with edge (1, 2) bent through `waypoint`
+    and each vertex in `moved` at its new place."""
+    pos = {**_K5, **(moved or {})}
+    return SpatialEmbedding(complete_graph(5), pos, {(1, 2): (waypoint,)})
+
+
+@pytest.mark.parametrize(
+    "e, expected",
+    [
+        # The waypoint of (1, 2) sits on vertex 3.
+        (_k5_bent(_K5[3]), (False, "coincident-points", (("v", 3), ("w", (1, 2), 0)))),
+        # Vertex 3 moves to the midpoint of that waypoint and vertex 2.
+        (
+            _k5_bent(_K5[3], {3: _mid(_K5[3], _K5[2])}),
+            (False, "point-on-segment", (("v", 3), ((1, 2), 1))),
+        ),
+        # The waypoint sits at the midpoint of edge (3, 4).
+        (
+            _k5_bent(_mid(_K5[3], _K5[4])),
+            (False, "point-on-segment", (("w", (1, 2), 0), ((3, 4), 0))),
+        ),
+        # The second segment of bent edge (1, 2) crosses edge (3, 4) at
+        # the origin.
+        (
+            SpatialEmbedding(
+                complete_graph(4),
+                positions((-1, 5, 7), (1, 0, 0), (0, -1, 1), (0, 1, -1)),
+                {(1, 2): (rational_point(-1, 0, 0),)},
+            ),
+            (False, "segments-intersect", (((1, 2), 1), ((3, 4), 0))),
+        ),
+    ],
+)
+def test_witnesses_name_waypoints_and_later_segments(e, expected):
+    assert tuple(validate_embedding(e)) == expected
+
+
 def test_cycle_curve_is_closed_polygon_without_repeats():
     e = moment_curve_embedding(6)
     c = canonical_cycle((1, 3, 5, 2, 4, 6))
@@ -146,10 +191,22 @@ def test_fractional_positions_scale_consistently():
     }
     e = SpatialEmbedding(g, pos)
     assert e.scale == 6
-    sp = e.scaled_positions
-    assert sp[1] == (3, 0, 0)
-    assert sp[2] == (0, 2, 0)
-    assert sp[3] == (0, 0, 6)
+    points = e.corners[0]
+    assert points[0] == (3, 0, 0)
+    assert points[1] == (0, 2, 0)
+    assert points[2] == (0, 0, 6)
+
+
+def test_corners_number_vertices_then_waypoints_by_edge():
+    e = random_polyline_embedding(6, seed=1, bent_edges=3)
+    points, chains = e.corners
+    bent = sorted(edge for edge, p in e.edge_paths.items() if p)
+    rational = [e.vertex_positions[v] for v in range(1, 7)] + [e.edge_paths[b][0] for b in bent]
+    assert [tuple(Fraction(c, e.scale) for c in p) for p in points] == rational
+    assert list(chains) == sorted(e.graph.edges)
+    for (i, j), chain in chains.items():
+        inner = (6 + bent.index((i, j)),) if (i, j) in bent else ()
+        assert chain == (i - 1, *inner, j - 1)
 
 
 def test_json_round_trip_rectilinear(tmp_path):
