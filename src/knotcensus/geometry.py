@@ -83,7 +83,9 @@ def segment_intersection(p1: IntPoint, p2: IntPoint, p3: IntPoint, p4: IntPoint)
     Returns one of:
       ("empty",)
       ("point", (xn, yn, zn), den)   a single point, coordinates xn/den ...
-      ("overlap",)                   a nondegenerate shared subsegment
+    Raises ValueError for a degenerate segment or a collinear overlap of
+    positive length; `validate_embedding` reports either one earlier, as
+    coincident points or a corner on a segment, and never passes it here.
     """
     d1 = _sub(p2, p1)
     d2 = _sub(p4, p3)
@@ -111,10 +113,10 @@ def segment_intersection(p1: IntPoint, p2: IntPoint, p3: IntPoint, p4: IntPoint)
     lo, hi = max(lo, 0), min(hi, dd)
     if lo > hi:
         return ("empty",)
-    if lo == hi:
-        pt = tuple(p1[i] * dd + lo * d1[i] for i in range(3))
-        return ("point", pt, dd)
-    return ("overlap",)
+    if lo < hi:
+        raise ValueError("collinear segments overlap")
+    pt = tuple(p1[i] * dd + lo * d1[i] for i in range(3))
+    return ("point", pt, dd)
 
 
 class EmbeddingCertificate(NamedTuple):
@@ -260,8 +262,6 @@ def validate_embedding(e: SpatialEmbedding) -> EmbeddingCertificate:
         hit = segment_intersection(points[a1], points[b1], points[a2], points[b2])
         if hit[0] == "empty":
             continue
-        if hit[0] == "overlap":
-            return EmbeddingCertificate(False, "segments-overlap", ((e1, k1), (e2, k2)))
         # A single-point intersection is legal only at a shared corner
         # (common vertex, or the waypoint joining consecutive segments of
         # one polyline edge).

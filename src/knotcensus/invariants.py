@@ -5,13 +5,12 @@ of that value on the first accepted diagram of at most
 `AUDIT_CROSSING_LIMIT` (12) crossings:
 
 * knots: the second Conway coefficient a2 by a two-arrow Gauss-diagram
-  count (quadratic in the crossing number), checked against a2 read off
-  the Alexander polynomial.  Delta(t) is the determinant of a minor of
-  the Fox-calculus matrix of the Wirtinger presentation, taken as one
-  integer determinant at t = 2^(2n) for n crossings (fraction-free
-  elimination) and read back digit by digit; since
-  Delta(t) = Nabla(t^1/2 - t^-1/2), a2 = Delta''(1)/2 (polynomial in the
-  crossing number);
+  count (quadratic in the crossing number), checked against
+  a2 = Delta''(1)/2, since Delta(t) = Nabla(t^1/2 - t^-1/2).  Delta(t)
+  is a minor of the Fox-calculus matrix of the Wirtinger presentation;
+  `fox_a2` expands it at t = 1 + eps to third order, from the traces of
+  the first three powers of one small-integer matrix (also quadratic in
+  the crossing number);
 * links: the linking number as half the signed count of all mutual
   crossings, checked against the one-sided count of the crossings where
   the first component passes over the second.
@@ -33,13 +32,15 @@ table only to be audited, or for the crossing count that
 `curve_invariant` reports.
 
 The two-arrow pattern `_a2` counts was calibrated against a Conway
-skein oracle; that oracle, exponential in the crossing number, is the
-test suite's reference and is not part of the package.
+skein oracle; that oracle, exponential in the crossing number, and the
+whole Alexander polynomial that `fox_a2` is held to are the test
+suite's reference and are not part of the package.
 """
 
 from __future__ import annotations
 
 from functools import partial
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import InvariantContractError
@@ -88,80 +89,36 @@ def _a2(arrows: Sequence[Arrow]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Audit routes: the Alexander polynomial and the one-sided linking number
+# Audit routes: the Fox minor at t = 1 + eps and the one-sided linking number
 
 
-def _determinant(m: list[list[int]]) -> int:
-    """Integer determinant by Bareiss fraction-free elimination.
-
-    Each updated entry is a minor of the row-swapped input (Sylvester's
-    identity), so each division by the previous pivot is exact, and a
-    remainder raises InvariantContractError; rows are swapped when a
-    pivot is zero.  `m` is overwritten.
-    """
-    n = len(m)
-    if n == 0:
-        return 1
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        top = m[k]
-        pivot = top[k]
-        for row in m[k + 1 :]:
-            mik = row[k]
-            for j in range(k + 1, n):
-                row[j], rem = divmod(row[j] * pivot - mik * top[j], prev)
-                if rem:
-                    raise InvariantContractError(
-                        f"Bareiss step {k} leaves remainder {rem} modulo {prev}"
-                    )
-        prev = pivot
-    return sign * m[-1][-1]
-
-
-def _balanced_digits(value: int, bits: int) -> list[int]:
-    """Base-2**bits digits of `value`, lowest first, each in (-base/2, base/2]."""
-    base = 1 << bits
-    mask, half = base - 1, base >> 1
-    digits = []
-    while value:
-        digit = value & mask
-        if digit > half:
-            digit -= base
-        digits.append(digit)
-        value = (value - digit) >> bits
-    return digits
-
-
-def alexander_polynomial(d: LinkDiagram) -> tuple[int, ...]:
-    """Alexander polynomial of a knot diagram, constant term first.
+def fox_a2(d: LinkDiagram) -> int:
+    """Second Conway coefficient of a knot diagram, Delta''(1)/2, from
+    the Fox-calculus minor of its Wirtinger presentation at t = 1 + eps.
 
     Arc m runs from the m-th under-passage of the traversal to the next
     one.  Crossing c, with over-arc k, incoming under-arc i and outgoing
-    under-arc j, gives the Fox-calculus row (1-t) x_k + t x_i - x_j if
-    positive and (1-t) x_k + t x_j - x_i if negative.  The determinant
-    without the last row and column is Delta(t) up to a unit +-t^m; the
-    result is shifted to start at t^0 and signed so Delta(1) = 1.
-    Raises InvariantContractError if that is not a knot's Alexander
-    polynomial: Delta(1) is not +-1, or Delta is not symmetric.
+    under-arc j, gives the Fox row (1-t) x_k + t x_i - x_j if positive
+    and (1-t) x_k + t x_j - x_i if negative; the minor drops crossing
+    n-1's row and arc n-1's column.  At t = 1 + eps the row is
+    M0 + eps M1, with M0 = s_c (e_i - e_j) and M1 = +1 at the arc that
+    carries t and -1 at the over-arc.  M0 is the incidence matrix of the
+    path of under-arcs, so det M0 = +-1, and each row of M0^-1 R is its
+    neighbour's row plus or minus a row of R: one walk both ways from
+    arc n-1 (a zero row) to the dropped crossing.  Two walks give
+    X = M0^-1 M1 and X^2 = M0^-1 (M1 X), whose right-hand row c is
+    X[carry] - X[over]; then tr X^3 is the sum over b of row b of X^2
+    times column b of X.  That is O(n^2) small-integer steps.
 
-    The determinant is one integer determinant at t = T = 2^(2n), for n
-    crossings (Kronecker substitution), read back as balanced base-T
-    digits.  This is exact.  Each row's coefficients have absolute sum
-    at most 4, so the coefficients of a k-minor, a sum over permutations
-    of products of one entry per row, have absolute sum at most 4^k;
-    with k <= n - 1 that is at most T/4.  A polynomial whose
-    coefficients are below T/2 in absolute value is the only one with
-    its value at T, so the digits decode uniquely, and it is 0 at T only
-    if it is the zero polynomial.  Evaluation at T is a ring
-    homomorphism, so every Bareiss entry is the corresponding Z[t] minor
-    at T: pivots vanish, rows swap and divisions are exact exactly as
-    they would over Z[t].
+    The minor is +-t^m Delta(t) with Delta symmetric and Delta(1) = 1,
+    so Delta'(1) = 0 and Delta'''(1) = -3 Delta''(1).  Matching
+    det(I + eps X) against (1 + eps)^m Delta(1 + eps) term by term, with
+    p_k = tr X^k, gives m = p1, a2 = (p1 - p2)/2 and, at eps^3,
+    p1^3 - 3 p1 p2 + 2 p3 = m(m-1)(m-2) + 6(m-1) a2.  A diagram that
+    breaks this last identity is no knot's (a virtual Gauss code, say):
+    InvariantContractError.  The check is narrower than the symmetry of
+    the whole polynomial.  Raises ValueError for a diagram of more than
+    one component, or a crossing not passed once over and once under.
     """
     if d.component_count != 1:
         raise ValueError("the Alexander polynomial needs a one-component diagram")
@@ -169,51 +126,47 @@ def alexander_polynomial(d: LinkDiagram) -> tuple[int, ...]:
     (passages,) = d.passages
     if sorted(passages) != [(c, o) for c in range(n) for o in (0, 1)]:
         raise ValueError("every crossing must be passed once over and once under")
-    if n == 0:
-        return (1,)
-    over_arc, arc_in, arc_out = [0] * n, [0] * n, [0] * n
-    arc, starts = n - 1, 0
+    # Under-passage k joins arc k - 1 to arc k; arc -1 is arc n - 1,
+    # whose row of X and X^2 is the zero row at index n - 1.
+    over_arc, under = [0] * n, []
     for cid, over in passages:
         if over:
-            over_arc[cid] = arc
+            over_arc[cid] = len(under) - 1
         else:
-            arc_in[cid], arc_out[cid] = arc, starts
-            arc, starts = starts, starts + 1
-    bits = 2 * n
-    t = 1 << bits
-    rows = []
-    for cid in range(n - 1):
-        row = [0] * n
-        i, j = (arc_in[cid], arc_out[cid]) if d.signs[cid] > 0 else (arc_out[cid], arc_in[cid])
-        row[over_arc[cid]] += 1 - t
-        row[i] += t
-        row[j] -= 1
-        rows.append(row[: n - 1])
-    det = _balanced_digits(_determinant(rows), bits)
-    while det and det[0] == 0:
-        det.pop(0)
-    at_one = sum(det)
-    if at_one not in (1, -1):
-        raise InvariantContractError(f"Delta(1) = {at_one}, not +-1")
-    det = [at_one * c for c in det]
-    if det != det[::-1]:
-        raise InvariantContractError(f"Alexander polynomial {det} is not symmetric")
-    return tuple(det)
-
-
-def alexander_a2(d: LinkDiagram) -> int:
-    """Second Conway coefficient of a knot diagram, Delta''(1)/2.
-
-    With Delta(t) = sum d_i t^i symmetric of degree D and t = e^{2u},
-    z^2 = 4u^2 + O(u^4) and the u^2 coefficient gives
-    a2 = sum (2i - D)^2 d_i / 8.
-    """
-    delta = alexander_polynomial(d)
-    deg = len(delta) - 1
-    total = sum((2 * i - deg) ** 2 * c for i, c in enumerate(delta))
-    if total % 8:
-        raise InvariantContractError(f"{total} / 8 from {delta} is not an integer")
-    return total // 8
+            under.append(cid)
+    # The walk from arc n - 1 both ways to the dropped crossing: row dst
+    # is row src plus f times row c of the right-hand side, one step per
+    # kept crossing c, with its carry arc and over-arc.
+    drop = under.index(n - 1) if n else 0
+    steps = []
+    for k in [*range(drop), *range(n - 1, drop, -1)]:
+        s = d.signs[under[k]]
+        dst, src, f = (k, k - 1, -s) if k < drop else (k - 1, k, s)
+        steps.append((dst, src, f, k - (s > 0), over_arc[under[k]]))
+    # X = M0^-1 M1.  Column n - 1 stands for the dropped column: no kept
+    # column reads it, and row n - 1 is zero, so no trace does either.
+    # Rows are replaced, never changed in place, so they may share `zero`.
+    zero = [0] * n
+    x = [zero] * n
+    for dst, src, f, carry, over in steps:
+        row = x[src][:]
+        row[carry] += f
+        row[over] -= f
+        x[dst] = row
+    # X^2 = M0^-1 (M1 X), and row c of M1 X is X[carry] - X[over].
+    x2 = [zero] * n
+    for dst, src, f, carry, over in steps:
+        x2[dst] = [a + f * (b - c) for a, b, c in zip(x2[src], x[carry], x[over])]
+    # m = p1 = tr X, p2 = tr X^2 and p3 = tr X^3.
+    m = p2 = p3 = 0
+    for i, (row, row2, column) in enumerate(zip(x, x2, zip(*x))):
+        m += row[i]
+        p2 += row2[i]
+        p3 += sum(map(mul, row2, column))
+    a2 = (m - p2) // 2
+    if m**3 - 3 * m * p2 + 2 * p3 != m * (m - 1) * (m - 2) + 6 * (m - 1) * a2:
+        raise InvariantContractError(f"Fox minor traces {(m, p2, p3)} break the symmetry of Delta")
+    return a2
 
 
 def one_sided_linking_number(d: LinkDiagram) -> int:
@@ -263,7 +216,9 @@ class InvariantRecord(NamedTuple):
     generic, listed once in `EmbeddingAnalysis.stats["graph_frames"]`)
     and reproduced identically at the others.  `audited` marks diagrams
     of at most AUDIT_CROSSING_LIMIT crossings at that first frame, whose
-    value the independent audit route then also gave.
+    value the independent audit route then also gave: for a knot, a2 of
+    the Fox minor at t = 1 + eps (`fox_a2`), for a link the one-sided
+    crossing count.
     """
 
     subject: tuple
@@ -272,7 +227,7 @@ class InvariantRecord(NamedTuple):
 
 
 def _audit_knot(d: LinkDiagram, value: int) -> None:
-    expected = alexander_a2(d)
+    expected = fox_a2(d)
     if expected != value:
         raise InvariantContractError(
             f"gauss-formula a2 {value} != Alexander a2 {expected}"

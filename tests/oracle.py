@@ -1,4 +1,5 @@
-"""The tests' reference: the Conway skein oracle and the two-arrow calibration.
+"""The tests' reference: the Conway skein oracle, the whole Alexander
+polynomial and the two-arrow calibration.
 
 None of this ships in the package.  The skein oracle
 (`conway_skein_oracle`) computes the full Conway polynomial by
@@ -7,13 +8,24 @@ exponential in the crossing number, so the audit does not run it; the
 tests use it to anchor both audit routes and to calibrate the two-arrow
 count that `knotcensus.invariants._a2` hard-codes.  `project` gives it
 diagrams of loose curves at one frame.
+
+`alexander_polynomial` is the whole Alexander polynomial Delta(t) of a
+knot diagram: the same Fox-calculus minor that the package's audit
+(`knotcensus.invariants.fox_a2`) expands at t = 1 + eps, taken instead
+as one integer determinant at t = 2^(2n) for n crossings (Kronecker
+substitution) by fraction-free Bareiss elimination (`_determinant`),
+and read back as balanced base-2^(2n) digits (`_balanced_digits`).
+Every coefficient of every minor is at most 4^(n-1) in absolute value,
+so the digits are exact; Delta(1) = +-1, the symmetry of Delta and
+every division are checked.  `alexander_a2` reads a2 = Delta''(1)/2 off
+it, the reference the tests hold `fox_a2` to.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-from knotcensus.errors import KnotCensusError
+from knotcensus.errors import InvariantContractError, KnotCensusError
 from knotcensus.geometry import IntPoint
 from knotcensus.projection import (
     Arrow,
@@ -192,6 +204,135 @@ def conway_skein_oracle(
         raise ValueError("every crossing must be passed exactly twice")
     signs = {cid: d.signs[cid] for cid in range(d.crossing_count)}
     return ConwayPolynomial(_conway(d.passages, signs, {}))
+
+
+# ---------------------------------------------------------------------------
+# Alexander polynomial
+
+
+def _determinant(m: list[list[int]]) -> int:
+    """Integer determinant by Bareiss fraction-free elimination.
+
+    Each updated entry is a minor of the row-swapped input (Sylvester's
+    identity), so each division by the previous pivot is exact, and a
+    remainder raises InvariantContractError; rows are swapped when a
+    pivot is zero.  `m` is overwritten.
+    """
+    n = len(m)
+    if n == 0:
+        return 1
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        top = m[k]
+        pivot = top[k]
+        for row in m[k + 1 :]:
+            mik = row[k]
+            for j in range(k + 1, n):
+                row[j], rem = divmod(row[j] * pivot - mik * top[j], prev)
+                if rem:
+                    raise InvariantContractError(
+                        f"Bareiss step {k} leaves remainder {rem} modulo {prev}"
+                    )
+        prev = pivot
+    return sign * m[-1][-1]
+
+
+def _balanced_digits(value: int, bits: int) -> list[int]:
+    """Base-2**bits digits of `value`, lowest first, each in (-base/2, base/2]."""
+    base = 1 << bits
+    mask, half = base - 1, base >> 1
+    digits = []
+    while value:
+        digit = value & mask
+        if digit > half:
+            digit -= base
+        digits.append(digit)
+        value = (value - digit) >> bits
+    return digits
+
+
+def alexander_polynomial(d: LinkDiagram) -> tuple[int, ...]:
+    """Alexander polynomial of a knot diagram, constant term first.
+
+    Arc m runs from the m-th under-passage of the traversal to the next
+    one.  Crossing c, with over-arc k, incoming under-arc i and outgoing
+    under-arc j, gives the Fox-calculus row (1-t) x_k + t x_i - x_j if
+    positive and (1-t) x_k + t x_j - x_i if negative.  The determinant
+    without the last row and column is Delta(t) up to a unit +-t^m; the
+    result is shifted to start at t^0 and signed so Delta(1) = 1.
+    Raises InvariantContractError if that is not a knot's Alexander
+    polynomial: Delta(1) is not +-1, or Delta is not symmetric.
+
+    The determinant is one integer determinant at t = T = 2^(2n), for n
+    crossings (Kronecker substitution), read back as balanced base-T
+    digits.  This is exact.  Each row's coefficients have absolute sum
+    at most 4, so the coefficients of a k-minor, a sum over permutations
+    of products of one entry per row, have absolute sum at most 4^k;
+    with k <= n - 1 that is at most T/4.  A polynomial whose
+    coefficients are below T/2 in absolute value is the only one with
+    its value at T, so the digits decode uniquely, and it is 0 at T only
+    if it is the zero polynomial.  Evaluation at T is a ring
+    homomorphism, so every Bareiss entry is the corresponding Z[t] minor
+    at T: pivots vanish, rows swap and divisions are exact exactly as
+    they would over Z[t].
+    """
+    if d.component_count != 1:
+        raise ValueError("the Alexander polynomial needs a one-component diagram")
+    n = d.crossing_count
+    (passages,) = d.passages
+    if sorted(passages) != [(c, o) for c in range(n) for o in (0, 1)]:
+        raise ValueError("every crossing must be passed once over and once under")
+    if n == 0:
+        return (1,)
+    over_arc, arc_in, arc_out = [0] * n, [0] * n, [0] * n
+    arc, starts = n - 1, 0
+    for cid, over in passages:
+        if over:
+            over_arc[cid] = arc
+        else:
+            arc_in[cid], arc_out[cid] = arc, starts
+            arc, starts = starts, starts + 1
+    bits = 2 * n
+    t = 1 << bits
+    rows = []
+    for cid in range(n - 1):
+        row = [0] * n
+        i, j = (arc_in[cid], arc_out[cid]) if d.signs[cid] > 0 else (arc_out[cid], arc_in[cid])
+        row[over_arc[cid]] += 1 - t
+        row[i] += t
+        row[j] -= 1
+        rows.append(row[: n - 1])
+    det = _balanced_digits(_determinant(rows), bits)
+    while det and det[0] == 0:
+        det.pop(0)
+    at_one = sum(det)
+    if at_one not in (1, -1):
+        raise InvariantContractError(f"Delta(1) = {at_one}, not +-1")
+    det = [at_one * c for c in det]
+    if det != det[::-1]:
+        raise InvariantContractError(f"Alexander polynomial {det} is not symmetric")
+    return tuple(det)
+
+
+def alexander_a2(d: LinkDiagram) -> int:
+    """Second Conway coefficient of a knot diagram, Delta''(1)/2.
+
+    With Delta(t) = sum d_i t^i symmetric of degree D and t = e^{2u},
+    z^2 = 4u^2 + O(u^4) and the u^2 coefficient gives
+    a2 = sum (2i - D)^2 d_i / 8.
+    """
+    delta = alexander_polynomial(d)
+    deg = len(delta) - 1
+    total = sum((2 * i - deg) ** 2 * c for i, c in enumerate(delta))
+    if total % 8:
+        raise InvariantContractError(f"{total} / 8 from {delta} is not an integer")
+    return total // 8
 
 
 # ---------------------------------------------------------------------------

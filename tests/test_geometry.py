@@ -157,6 +157,25 @@ def test_witnesses_name_waypoints_and_later_segments(e, expected):
     assert tuple(validate_embedding(e)) == expected
 
 
+def test_collinear_overlap_is_reported_at_its_end_corner():
+    # The second segments of bent edges (1, 2) and (3, 4) share the
+    # stretch from x = 11 to 12 of the x-axis.  Waypoint 1 of (1, 2) lies
+    # inside that segment of (3, 4), which is reported before any two
+    # segments are intersected; intersecting them is refused.
+    e = SpatialEmbedding(
+        complete_graph(4),
+        moment_curve_embedding(4).vertex_positions,
+        {
+            (1, 2): (rational_point(10, 0, 0), rational_point(12, 0, 0)),
+            (3, 4): (rational_point(11, 0, 0), rational_point(13, 0, 0)),
+        },
+    )
+    expected = (False, "point-on-segment", (("w", (1, 2), 1), ((3, 4), 1)))
+    assert tuple(validate_embedding(e)) == expected
+    with pytest.raises(ValueError, match="overlap"):
+        geometry.segment_intersection((10, 0, 0), (12, 0, 0), (11, 0, 0), (13, 0, 0))
+
+
 def test_cycle_curve_is_closed_polygon_without_repeats():
     e = moment_curve_embedding(6)
     c = canonical_cycle((1, 3, 5, 2, 4, 6))

@@ -35,7 +35,6 @@ from knotcensus.geometry import (
 from knotcensus.graphs import enumerate_cycles, enumerate_disjoint_pairs
 from knotcensus.invariants import (
     AUDIT_CROSSING_LIMIT,
-    alexander_a2,
     curve_invariant,
     cycle_invariant,
     one_sided_linking_number,
@@ -49,7 +48,7 @@ from knotcensus.projection import (
 )
 from knotcensus.theorems import EmbeddingAnalysis
 
-from oracle import _knot_arrows, project
+from oracle import _knot_arrows, alexander_a2, project
 
 
 def _subjects(e: SpatialEmbedding, ks) -> list[tuple[tuple[int, ...], ...]]:

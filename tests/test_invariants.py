@@ -11,17 +11,19 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from knotcensus.errors import GenericityFailure, InvariantContractError
-from knotcensus.geometry import moment_curve_embedding, random_rectilinear_embedding
+from knotcensus.geometry import (
+    moment_curve_embedding,
+    random_polyline_embedding,
+    random_rectilinear_embedding,
+)
 from knotcensus.graphs import canonical_cycle, enumerate_cycles, enumerate_disjoint_pairs
 from knotcensus import invariants
 from knotcensus.invariants import (
     _a2,
-    _determinant,
-    alexander_a2,
-    alexander_polynomial,
     classify_triangle_triangle,
     curve_invariant,
     cycle_invariant,
+    fox_a2,
     one_sided_linking_number,
     stick_bound_a2,
 )
@@ -36,13 +38,17 @@ from knotcensus.projection import (
     frame_sequence,
 )
 
+import oracle
 from oracle import (
     A2_PATTERN,
     A2_SIGN,
     ConwayPolynomial,
     OracleLimitExceeded,
     _a2_with_pattern,
+    _determinant,
     _knot_arrows,
+    alexander_a2,
+    alexander_polynomial,
     calibrate_a2_patterns,
     conway_skein_oracle,
     project,
@@ -378,21 +384,25 @@ def _first_diagram(*curves) -> LinkDiagram:
 def test_alexander_polynomial_of_anchor_diagrams(diagram, delta):
     assert alexander_polynomial(diagram) == delta
     assert alexander_a2(diagram) == conway_skein_oracle(diagram).a2
+    assert fox_a2(diagram) == alexander_a2(diagram)
 
 
 def test_alexander_route_rejects_what_is_not_a_knot():
-    with pytest.raises(ValueError):
-        alexander_polynomial(hopf_diagram(1))
-    with pytest.raises(ValueError):
-        alexander_polynomial(LinkDiagram(passages=(((0, True),),), signs=(1,)))
+    one_passage = LinkDiagram(passages=(((0, True),),), signs=(1,))
     # A Gauss code no closed curve in the plane realizes: its Fox matrix
-    # gives 2 - t, which is not symmetric.
+    # gives 2 - t, which is not symmetric, and its traces at t = 1 + eps
+    # break the eps^3 term that symmetry forces.
     virtual = LinkDiagram(
         passages=(((2, 0), (1, 1), (2, 1), (0, 0), (1, 0), (0, 1)),),
         signs=(-1, 1, 1),
     )
-    with pytest.raises(InvariantContractError):
-        alexander_polynomial(virtual)
+    for route in (alexander_polynomial, fox_a2):
+        with pytest.raises(ValueError):
+            route(hopf_diagram(1))
+        with pytest.raises(ValueError):
+            route(one_passage)
+        with pytest.raises(InvariantContractError):
+            route(virtual)
 
 
 def _leibniz(m: list[list[int]]) -> int:
@@ -424,7 +434,7 @@ def test_integer_determinant_equals_leibniz_expansion(m):
 def test_bareiss_remainder_is_a_contract_violation(monkeypatch):
     # Sylvester's identity makes every Bareiss division exact on real
     # input, so the guard is reached only through a division that lies.
-    monkeypatch.setattr(invariants, "divmod", lambda a, b: (a // b, 1), raising=False)
+    monkeypatch.setattr(oracle, "divmod", lambda a, b: (a // b, 1), raising=False)
     with pytest.raises(InvariantContractError, match="remainder"):
         alexander_polynomial(torus_2k_diagram(3, 1))
 
@@ -435,7 +445,7 @@ def test_alexander_polynomial_of_wide_torus_knots(k):
     for sign in (1, -1):
         d = torus_2k_diagram(k, sign)
         assert alexander_polynomial(d) == tuple((-1) ** i for i in range(k))
-        assert alexander_a2(d) == (k * k - 1) // 8
+        assert alexander_a2(d) == fox_a2(d) == (k * k - 1) // 8
 
 
 def test_alexander_a2_matches_gauss_formula_on_dense_k9_diagrams():
@@ -452,7 +462,25 @@ def test_alexander_a2_matches_gauss_formula_on_dense_k9_diagrams():
     walks = [(vs,) for vss in per_count.values() for vs in vss]
     assert sorted(per_count) == list(range(13, 22)) and len(walks) == 42
     for w in walks:
-        assert alexander_a2(table.restrict(w)) == cycle_invariant([(0, table)], w)[0]
+        d = table.restrict(w)
+        assert alexander_a2(d) == fox_a2(d) == cycle_invariant([(0, table)], w)[0]
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.sampled_from([6, 7, 8]), st.integers(0, 10**6), st.booleans())
+@example(8, 0, True)
+def test_fox_route_equals_the_whole_alexander_polynomial(n, seed, bent):
+    # Every cycle of a random straight or fully bent polyline K_n, read
+    # at the whole graph's first accepted table.
+    if bent:
+        e = random_polyline_embedding(n, f"fox:{seed}", coord_range=20, bent_edges=n * (n - 1) // 2)
+    else:
+        e = random_rectilinear_embedding(n, seed=f"fox:{seed}")
+    _, table = GraphProjection(e, 0, 0, FRAME_RETRY_LIMIT).tables[0]
+    for k in range(3, n + 1):
+        for c in enumerate_cycles(e.graph, k):
+            d = table.restrict((c,))
+            assert fox_a2(d) == alexander_a2(d), c
 
 
 def test_one_sided_count_of_hopf_diagrams():
@@ -470,7 +498,7 @@ def test_audit_routes_match_the_skein_oracle(seed, n):
     for c in enumerate_cycles(e.graph, n)[:6]:
         dia = _first_diagram(e.cycle_points_scaled(c))
         if dia.crossing_count <= 12:
-            assert alexander_a2(dia) == conway_skein_oracle(dia).a2
+            assert alexander_a2(dia) == fox_a2(dia) == conway_skein_oracle(dia).a2
     for a, b in enumerate_disjoint_pairs(e.graph, 3, 3)[:6]:
         curves = (e.cycle_points_scaled(a), e.cycle_points_scaled(b))
         dia = _first_diagram(*curves)
