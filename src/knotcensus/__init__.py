@@ -56,6 +56,7 @@ from .invariants import (
 from .theorems import (
     CATALOG,
     CensusReport,
+    ClassSummary,
     EmbeddingAnalysis,
     IdentityReport,
     applicable_identities,

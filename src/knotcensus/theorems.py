@@ -1,10 +1,12 @@
 """Exact evaluation of the integer identities a spatial embedding satisfies.
 
-Every aggregate here is assembled from per-cycle invariant records (each
-frame-verified, optionally audited), so a report can name the cycles
-behind its numbers.  All arithmetic is exact: sums are Python
-integers, the one halved coefficient is checked for integrality rather
-than rounded, and pass means lhs equals rhs, nothing weaker.
+Every aggregate here is read from one `ClassSummary` per cycle class,
+folded from its invariant records (each frame-verified, optionally
+audited): a value histogram, an audited count and the first nonzero and
+positive records, so a report can name the cycles behind its numbers.
+All arithmetic is exact: sums are Python integers, the one halved
+coefficient is checked for integrality rather than rounded, and pass
+means lhs equals rhs, nothing weaker.
 
 `CATALOG` has one row per identity below, for K_n with straight or bent
 edges unless marked (H is the bipartite subgraph of the tripartite
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import marshal
 import os
+from collections import Counter
 from collections.abc import Callable
 from fractions import Fraction
 from functools import partial
@@ -181,14 +184,38 @@ def _check_triangle_pair(rec: InvariantRecord) -> None:
         )
 
 
-class EmbeddingAnalysis:
-    """Cached per-class invariant records for one embedding.
+class ClassSummary(NamedTuple):
+    """What the reports read of one record class; its records are not kept.
 
-    Records are computed once per cycle class and shared by every
-    identity that needs them.  With `threads` above 1 a class is split
-    into contiguous shards, one per process (see `_evaluate`), and
-    joined back in canonical order, so records, sums and witnesses do
-    not depend on the process count.
+    `histogram` maps each value to its record count and `audited` counts
+    the audited records.  `nonzero` and `positive` hold (subject, value)
+    for the first `WITNESS_CAP` records, in canonical order, whose value
+    is nonzero or positive: the witnesses a report can list.
+    """
+
+    histogram: dict[int, int]
+    audited: int
+    nonzero: tuple[tuple[tuple, int], ...]
+    positive: tuple[tuple[tuple, int], ...]
+
+    @classmethod
+    def of(cls, records) -> ClassSummary:
+        """Fold a class's records, in canonical order, into its summary."""
+        nonzero = [r for r in records if r.value]
+        positive = [r for r in nonzero if r.value > 0]
+        return cls(dict(Counter(r.value for r in records)), sum(r.audited for r in records),
+                   *(tuple(r[:2] for r in rs[:WITNESS_CAP]) for rs in (nonzero, positive)))
+
+
+class EmbeddingAnalysis:
+    """Cached per-class summaries of the invariant records of one embedding.
+
+    A class's records are built once, folded into a `ClassSummary` that
+    every identity and the census read, and dropped, so an analysis holds
+    O(classes x WITNESS_CAP) values, not O(records).  With `threads`
+    above 1 a class is split into contiguous shards, one per process (see
+    `_evaluate`), and joined back in canonical order, so records, sums
+    and witnesses do not depend on the process count.
 
     Values are read from whole-graph crossing tables at the embedding's
     accepted frames, built on the first request for records and freed
@@ -217,8 +244,8 @@ class EmbeddingAnalysis:
         self.retry_limit = retry_limit
         self.audit = audit
         self.allow_large = allow_large
-        self._knots: dict[tuple, tuple[InvariantRecord, ...]] = {}
-        self._links: dict[tuple, tuple[InvariantRecord, ...]] = {}
+        self._knots: dict[tuple, ClassSummary] = {}
+        self._links: dict[tuple, ClassSummary] = {}
         self._projection: GraphProjection | None = None
 
     @property
@@ -231,11 +258,11 @@ class EmbeddingAnalysis:
 
     @property
     def audited_knots(self) -> int:
-        return sum(r.audited for records in self._knots.values() for r in records)
+        return sum(s.audited for s in self._knots.values())
 
     @property
     def audited_links(self) -> int:
-        return sum(r.audited for records in self._links.values() for r in records)
+        return sum(s.audited for s in self._links.values())
 
     @property
     def stats(self) -> dict:
@@ -254,31 +281,24 @@ class EmbeddingAnalysis:
             "graph_frame_rejects": {} if g is None else dict(sorted(g.rejects.items())),
         }
 
-    def _records(self, cache: dict, key: tuple, subjects, check) -> tuple[InvariantRecord, ...]:
-        """The records of `subjects()`, built on the first request for `key`.
+    def _records(self, subjects: list, check) -> tuple[InvariantRecord, ...]:
+        """The records of `subjects`, in order, each through `check` when not None.
 
-        `subjects()` is the `enumerate_cycles` (a2) or
+        `subjects` is the `enumerate_cycles` (a2) or
         `enumerate_disjoint_pairs` (lk) output, and each item is one
-        record's subject; each record goes through `check`, when not
-        None, before it is cached.
+        record's subject.  Nothing is cached.
         """
-        if key in cache:
-            return cache[key]
-        subjects = subjects()
         if self._projection is None:
             self._projection = GraphProjection(
                 self.embedding, self.seed, self.verify_frames, self.retry_limit
             )
         record = partial(_subject_invariant, self._projection.tables, self.audit)
         results = _evaluate(record, subjects, self.threads)
-        out = []
-        for s, result in zip(subjects, results):
-            rec = InvariantRecord(s, *result)
-            if check is not None:
+        out = tuple(InvariantRecord(s, *result) for s, result in zip(subjects, results))
+        if check is not None:
+            for rec in out:
                 check(rec)
-            out.append(rec)
-        cache[key] = tuple(out)
-        return cache[key]
+        return out
 
     def knot_records(
         self, k: int, subgraph: SimpleGraph | None = None
@@ -289,30 +309,36 @@ class EmbeddingAnalysis:
                 f"Hamiltonian sums above n={HAMILTONIAN_CEILING} need the override"
             )
         g = subgraph if subgraph is not None else self.graph
-        return self._records(
-            self._knots,
-            (k, g.edges),
-            lambda: enumerate_cycles(g, k),
-            partial(_check_stick_knot, k) if self.embedding.rectilinear else None,
-        )
+        check = partial(_check_stick_knot, k) if self.embedding.rectilinear else None
+        return self._records(enumerate_cycles(g, k), check)
 
     def link_records(self, k: int, l: int) -> tuple[InvariantRecord, ...]:
         """Frame-verified lk records for all disjoint (k, l) cycle pairs."""
         key = (k, l) if k <= l else (l, k)
-        return self._records(
-            self._links,
-            key,
-            lambda: enumerate_disjoint_pairs(self.graph, *key),
-            _check_triangle_pair if key == (3, 3) and self.embedding.rectilinear else None,
-        )
+        check = _check_triangle_pair if key == (3, 3) and self.embedding.rectilinear else None
+        return self._records(enumerate_disjoint_pairs(self.graph, *key), check)
+
+    def knot_summary(self, k: int, subgraph: SimpleGraph | None = None) -> ClassSummary:
+        """The summary of `knot_records(k, subgraph)`, folded on the first request."""
+        key = (k, (subgraph if subgraph is not None else self.graph).edges)
+        if key not in self._knots:
+            self._knots[key] = ClassSummary.of(self.knot_records(k, subgraph))
+        return self._knots[key]
+
+    def link_summary(self, k: int, l: int) -> ClassSummary:
+        """The summary of `link_records(k, l)`, folded on the first request."""
+        key = (k, l) if k <= l else (l, k)
+        if key not in self._links:
+            self._links[key] = ClassSummary.of(self.link_records(*key))
+        return self._links[key]
 
     # -- aggregates -----------------------------------------------------
 
     def sum_a2(self, k: int, subgraph: SimpleGraph | None = None) -> int:
-        return sum(r.value for r in self.knot_records(k, subgraph))
+        return sum(v * c for v, c in self.knot_summary(k, subgraph).histogram.items())
 
     def sum_lk_sq(self, k: int, l: int) -> int:
-        return sum(r.value * r.value for r in self.link_records(k, l))
+        return sum(v * v * c for v, c in self.link_summary(k, l).histogram.items())
 
 
 # ---------------------------------------------------------------------------
@@ -386,27 +412,16 @@ class CensusReport(NamedTuple):
         }
 
 
-def _witnesses_from(*record_sets) -> tuple[dict, ...]:
-    out = []
-    omitted = 0
-    for records in record_sets:
-        for r in records:
-            if r.value == 0:
-                continue
-            if len(out) >= WITNESS_CAP:
-                omitted += 1
-                continue
-            if isinstance(r.subject[0], tuple):
-                out.append(
-                    {
-                        "pair": [list(r.subject[0]), list(r.subject[1])],
-                        "lk": r.value,
-                    }
-                )
-            else:
-                out.append({"cycle": list(r.subject), "a2": r.value})
-    if omitted:
-        out.append({"omitted": omitted})
+def _witnesses_from(prefixes, count: int) -> tuple[dict, ...]:
+    """The first `WITNESS_CAP` (subject, value) pairs of the joined
+    `prefixes` as witnesses, then the rest of `count` as omitted."""
+    out = [
+        {"pair": [list(s[0]), list(s[1])], "lk": v} if isinstance(s[0], tuple)
+        else {"cycle": list(s), "a2": v}
+        for s, v in [w for prefix in prefixes for w in prefix][:WITNESS_CAP]
+    ]
+    if count > len(out):
+        out.append({"omitted": count - len(out)})
     return tuple(out)
 
 
@@ -487,19 +502,19 @@ def _complete(low: int, high: float = inf, straight: bool = False):
     return applies
 
 
-# The class sums an equation can read: name -> (its value, the records it
-# adds up), both from an EmbeddingAnalysis.
+# The class sums an equation can read: name -> (its value, the summary of
+# the class it adds up), both from an EmbeddingAnalysis.
 _SUMS = {
-    "sum_a2_5": (lambda a: a.sum_a2(5), lambda a: a.knot_records(5)),
-    "sum_a2_6": (lambda a: a.sum_a2(6), lambda a: a.knot_records(6)),
-    "sum_a2_7": (lambda a: a.sum_a2(7), lambda a: a.knot_records(7)),
-    "sum_a2_hamiltonian": (lambda a: a.sum_a2(a.n), lambda a: a.knot_records(a.n)),
+    "sum_a2_5": (lambda a: a.sum_a2(5), lambda a: a.knot_summary(5)),
+    "sum_a2_6": (lambda a: a.sum_a2(6), lambda a: a.knot_summary(6)),
+    "sum_a2_7": (lambda a: a.sum_a2(7), lambda a: a.knot_summary(7)),
+    "sum_a2_hamiltonian": (lambda a: a.sum_a2(a.n), lambda a: a.knot_summary(a.n)),
     "sum_a2_6_h": (
         lambda a: a.sum_a2(6, k331_h_subgraph(a.graph)),
-        lambda a: a.knot_records(6, k331_h_subgraph(a.graph)),
+        lambda a: a.knot_summary(6, k331_h_subgraph(a.graph)),
     ),
-    "sum_lk_sq_33": (lambda a: a.sum_lk_sq(3, 3), lambda a: a.link_records(3, 3)),
-    "sum_lk_sq_34": (lambda a: a.sum_lk_sq(3, 4), lambda a: a.link_records(3, 4)),
+    "sum_lk_sq_33": (lambda a: a.sum_lk_sq(3, 3), lambda a: a.link_summary(3, 3)),
+    "sum_lk_sq_34": (lambda a: a.sum_lk_sq(3, 4), lambda a: a.link_summary(3, 4)),
 }
 
 
@@ -635,7 +650,9 @@ def verify_identity(identity_id: str, e=None, analysis=None, raise_on_fail=True,
         if row.scale is not None:
             rhs = row.scale(n) * rhs
             rhs = int(rhs) if rhs.denominator == 1 else rhs
-        witnesses = _witnesses_from(*(_SUMS[name][1](a) for name in row.witnesses))
+        named = [_SUMS[name][1](a) for name in row.witnesses]
+        nonzero = sum(c for s in named for v, c in s.histogram.items() if v)
+        witnesses = _witnesses_from([s.nonzero for s in named], nonzero)
         rep = IdentityReport(identity_id, n, sums, lhs, rhs, lhs == rhs, witnesses)
     if raise_on_fail and not rep.passed:
         raise IdentityViolation(rep)
@@ -678,15 +695,9 @@ def census(e: SpatialEmbedding, analysis: EmbeddingAnalysis | None = None, **kw)
     if not _complete(6)(a.embedding):
         raise ValueError("the census needs a complete graph with n >= 6")
     n = a.n
-    ham = a.knot_records(n)
-    pairs = a.link_records(3, 3)
-    a2_hist: dict[int, int] = {}
-    for r in ham:
-        a2_hist[r.value] = a2_hist.get(r.value, 0) + 1
-    lk_hist: dict[int, int] = {}
-    for r in pairs:
-        lk_hist[r.value] = lk_hist.get(r.value, 0) + 1
-    positive = sum(1 for r in ham if r.value > 0)
+    ham = a.knot_summary(n)
+    pairs = a.link_summary(3, 3).histogram
+    positive = sum(c for v, c in ham.histogram.items() if v > 0)
     rectilinear = a.embedding.rectilinear
     checks: list[dict] = []
 
@@ -695,7 +706,7 @@ def census(e: SpatialEmbedding, analysis: EmbeddingAnalysis | None = None, **kw)
 
     hopf = None
     if rectilinear:
-        hopf = sum(1 for r in pairs if abs(r.value) == 1)
+        hopf = pairs.get(1, 0) + pairs.get(-1, 0)
         s33 = a.sum_lk_sq(3, 3)
         check("hopf-count-equals-lk-square-sum", hopf, s33, hopf == s33)
         check("hopf-count-at-least-choose-6", hopf, comb(n, 6), hopf >= comb(n, 6))
@@ -709,14 +720,14 @@ def census(e: SpatialEmbedding, analysis: EmbeddingAnalysis | None = None, **kw)
         # Hamiltonian knots in every straight-edge embedding
         # (informational; not gated here).
         note = "literature refinement for n=8: at least 8 positive knots expected"
-    witnesses = _witnesses_from(tuple(r for r in ham if r.value > 0))
+    witnesses = _witnesses_from([ham.positive], positive)
     return CensusReport(
         n=n,
         rectilinear=rectilinear,
         hopf_count=hopf,
         positive_a2_count=positive,
-        a2_histogram=a2_hist,
-        lk_histogram=lk_hist,
+        a2_histogram=dict(ham.histogram),
+        lk_histogram=dict(pairs),
         bound_checks=tuple(checks),
         min_positive_expected=expected_min,
         refined_min_note=note,

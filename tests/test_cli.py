@@ -53,7 +53,7 @@ def test_import_loads_neither_dataclasses_nor_inspect():
 
 
 PUBLIC_NAMES = [
-    "CATALOG", "CensusReport", "EmbeddingAnalysis", "GenericityExhausted",
+    "CATALOG", "CensusReport", "ClassSummary", "EmbeddingAnalysis", "GenericityExhausted",
     "GenericityFailure", "IdentityReport", "IdentityViolation", "InvariantContractError",
     "InvariantRecord", "KnotCensusError", "LinkDiagram", "ProjectionFrame",
     "SamplingExhausted", "ScaleLimitExceeded", "SimpleGraph", "SpatialEmbedding",

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import re
 import sys
+import types
 from fractions import Fraction
 from math import comb
 
@@ -19,6 +21,7 @@ from knotcensus.graphs import (
     enumerate_disjoint_pairs,
     k331_h_subgraph,
 )
+from knotcensus.invariants import InvariantRecord
 from knotcensus.geometry import (
     SpatialEmbedding,
     embedding_from_json,
@@ -29,6 +32,7 @@ from knotcensus.geometry import (
 )
 from knotcensus.theorems import (
     CATALOG,
+    ClassSummary,
     EmbeddingAnalysis,
     applicable_identities,
     census,
@@ -355,12 +359,116 @@ def test_census_positive_count_meets_guarantee():
     assert "hopf-count-at-least-choose-6" in checks
 
 
-def test_analysis_caches_and_reuses_records():
-    e = moment_curve_embedding(6)
+def test_a_class_is_evaluated_once(monkeypatch):
+    calls = []
+    real = theorems.cycle_invariant
+    monkeypatch.setattr(theorems, "cycle_invariant", lambda *args: calls.append(1) or real(*args))
+    e = moment_curve_embedding(7)
     a = EmbeddingAnalysis(e, seed=0)
-    first = a.knot_records(6)
-    assert a.knot_records(6) is first
-    assert a.link_records(3, 3) is a.link_records(3, 3)
+    sixes = len(enumerate_cycles(e.graph, 6))
+    assert a.sum_a2(6) == a.sum_a2(6)
+    assert len(calls) == sixes
+    assert a.knot_summary(6) is a.knot_summary(6)
+    verify_embedding(e, analysis=a)
+    evaluated = len(calls)
+    census(e, analysis=a)
+    a.sum_a2(6)
+    a.sum_lk_sq(4, 3)
+    assert len(calls) == evaluated
+    # Records are built on each request; only the summary is kept.
+    assert len(a.knot_records(6)) == sixes
+    assert len(calls) == evaluated + sixes
+
+
+def test_no_record_outlives_its_class():
+    # Moment K8: 2,520 Hamiltonian cycles and every smaller class behind
+    # the seven identities, all summarised.
+    e = moment_curve_embedding(8)
+    _, a = verify_embedding(e, analysis=EmbeddingAnalysis(e, seed=0))
+    assert len(a._knots) == 3 and len(a._links) == 2
+    seen, stack = set(), [a]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        assert not isinstance(obj, InvariantRecord), obj
+        stack.extend(gc.get_referents(obj))
+    assert len(seen) > 1000
+
+
+# Every class a catalog row reads, by its `theorems._SUMS` name.
+_CLASS_RECORDS = {
+    "sum_a2_5": lambda a: a.knot_records(5),
+    "sum_a2_6": lambda a: a.knot_records(6),
+    "sum_a2_7": lambda a: a.knot_records(7),
+    "sum_a2_hamiltonian": lambda a: a.knot_records(a.n),
+    "sum_a2_6_h": lambda a: a.knot_records(6, k331_h_subgraph(a.graph)),
+    "sum_lk_sq_33": lambda a: a.link_records(3, 3),
+    "sum_lk_sq_34": lambda a: a.link_records(3, 4),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "e",
+    [moment_curve_embedding(7), random_polyline_embedding(7, 0), random_k331_embedding(1)],
+    ids=["moment", "polyline", "K331"],
+)
+def test_summaries_equal_a_fold_of_the_records(e, threads):
+    a = EmbeddingAnalysis(e, seed=0, threads=threads, audit=True)
+    names = {name for i in applicable_identities(e) for name in CATALOG[i].terms(e.n)}
+    assert set(theorems._SUMS) == set(_CLASS_RECORDS) >= names
+    assert ("sum_a2_6_h" in names) == bool(e.graph.tags)
+    audited = {}
+    for name in sorted(names):
+        records = _CLASS_RECORDS[name](a)
+        histogram = {}
+        for r in records:
+            histogram[r.value] = histogram.get(r.value, 0) + 1
+        nonzero = [(r.subject, r.value) for r in records if r.value != 0]
+        positive = [(r.subject, r.value) for r in records if r.value > 0]
+        summary = theorems._SUMS[name][1](a)
+        assert type(summary) is ClassSummary
+        assert summary.histogram == histogram
+        assert summary.audited == sum(1 for r in records if r.audited)
+        assert list(summary.nonzero) == nonzero[: theorems.WITNESS_CAP]
+        assert list(summary.positive) == positive[: theorems.WITNESS_CAP]
+        assert all(type(w) is tuple for w in summary.nonzero + summary.positive)
+        square = name.startswith("sum_lk_sq")
+        assert theorems._SUMS[name][0](a) == sum(
+            r.value * r.value if square else r.value for r in records
+        )
+        audited[id(summary)] = summary.audited  # S_a2(7) is S_a2(n) at n = 7
+    assert sum(audited.values()) == a.audited_knots + a.audited_links > 0
+
+
+def _witness(r) -> dict:
+    if isinstance(r.subject[0], tuple):
+        return {"pair": [list(r.subject[0]), list(r.subject[1])], "lk": r.value}
+    return {"cycle": list(r.subject), "a2": r.value}
+
+
+def _capped(records: list, cap: int) -> tuple:
+    out = [_witness(r) for r in records[:cap]]
+    return tuple(out + ([{"omitted": len(records) - cap}] if len(records) > cap else []))
+
+
+@pytest.mark.parametrize("cap", range(1, 9))
+def test_witness_cap_binds_across_classes(monkeypatch, cap):
+    # This K6 has four positive 6-cycles and three linked triangle pairs,
+    # so caps 5 and 6 stop k6-identity's witnesses inside its second
+    # class, and caps 1-3 stop the census's positive knots.
+    monkeypatch.setattr(theorems, "WITNESS_CAP", cap)
+    e = random_polyline_embedding(6, 33)
+    a = EmbeddingAnalysis(e, seed=0)
+    knots = [r for r in a.knot_records(6) if r.value != 0]
+    pairs = [r for r in a.link_records(3, 3) if r.value != 0]
+    assert (len(knots), len(pairs)) == (4, 3)
+    rep = verify_identity("k6-identity", analysis=a)
+    assert rep.witnesses == _capped(knots + pairs, cap)
+    positive = [r for r in knots if r.value > 0]
+    assert census(e, analysis=a).witnesses == _capped(positive, cap)
 
 
 @pytest.mark.parametrize(
@@ -408,7 +516,7 @@ def test_records_do_not_depend_on_process_count(e, monkeypatch):
         seen.append((
             a.knot_records(7),
             a.link_records(3, 4),
-            a._records({}, "seventeen", lambda: seventeen, None),
+            a._records(seventeen, None),
         ))
     assert seen[0] == seen[1] == seen[2]
     assert [len(records) for records in seen[0]] == [360, 105, 17]
