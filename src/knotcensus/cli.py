@@ -71,7 +71,7 @@ def _add_generation_options(p: argparse.ArgumentParser) -> None:
 
 def _add_frame_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--verify-frames", type=int, default=1,
-                   help="extra frames each invariant must agree on (default 1)")
+                   help="extra frames each invariant must agree on (default 1, at least 1)")
     p.add_argument("--frame-retries", type=int, default=FRAME_RETRY_LIMIT,
                    help="frames that may fail the genericity check before giving up")
     p.add_argument("--audit", action="store_true",

@@ -4,14 +4,7 @@ from __future__ import annotations
 
 
 class KnotCensusError(Exception):
-    """Base class for package-specific failures.
-
-    Subclasses whose constructor takes fields rather than the message
-    define `__reduce__` to rebuild from those fields: the default pickle
-    round trip (used to return a shard process's exception to the process
-    that forked it) calls the constructor with the formatted message
-    instead.
-    """
+    """Base class for package-specific failures."""
 
 
 class SamplingExhausted(KnotCensusError):
@@ -26,9 +19,6 @@ class SamplingExhausted(KnotCensusError):
             f"no general-position configuration after {attempts} attempts "
             f"(coordinate range {coord_range})"
         )
-
-    def __reduce__(self):
-        return (type(self), (self.attempts, self.coord_range))
 
 
 class GenericityFailure(KnotCensusError):
@@ -46,9 +36,6 @@ class GenericityFailure(KnotCensusError):
             msg += f" {detail!r}"
         super().__init__(msg)
 
-    def __reduce__(self):
-        return (type(self), (self.condition, self.detail))
-
 
 class GenericityExhausted(KnotCensusError):
     """Every frame in the retry budget failed a genericity check."""
@@ -57,9 +44,6 @@ class GenericityExhausted(KnotCensusError):
         self.attempts = attempts
         self.last = last
         super().__init__(f"no generic projection frame after {attempts} attempts")
-
-    def __reduce__(self):
-        return (type(self), (self.attempts, self.last))
 
 
 class InvariantContractError(KnotCensusError):
@@ -77,17 +61,12 @@ class IdentityViolation(KnotCensusError):
     """An unconditionally true identity failed to balance.
 
     The theorems verified here hold for every valid embedding, so this
-    always signals an engine defect; the failing report (and the witness
-    bundle path, when one was written) is attached.
+    always signals an engine defect; the failing report is attached.
     """
 
-    def __init__(self, report, witness_path=None):
+    def __init__(self, report):
         self.report = report
-        self.witness_path = witness_path
         super().__init__(
             f"identity {report.identity_id} violated at n={report.n}: "
             f"lhs={report.lhs} rhs={report.rhs}"
         )
-
-    def __reduce__(self):
-        return (type(self), (self.report, self.witness_path))

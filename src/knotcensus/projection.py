@@ -366,9 +366,12 @@ def curve_table(curves: Sequence[tuple[IntPoint, ...]], frame: ProjectionFrame) 
 
 
 def check_frame_budget(verify_frames: int, retry_limit: int) -> None:
-    """Raise ValueError unless verify_frames >= 0 and retry_limit >= 1."""
-    if verify_frames < 0:
-        raise ValueError(f"verify_frames must be at least 0, got {verify_frames}")
+    """Raise ValueError unless verify_frames >= 1 and retry_limit >= 1.
+
+    Every value is reproduced on at least one further accepted frame.
+    """
+    if verify_frames < 1:
+        raise ValueError(f"verify_frames must be at least 1, got {verify_frames}")
     if retry_limit < 1:
         raise ValueError(f"retry_limit must be at least 1, got {retry_limit}")
 

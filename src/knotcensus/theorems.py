@@ -67,21 +67,17 @@ WITNESS_CAP = 128
 
 
 def _run_shard(record, shard, fd: int) -> None:
-    """Child side: evaluate `shard`, write the results to `fd`, and exit.
+    """Child side: write the marshal of `shard`'s results to `fd`, and exit.
 
-    The results go out as b"R" and their marshal, an exception as b"E"
-    and its pickle.  The child always leaves through `os._exit`, so it
-    never flushes the parent's buffers, runs its atexit handlers or
-    returns into the caller.
+    The child exits 0 once its results are written; on any failure it
+    writes nothing and exits 1, and the caller evaluates the shard
+    again.  It always leaves through `os._exit`, so it never flushes the
+    parent's buffers, runs its atexit handlers or returns into the
+    caller.
     """
     code = 1
     try:
-        try:
-            data = b"R" + marshal.dumps([record(s) for s in shard])
-        except Exception as exc:
-            import pickle
-
-            data = b"E" + pickle.dumps(exc)
+        data = marshal.dumps([record(s) for s in shard])
         with open(fd, "wb") as fh:
             fh.write(data)
         code = 0
@@ -120,34 +116,28 @@ def _evaluate(record, subjects: list, threads: int) -> list:
     process evaluates the first and a forked child each of the others;
     a child inherits the whole-graph tables bound into `record`, so
     nothing is sent to it.  Results are joined in shard order, so they
-    equal the serial ones for every process count.  A child's exception
-    is raised here; on any failure every child still running is killed
+    equal the serial ones for every process count.  A shard whose child
+    did not exit 0 is evaluated again here, so an error is raised as the
+    serial run raises it, and a child killed from outside costs time,
+    not the run.  On any failure every child still running is killed
     and reaped first.
     """
     if threads == 1 or len(subjects) <= 16:
         return [record(s) for s in subjects]
     bounds = _shard_bounds(len(subjects), threads)
+    shards = [subjects[lo:hi] for lo, hi in zip(bounds[1:-1], bounds[2:])]
     children = []
     try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            children.append(_fork_shard(record, subjects[lo:hi]))
+        for shard in shards:
+            children.append(_fork_shard(record, shard))
         results = [record(s) for s in subjects[: bounds[1]]]
-        while children:
+        for shard in shards:
             pid, reader = children[0]
             data = reader.read()
             reader.close()
             _, status = os.waitpid(pid, 0)
             children.pop(0)
-            if data[:1] == b"E":
-                import pickle
-
-                raise pickle.loads(data[1:])
-            if data[:1] != b"R":
-                raise ChildProcessError(
-                    f"shard process {pid} ended with exit status "
-                    f"{os.waitstatus_to_exitcode(status)} and no result"
-                )
-            results += marshal.loads(data[1:])
+            results += marshal.loads(data) if status == 0 else [record(s) for s in shard]
     finally:
         if children:
             import signal

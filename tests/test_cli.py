@@ -439,6 +439,7 @@ def test_thread_count_below_one_is_usage_error(capsys, count):
 @pytest.mark.parametrize(
     "flag,value,name",
     [("--verify-frames", "-1", "verify_frames"),
+     ("--verify-frames", "0", "verify_frames"),
      ("--frame-retries", "0", "retry_limit"),
      ("--frame-retries", "-4", "retry_limit")],
 )

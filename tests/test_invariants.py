@@ -476,7 +476,7 @@ def test_fox_route_equals_the_whole_alexander_polynomial(n, seed, bent):
         e = random_polyline_embedding(n, f"fox:{seed}", coord_range=20, bent_edges=n * (n - 1) // 2)
     else:
         e = random_rectilinear_embedding(n, seed=f"fox:{seed}")
-    _, table = GraphProjection(e, 0, 0, FRAME_RETRY_LIMIT).tables[0]
+    _, table = GraphProjection(e, 0, 1, FRAME_RETRY_LIMIT).tables[0]
     for k in range(3, n + 1):
         for c in enumerate_cycles(e.graph, k):
             d = table.restrict((c,))
@@ -504,7 +504,7 @@ def test_audit_routes_match_the_skein_oracle(seed, n):
         dia = _first_diagram(*curves)
         lk = one_sided_linking_number(dia)
         assert lk == conway_skein_oracle(dia).a1
-        assert lk == curve_invariant(curves, seed=0, verify_frames=0)[0]
+        assert lk == curve_invariant(curves, seed=0, verify_frames=1)[0]
 
 
 def _off_by(fn, step):
@@ -534,7 +534,9 @@ def test_audit_catches_a_wrong_fast_path_value(monkeypatch):
         EmbeddingAnalysis(moment_curve_embedding(6), audit=True).link_records(3, 3)
 
 
-@pytest.mark.parametrize("verify_frames,retry_limit", [(-1, FRAME_RETRY_LIMIT), (1, 0), (1, -4)])
+@pytest.mark.parametrize(
+    "verify_frames,retry_limit", [(-1, FRAME_RETRY_LIMIT), (0, FRAME_RETRY_LIMIT), (1, 0), (1, -4)]
+)
 def test_bad_frame_budget_is_refused(verify_frames, retry_limit):
     budget = {"verify_frames": verify_frames, "retry_limit": retry_limit}
     with pytest.raises(ValueError):

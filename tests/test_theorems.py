@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import os
 import re
+import signal
 import sys
 import types
 from fractions import Fraction
@@ -21,7 +22,7 @@ from knotcensus.graphs import (
     enumerate_disjoint_pairs,
     k331_h_subgraph,
 )
-from knotcensus.invariants import InvariantRecord
+from knotcensus.invariants import InvariantRecord, stick_bound_a2
 from knotcensus.geometry import (
     SpatialEmbedding,
     embedding_from_json,
@@ -538,12 +539,13 @@ def test_shards_are_never_empty(count):
 
 
 def _planted(monkeypatch, subject, fail):
-    """Make `fail(subject)` happen when the records reach `subject`."""
+    """Make `fail(subject)` happen when the records reach `subject`; what
+    it returns, when not None, is read as the (value, audited) there."""
     real = theorems.cycle_invariant
 
     def record(tables, walks, audit=False):
-        if walks == subject:
-            fail(walks)
+        if walks == subject and (planted := fail(walks)) is not None:
+            return planted
         return real(tables, walks, audit=audit)
 
     monkeypatch.setattr(theorems, "cycle_invariant", record)
@@ -572,13 +574,82 @@ def test_shard_error_reaches_the_caller_and_no_child_is_left(monkeypatch, index)
     _assert_no_child_left()
 
 
-def test_shard_child_dying_without_a_result_is_an_error(monkeypatch):
+_DEATHS = {
+    "exit": lambda: os._exit(5),
+    "sigkill": lambda: os.kill(os.getpid(), signal.SIGKILL),
+}
+
+
+def _child_death(die, reached):
+    """A planted failure that ends a forked child and, in the calling
+    process, notes in `reached` that the subject was evaluated there."""
+    caller = os.getpid()
+    return lambda walks: die() if os.getpid() != caller else reached.append(walks)
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+@pytest.mark.parametrize("death", _DEATHS)
+def test_a_dead_shard_child_costs_time_not_the_run(monkeypatch, death, threads):
+    # Hamiltonian cycle 200 of K7 is in the last child's shard at two
+    # processes and the middle one's at three.
     e = moment_curve_embedding(7)
-    _planted(monkeypatch, (enumerate_cycles(e.graph, 7)[200],), lambda w: os._exit(5))
-    a = EmbeddingAnalysis(e, seed=0, threads=2)
-    with pytest.raises(ChildProcessError, match="exit status 5 and no result"):
-        a.knot_records(7)
+    serial = EmbeddingAnalysis(e, seed=0).knot_records(7)
+    subject = (enumerate_cycles(e.graph, 7)[200],)
+    reached = []
+    _planted(monkeypatch, subject, _child_death(_DEATHS[death], reached))
+    assert EmbeddingAnalysis(e, seed=0, threads=threads).knot_records(7) == serial
+    assert reached == [subject]
     _assert_no_child_left()
+
+
+def test_census_with_a_killed_shard_child_prints_the_serial_bytes(monkeypatch, capsys):
+    argv = ["census", "--n", "7", "--kind", "moment", "--threads"]
+    assert cli.main(argv + ["1"]) == 0
+    serial = capsys.readouterr().out
+    subject = (enumerate_cycles(moment_curve_embedding(7).graph, 7)[200],)
+    reached = []
+    _planted(monkeypatch, subject, _child_death(_DEATHS["sigkill"], reached))
+    assert cli.main(argv + ["2"]) == 0
+    assert capsys.readouterr().out == serial
+    assert reached == [subject]
+    _assert_no_child_left()
+
+
+# One impossible value per straight-edge contract check: moment K7 must
+# refuse it, and bent edges (polyline K7) make it possible.
+_IMPOSSIBLE = [
+    ((1, 2, 3, 5, 4), 1, "straight 5-gon (1, 2, 3, 5, 4) got nonzero a2 1"),
+    ((1, 2, 3, 4, 7, 6), stick_bound_a2(6) + 1,
+     "6-stick knot (1, 2, 3, 4, 7, 6) exceeds a2 bound: 2"),
+    (((1, 2, 3), (4, 6, 7)), 2,
+     "triangle pair ((1, 2, 3), (4, 6, 7)) has |lk| >= 2 in a straight-edge embedding"),
+]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "subject,value,message", _IMPOSSIBLE, ids=["pentagon", "hexagon", "triangle-pair"]
+)
+def test_straight_edge_contract_refuses_an_impossible_value(
+    monkeypatch, subject, value, message, threads
+):
+    knot = type(subject[0]) is int
+    _planted(monkeypatch, (subject,) if knot else subject, lambda walks: (value, False))
+
+    def records(e):
+        a = EmbeddingAnalysis(e, seed=0, threads=threads)
+        return a.knot_records(len(subject)) if knot else a.link_records(3, 3)
+
+    with pytest.raises(InvariantContractError, match=re.escape(message)):
+        records(moment_curve_embedding(7))
+    assert InvariantRecord(subject, value, False) in records(random_polyline_embedding(7, 0))
+
+
+def test_verify_exits_1_on_an_impossible_straight_edge_value(monkeypatch, capsys):
+    subject, value, message = _IMPOSSIBLE[0]
+    _planted(monkeypatch, (subject,), lambda walks: (value, False))
+    assert cli.main(["verify", "--n", "7", "--kind", "moment"]) == 1
+    assert capsys.readouterr().err == f"knotcensus: {message}\n"
 
 
 def test_threads_above_one_need_fork(monkeypatch, capsys):
