@@ -10,7 +10,8 @@ segment between its endpoints, optionally subdivided by interior
 waypoints (a polyline edge).  Validity means the edge arcs form an
 embedding of the graph: arcs are pairwise disjoint except for shared
 endpoints at common vertices, no graph vertex lies in the interior of
-any arc, and no three graph vertices are collinear.
+any arc, and no three graph vertices are collinear.  `validate_embedding`
+decides each fact by one exact predicate, in an order each relies on.
 """
 
 from __future__ import annotations
@@ -77,46 +78,19 @@ def _strictly_inside(q: IntPoint, a: IntPoint, b: IntPoint) -> bool:
     return 0 < t < _dot(d, d)
 
 
-def segment_intersection(p1: IntPoint, p2: IntPoint, p3: IntPoint, p4: IntPoint):
-    """Exact intersection of closed 3-space segments [p1,p2] and [p3,p4].
-
-    Returns one of:
-      ("empty",)
-      ("point", (xn, yn, zn), den)   a single point, coordinates xn/den ...
-    Raises ValueError for a degenerate segment or a collinear overlap of
-    positive length; `validate_embedding` reports either one earlier, as
-    coincident points or a corner on a segment, and never passes it here.
-    """
+def _segments_cross(p1: IntPoint, p2: IntPoint, p3: IntPoint, p4: IntPoint) -> bool:
+    """Exact test: [p1,p2] and [p3,p4] are not parallel and meet at one
+    point strictly inside both.  This decides whether they meet away from
+    a shared corner only once `validate_embedding` has found no corner on
+    a segment it does not end."""
     d1 = _sub(p2, p1)
     d2 = _sub(p4, p3)
     r = _sub(p3, p1)
-    if _dot(_cross(d1, d2), r) != 0:
-        return ("empty",)
     n = _cross(d1, d2)
-    if not _is_zero(n):
-        nn = _dot(n, n)
-        t_num = _dot(_cross(r, d2), n)
-        s_num = _dot(_cross(r, d1), n)
-        if not (0 <= t_num <= nn and 0 <= s_num <= nn):
-            return ("empty",)
-        pt = tuple(p1[i] * nn + t_num * d1[i] for i in range(3))
-        return ("point", pt, nn)
-    # Parallel lines: either disjoint or collinear.
-    if not _is_zero(_cross(d1, r)):
-        return ("empty",)
-    dd = _dot(d1, d1)
-    if dd == 0:
-        raise ValueError("degenerate segment")
-    t3 = _dot(_sub(p3, p1), d1)
-    t4 = _dot(_sub(p4, p1), d1)
-    lo, hi = min(t3, t4), max(t3, t4)
-    lo, hi = max(lo, 0), min(hi, dd)
-    if lo > hi:
-        return ("empty",)
-    if lo < hi:
-        raise ValueError("collinear segments overlap")
-    pt = tuple(p1[i] * dd + lo * d1[i] for i in range(3))
-    return ("point", pt, dd)
+    if _is_zero(n) or _dot(n, r) != 0:
+        return False
+    nn = _dot(n, n)
+    return 0 < _dot(_cross(r, d2), n) < nn and 0 < _dot(_cross(r, d1), n) < nn
 
 
 class EmbeddingCertificate(NamedTuple):
@@ -134,9 +108,10 @@ class SpatialEmbedding:
     """A graph with exact rational vertex positions and edge paths.
 
     `edge_paths` maps an edge (i, j) with i < j to the tuple of interior
-    waypoints traversed from i to j; straight edges are simply absent.
-    An embedding with no waypoints anywhere is rectilinear.  Embeddings
-    compare equal when their graph, positions and paths are equal.
+    waypoints traversed from i to j; straight edges, and edges given an
+    empty path, are absent.  An embedding with no waypoints anywhere is
+    rectilinear.  Embeddings compare equal when their graph, positions
+    and paths are equal.
     """
 
     def __init__(
@@ -147,12 +122,13 @@ class SpatialEmbedding:
     ):
         self.graph = graph
         self.vertex_positions = vertex_positions
-        self.edge_paths = {} if edge_paths is None else edge_paths
+        paths = {} if edge_paths is None else edge_paths
         if set(vertex_positions) != set(graph.vertices):
             raise ValueError("positions must cover exactly the graph vertices")
-        for e in self.edge_paths:
+        for e in paths:
             if e not in graph.edges:
                 raise ValueError(f"waypoints given for non-edge {e}")
+        self.edge_paths = {e: path for e, path in paths.items() if path}
 
     def _key(self) -> tuple:
         return (self.graph, self.vertex_positions, self.edge_paths)
@@ -166,7 +142,7 @@ class SpatialEmbedding:
 
     @property
     def rectilinear(self) -> bool:
-        return all(len(p) == 0 for p in self.edge_paths.values())
+        return not self.edge_paths
 
     @cached_property
     def scale(self) -> int:
@@ -232,6 +208,9 @@ def validate_embedding(e: SpatialEmbedding) -> EmbeddingCertificate:
     Checks, in order: distinct corners (vertices and waypoints), no three
     collinear graph vertices, no corner interior to a segment it does
     not end, and pairwise segment disjointness away from shared corners.
+    Once the first three hold, two segments meet only at a shared corner
+    or at one point inside both, so the last check is the strict
+    crossing test `_segments_cross`, with no shared-corner test.
     The first violation found is reported with its witnesses: a corner
     is named ("v", vertex) or ("w", edge, index), and a segment
     (edge, index) by its place along its edge's chain in `e.corners`.
@@ -259,15 +238,7 @@ def validate_embedding(e: SpatialEmbedding) -> EmbeddingCertificate:
                 return EmbeddingCertificate(False, "point-on-segment", (names[c], (edge, k)))
 
     for (e1, k1, a1, b1), (e2, k2, a2, b2) in combinations(segs, 2):
-        hit = segment_intersection(points[a1], points[b1], points[a2], points[b2])
-        if hit[0] == "empty":
-            continue
-        # A single-point intersection is legal only at a shared corner
-        # (common vertex, or the waypoint joining consecutive segments of
-        # one polyline edge).
-        shared = {a1, b1} & {a2, b2}
-        _, pt, den = hit
-        if not shared or pt != tuple(x * den for x in points[shared.pop()]):
+        if _segments_cross(points[a1], points[b1], points[a2], points[b2]):
             return EmbeddingCertificate(False, "segments-intersect", ((e1, k1), (e2, k2)))
     return EmbeddingCertificate(True)
 
@@ -412,7 +383,6 @@ def embedding_to_json(e: SpatialEmbedding) -> dict:
     paths = {
         f"{i}-{j}": [[_coord_to_json(c) for c in p] for p in path]
         for (i, j), path in sorted(e.edge_paths.items())
-        if path
     }
     if paths:
         doc["edges"] = paths
@@ -451,14 +421,12 @@ def embedding_from_json(doc: dict) -> SpatialEmbedding:
         if not isinstance(row, list) or len(row) != 3:
             raise ValueError(f"vertex {idx + 1}: expected 3 coordinates")
         pos[idx + 1] = tuple(_coord_from_json(c) for c in row)
+    # Only the canonical key names an edge, so no edge is named twice.
+    keys = {f"{i}-{j}": (i, j) for i, j in g.edges} if edges else {}
     paths: dict[tuple[int, int], tuple[Point, ...]] = {}
     for key, rows in edges.items():
-        try:
-            i, j = (int(t) for t in key.split("-"))
-        except ValueError:
-            raise ValueError(f"bad edge key {key!r}") from None
-        if not g.has_edge(i, j) or i >= j:
-            raise ValueError(f"edge key {key!r} is not an i<j edge of the graph")
+        if key not in keys:
+            raise ValueError(f"edge key {key!r} is not the i-j key of an edge with i < j")
         if not isinstance(rows, list):
             raise ValueError(f"edge {key}: expected a list of waypoints")
         pts = []
@@ -466,7 +434,7 @@ def embedding_from_json(doc: dict) -> SpatialEmbedding:
             if not isinstance(row, list) or len(row) != 3:
                 raise ValueError(f"edge {key}: expected 3 coordinates per waypoint")
             pts.append(tuple(_coord_from_json(c) for c in row))
-        paths[(i, j)] = tuple(pts)
+        paths[keys[key]] = tuple(pts)
     e = SpatialEmbedding(g, pos, paths)
     cert = validate_embedding(e)
     if not cert:

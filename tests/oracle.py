@@ -1,5 +1,5 @@
 """The tests' reference: the Conway skein oracle, the whole Alexander
-polynomial and the two-arrow calibration.
+polynomial, the two-arrow calibration and the validity certificate.
 
 None of this ships in the package.  The skein oracle
 (`conway_skein_oracle`) computes the full Conway polynomial by
@@ -19,14 +19,31 @@ Every coefficient of every minor is at most 4^(n-1) in absolute value,
 so the digits are exact; Delta(1) = +-1, the symmetry of Delta and
 every division are checked.  `alexander_a2` reads a2 = Delta''(1)/2 off
 it, the reference the tests hold `fox_a2` to.
+
+`reference_certificate` is the validity certificate with the general
+3-space intersector `segment_intersection` as its last check: it
+computes where two segments meet and refuses any point but a shared
+corner.  The package decides that check by a strict crossing test that
+is exact only after the earlier checks; the tests hold it to this one.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from knotcensus.errors import InvariantContractError, KnotCensusError
-from knotcensus.geometry import IntPoint
+from knotcensus.geometry import (
+    EmbeddingCertificate,
+    IntPoint,
+    SpatialEmbedding,
+    _cross,
+    _dot,
+    _is_zero,
+    _strictly_inside,
+    _sub,
+    collinear,
+)
 from knotcensus.projection import (
     Arrow,
     LinkDiagram,
@@ -406,3 +423,88 @@ def calibrate_a2_patterns(
         if not survivors:
             break
     return survivors
+
+
+# ---------------------------------------------------------------------------
+# Embedding validity
+
+
+def segment_intersection(p1: IntPoint, p2: IntPoint, p3: IntPoint, p4: IntPoint):
+    """Exact intersection of closed 3-space segments [p1,p2] and [p3,p4].
+
+    Returns one of:
+      ("empty",)
+      ("point", (xn, yn, zn), den)   a single point, coordinates xn/den ...
+    Raises ValueError for a degenerate segment or a collinear overlap of
+    positive length; `reference_certificate` reports either one earlier,
+    as coincident points or a corner on a segment, and never passes it here.
+    """
+    d1 = _sub(p2, p1)
+    d2 = _sub(p4, p3)
+    r = _sub(p3, p1)
+    if _dot(_cross(d1, d2), r) != 0:
+        return ("empty",)
+    n = _cross(d1, d2)
+    if not _is_zero(n):
+        nn = _dot(n, n)
+        t_num = _dot(_cross(r, d2), n)
+        s_num = _dot(_cross(r, d1), n)
+        if not (0 <= t_num <= nn and 0 <= s_num <= nn):
+            return ("empty",)
+        pt = tuple(p1[i] * nn + t_num * d1[i] for i in range(3))
+        return ("point", pt, nn)
+    # Parallel lines: either disjoint or collinear.
+    if not _is_zero(_cross(d1, r)):
+        return ("empty",)
+    dd = _dot(d1, d1)
+    if dd == 0:
+        raise ValueError("degenerate segment")
+    t3 = _dot(_sub(p3, p1), d1)
+    t4 = _dot(_sub(p4, p1), d1)
+    lo, hi = min(t3, t4), max(t3, t4)
+    lo, hi = max(lo, 0), min(hi, dd)
+    if lo > hi:
+        return ("empty",)
+    if lo < hi:
+        raise ValueError("collinear segments overlap")
+    pt = tuple(p1[i] * dd + lo * d1[i] for i in range(3))
+    return ("point", pt, dd)
+
+
+def reference_certificate(e: SpatialEmbedding) -> EmbeddingCertificate:
+    """`validate_embedding`'s certificate, its segment pairs decided by
+    `segment_intersection` and a shared-corner test."""
+    points, chains = e.corners
+    names: list[tuple] = [("v", v) for v in e.graph.vertices]
+    segs = []
+    for edge, chain in chains.items():
+        names.extend(("w", edge, k) for k in range(len(chain) - 2))
+        segs.extend((edge, k, chain[k], chain[k + 1]) for k in range(len(chain) - 1))
+
+    seen: dict[IntPoint, int] = {}
+    for c, p in enumerate(points):
+        if p in seen:
+            return EmbeddingCertificate(False, "coincident-points", (names[seen[p]], names[c]))
+        seen[p] = c
+
+    for va, vb, vc in combinations(e.graph.vertices, 3):
+        if collinear(points[va - 1], points[vb - 1], points[vc - 1]):
+            return EmbeddingCertificate(False, "collinear-vertices", (va, vb, vc))
+
+    for c, p in enumerate(points):
+        for edge, k, a, b in segs:
+            if c != a and c != b and _strictly_inside(p, points[a], points[b]):
+                return EmbeddingCertificate(False, "point-on-segment", (names[c], (edge, k)))
+
+    for (e1, k1, a1, b1), (e2, k2, a2, b2) in combinations(segs, 2):
+        hit = segment_intersection(points[a1], points[b1], points[a2], points[b2])
+        if hit[0] == "empty":
+            continue
+        # A single-point intersection is legal only at a shared corner
+        # (common vertex, or the waypoint joining consecutive segments of
+        # one polyline edge).
+        shared = {a1, b1} & {a2, b2}
+        _, pt, den = hit
+        if not shared or pt != tuple(x * den for x in points[shared.pop()]):
+            return EmbeddingCertificate(False, "segments-intersect", ((e1, k1), (e2, k2)))
+    return EmbeddingCertificate(True)

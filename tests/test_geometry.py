@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +28,7 @@ from knotcensus.geometry import (
     write_embedding,
 )
 from knotcensus.graphs import canonical_cycle, complete_graph, k331_graph
+from oracle import reference_certificate
 
 
 def positions(*coords):
@@ -87,9 +90,9 @@ def test_vertex_on_nonincident_edge_rejected():
         complete_graph(4),
         positions((0, 0, 0), (4, 0, 0), (2, 0, 1), (2, 0, 0)),
     )
-    cert = validate_embedding(e)
-    assert not cert
-    assert cert.violation in ("point-on-segment", "collinear-vertices")
+    # Collinear vertices are reported before a vertex on a segment; the
+    # segment-pair test relies on that order.
+    assert tuple(validate_embedding(e)) == (False, "collinear-vertices", (1, 2, 4))
 
 
 def test_crossing_edges_rejected():
@@ -151,6 +154,9 @@ def _k5_bent(waypoint, moved=None):
             ),
             (False, "segments-intersect", (((1, 2), 1), ((3, 4), 0))),
         ),
+        # A waypoint at the midpoint of its own edge: two collinear
+        # segments that share only that corner.
+        (_k5_bent(_mid(_K5[1], _K5[2])), (True, None, ())),
     ],
 )
 def test_witnesses_name_waypoints_and_later_segments(e, expected):
@@ -161,7 +167,7 @@ def test_collinear_overlap_is_reported_at_its_end_corner():
     # The second segments of bent edges (1, 2) and (3, 4) share the
     # stretch from x = 11 to 12 of the x-axis.  Waypoint 1 of (1, 2) lies
     # inside that segment of (3, 4), which is reported before any two
-    # segments are intersected; intersecting them is refused.
+    # segments are tested.
     e = SpatialEmbedding(
         complete_graph(4),
         moment_curve_embedding(4).vertex_positions,
@@ -172,8 +178,41 @@ def test_collinear_overlap_is_reported_at_its_end_corner():
     )
     expected = (False, "point-on-segment", (("w", (1, 2), 1), ((3, 4), 1)))
     assert tuple(validate_embedding(e)) == expected
-    with pytest.raises(ValueError, match="overlap"):
-        geometry.segment_intersection((10, 0, 0), (12, 0, 0), (11, 0, 0), (13, 0, 0))
+
+
+def _random_embedding(rng):
+    """K3-K6 on a small integer grid, 40% of its edges bent through one
+    to three half-integer waypoints: small enough that every kind of
+    violation is common."""
+    g = complete_graph(rng.randint(3, 6))
+    r = rng.randint(1, 5)
+    pos = {v: rational_point(*(rng.randint(-r, r) for _ in range(3))) for v in g.vertices}
+    paths = {
+        edge: tuple(
+            tuple(Fraction(rng.randint(-2 * r, 2 * r), 2) for _ in range(3))
+            for _ in range(rng.randint(1, 3))
+        )
+        for edge in sorted(g.edges)
+        if rng.random() < 0.4
+    }
+    return SpatialEmbedding(g, pos, paths)
+
+
+def test_certificates_equal_the_general_intersector_reference():
+    rng = Random("validity-sweep")
+    kinds = Counter()
+    for _ in range(3000):
+        e = _random_embedding(rng)
+        cert = validate_embedding(e)
+        assert tuple(cert) == tuple(reference_certificate(e))
+        kinds[cert.violation] += 1
+    assert set(kinds) == {
+        None,
+        "coincident-points",
+        "collinear-vertices",
+        "point-on-segment",
+        "segments-intersect",
+    }
 
 
 def test_cycle_curve_is_closed_polygon_without_repeats():
@@ -293,28 +332,53 @@ def test_fraction_coordinates_survive_json():
     assert back.vertex_positions[2][1] == Fraction(-7, 3)
 
 
+def _bend_1_2_at_its_midpoint(d):
+    a, b = d["vertices"][:2]
+    return [[[x + y, 2] for x, y in zip(a, b)]]
+
+
+# Each case is (mutation, message); ids keep the case names stable.
+_CORRUPTIONS = [
+    (lambda d: d.pop("vertices"), "missing field"),
+    (lambda d: d.update(graph="hypercube"), "unknown graph kind"),
+    (lambda d: d["vertices"].append([0, 0, 0]), "vertex list length"),
+    (lambda d: d["vertices"].__setitem__(0, [0, 0]), "expected 3 coordinates"),
+    (lambda d: d["vertices"].__setitem__(0, [0, 0, "x"]), "bad coordinate"),
+    (lambda d: d["vertices"].__setitem__(0, [0, 0, [1, 0]]), "bad coordinate"),
+    (lambda d: d.update(edges={"1-99": [[0, 0, 0]]}), "edge key"),
+    (lambda d: d.update(edges={"zap": [[0, 0, 0]]}), "edge key"),
+    (lambda d: d.update(n="six"), "bad vertex count"),
+    (lambda d: d.update(edges=[1, 2]), "edges must be an object"),
+    (lambda d: d.update(edges=None), "edges must be an object"),
+    (lambda d: d.update(edges={"1-2": 5}), "expected a list of waypoints"),
+    # Edge keys must be spelled "i-j": the waypoint is valid on (1, 2).
+    (lambda d: d.update(edges={"01-2": _bend_1_2_at_its_midpoint(d)}), "edge key"),
+    (lambda d: d.update(edges={" 1-2": _bend_1_2_at_its_midpoint(d)}), "edge key"),
+    (
+        lambda d: d.update(
+            edges={"1-2": _bend_1_2_at_its_midpoint(d), "01-2": _bend_1_2_at_its_midpoint(d)}
+        ),
+        "edge key",
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    "mutate",
-    [
-        lambda d: d.pop("vertices"),
-        lambda d: d.update(graph="hypercube"),
-        lambda d: d["vertices"].append([0, 0, 0]),
-        lambda d: d["vertices"].__setitem__(0, [0, 0]),
-        lambda d: d["vertices"].__setitem__(0, [0, 0, "x"]),
-        lambda d: d["vertices"].__setitem__(0, [0, 0, [1, 0]]),
-        lambda d: d.update(edges={"1-99": [[0, 0, 0]]}),
-        lambda d: d.update(edges={"zap": [[0, 0, 0]]}),
-        lambda d: d.update(n="six"),
-        lambda d: d.update(edges=[1, 2]),
-        lambda d: d.update(edges=None),
-        lambda d: d.update(edges={"1-2": 5}),
-    ],
+    "mutate, match", _CORRUPTIONS, ids=[f"<lambda>{i}" for i in range(len(_CORRUPTIONS))]
 )
-def test_corrupt_documents_rejected(mutate):
+def test_corrupt_documents_rejected(mutate, match):
     doc = embedding_to_json(random_rectilinear_embedding(6, seed=5))
     mutate(doc)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=match):
         embedding_from_json(doc)
+
+
+def test_empty_path_is_dropped_and_round_trips():
+    doc = embedding_to_json(random_rectilinear_embedding(6, seed=5))
+    doc["edges"] = {"1-2": []}
+    e = embedding_from_json(doc)
+    assert e.edge_paths == {} and e.rectilinear
+    assert embedding_from_json(embedding_to_json(e)) == e
 
 
 def test_vertex_list_is_checked_before_the_graph_is_built(monkeypatch):
