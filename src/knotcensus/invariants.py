@@ -18,20 +18,22 @@ of that value on the first accepted diagram of at most
 A disagreement is an engine defect, raised as InvariantContractError.
 
 Both fast paths read a crossing table, never a diagram.  One loop
-(`cycle_invariant`) reads every value: it codes a record's walk once
-(`projection.coded_walk`: its directed edge codes in walk order and
-each edge's orientation factor) and reads that walk at every accepted
-table of `projection.accepted_tables`, the one frame policy.  At each
-table a knot's value is the two-arrow count of the table's Gauss arrows
-(`CrossingTable.arrows`), a link's half the signed crossings met along
-one cycle's edges with the other's (`CrossingTable.linking_total`).
-An embedding's cycles are read at the frames where its whole graph is
-generic, loose curves (`curve_invariant`) at the frames where the
-curves' own scan is.  A `LinkDiagram` is restricted from the first
-table only to be audited, or for the crossing count that
-`curve_invariant` reports.
+(`shard_values`) reads every value: for each record subject, a cycle or
+a disjoint pair, it codes the walk once and reads it at every accepted
+table of `projection.accepted_tables`, the one frame policy.  Its flat
+buffers are allocated once per call and reused by every subject: the
+orientation factors of the subject's edges, indexed by edge code and
+cleared again after it, the crossings opened along the walk, indexed
+by crossing id, and the arrows closed so far.  At each table a knot's
+value is its two-arrow count, taken as the Gauss arrows close
+(`_a2_at`), a link's half the signed crossings met along one cycle's
+edges with the other's (`_lk_at`).  An embedding's cycles are read at
+the frames where its whole graph is generic, loose curves
+(`curve_invariant`) at the frames where the curves' own scan is.  A
+`LinkDiagram` is restricted from the first table only to be audited,
+or for the crossing count that `curve_invariant` reports.
 
-The two-arrow pattern `_a2` counts was calibrated against a Conway
+The two-arrow pattern `_a2_at` counts was calibrated against a Conway
 skein oracle; that oracle, exponential in the crossing number, and the
 whole Alexander polynomial that `fox_a2` is held to are the test
 suite's reference and are not part of the package.
@@ -47,45 +49,15 @@ from .errors import InvariantContractError
 from .geometry import IntPoint
 from .projection import (
     FRAME_RETRY_LIMIT,
-    Arrow,
     CrossingTable,
     LinkDiagram,
-    Walks,
     accepted_tables,
-    coded_walk,
     curve_table,
     curve_walks,
+    edge_code,
 )
 
 AUDIT_CROSSING_LIMIT = 12
-
-
-# ---------------------------------------------------------------------------
-# Second Conway coefficient from the Gauss diagram
-
-
-def _a2(arrows: Sequence[Arrow]) -> int:
-    """The calibrated two-arrow count of a knot's Gauss arrows: its a2.
-
-    Each arrow is taken as a span (start, end, sign).  An interleaved
-    pair of spans a1 < b1 < a2 < b2 adds the product of its signs when
-    the earlier-starting arrow is first passed over and the later one
-    first passed under; the total is taken with sign +1.  Of the eight
-    (pattern, sign) choices only this one and its mirror dual give the
-    skein oracle's a2 on every calibration diagram.
-    """
-    firsts, seconds = [], []
-    for o, u, s in arrows:
-        if o < u:
-            firsts.append((o, u, s))
-        else:
-            seconds.append((u, o, s))
-    total = 0
-    for a1, a2, si in firsts:
-        for b1, b2, sj in seconds:
-            if a1 < b1 < a2 < b2:
-                total += si * sj
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -242,46 +214,133 @@ def _audit_link(d: LinkDiagram, value: int) -> None:
         )
 
 
-def cycle_invariant(
-    tables: Sequence[tuple[int, CrossingTable]], walks: Walks, audit: bool = False
-) -> tuple[int, bool]:
-    """(value, audited) of one walk or a disjoint pair.
+def _a2_at(passes, walk: list[int], fac: list[int], opened: list, closed: list) -> int:
+    """The calibrated two-arrow count of one cycle at one table: its a2.
 
-    `walks` is one cycle's walk (a2) or two disjoint ones (lk) in the
-    accepted `tables`, (frame index, table) pairs from
-    `accepted_tables`.  Each walk is coded once (`coded_walk`) and read
-    at every table: a2 is the calibrated two-arrow count (`_a2`) of the
-    table's arrows, lk half the signed mutual-crossing
-    total, which must be even.  With `audit`, the diagram is restricted
-    from the first table and, if it has at most AUDIT_CROSSING_LIMIT
-    crossings, its value is checked by the independent route.  Every
-    further table must give the first table's value, or
-    InvariantContractError is raised.
+    `walk` lists the cycle's directed edge codes in walk order and `fac`
+    the orientation factor of each of its edges (+1 or -1, by the code
+    from its smaller vertex; 0 elsewhere), so a pass is kept when its
+    other edge has a factor.  A kept crossing is an arrow spanning the
+    walk positions (in 0..2c-1 for c kept crossings) at which it is
+    first and second met, with its first pass's sign times that factor.
+    An interleaved pair of spans a1 < b1 < a2 < b2 adds the product of
+    its signs when the earlier-starting arrow is first passed over and
+    the later one first passed under; of the eight (pattern, sign)
+    choices only this one and its mirror dual give the skein oracle's
+    a2 on every calibration diagram.  It is added as b closes: the
+    over-first arrows closed since b opened that opened before it.
+    `opened`, indexed by crossing id, is None throughout on entry and on
+    return; `closed` lists (start, sign) of the over-first arrows in
+    closing order, the first `shut` of its entries.  Both are as long as
+    the table has crossings.  Raises ValueError unless every kept
+    crossing is passed once over and once under.
     """
-    knot = len(walks) == 1
-    coded = list(map(coded_walk, walks))
-    first_index = tables[0][0]
-    audited = False
-    for index, table in tables:
-        if knot:
-            v = _a2(table.arrows(coded[0]))
-        else:
-            total = table.linking_total(*coded)
-            if total % 2:
-                raise InvariantContractError("odd signed mutual-crossing total")
-            v = total // 2
-        if index == first_index:
-            value = v
-            if audit:
-                d = table.restrict(walks)
-                audited = d.crossing_count <= AUDIT_CROSSING_LIMIT
-                if audited:
-                    (_audit_knot if knot else _audit_link)(d, value)
-        elif v != value:
-            raise InvariantContractError(
-                f"frame {index} disagrees: {v} != {value} (frame {first_index})"
-            )
-    return value, audited
+    pos = closes = total = shut = 0
+    for code in walk:
+        for gid, other, over, sign in passes[code]:
+            if fac[other]:
+                first = opened[gid]
+                if first is None:
+                    opened[gid] = (pos, over, sign * fac[other], shut)
+                else:
+                    opened[gid] = None
+                    closes += 1
+                    start, first_over, s, since = first
+                    if first_over == over:
+                        raise ValueError("every crossing must be passed once over and once under")
+                    if first_over:
+                        closed[shut] = (start, s)
+                        shut += 1
+                    elif since < shut:
+                        for a1, sa in closed[since:shut]:
+                            if a1 < start:
+                                total += sa * s
+                pos += 1
+    if pos != 2 * closes:
+        raise ValueError("every crossing must be passed once over and once under")
+    return total
+
+
+def _lk_at(passes, walk: list[int], fac: list[int], opened: list, closed: list) -> int:
+    """lk of a disjoint cycle pair at one table: half the signed crossings
+    met along the first cycle's `walk` with the edges `fac` gives a factor,
+    the second cycle's.
+
+    Each such crossing is listed once under its edge on the walked
+    cycle, so it is counted once, with its sign in the pair's
+    `restrict`.  Raises InvariantContractError if the total is odd.
+    `opened` and `closed` are not read.
+    """
+    total = 0
+    for code in walk:
+        for _, other, _, sign in passes[code]:
+            if fac[other]:
+                total += sign * fac[other]
+    if total % 2:
+        raise InvariantContractError("odd signed mutual-crossing total")
+    return total // 2
+
+
+def shard_values(
+    tables: Sequence[tuple[int, CrossingTable]], subjects: Sequence[tuple], audit: bool = False
+) -> tuple[list[int], bytearray]:
+    """The values of `subjects` in order, and a byte per subject: 1 if audited.
+
+    A subject is a cycle's vertex tuple (its a2) or a disjoint pair of
+    them (its lk), read in the accepted `tables`, (frame index, table)
+    pairs from `accepted_tables`.  Its walk is coded once, from its
+    first vertex, and read at every table.  With `audit`, its diagram is
+    restricted from the first table right after that table's value and,
+    if it has at most AUDIT_CROSSING_LIMIT crossings, the value is
+    checked by the independent route.  Every further table must give the
+    first table's value, or InvariantContractError is raised.
+    """
+    (first_index, first), rest = tables[0], tables[1:]
+    n = max(t.vertices for _, t in tables)
+    # step[a][b]: the edge walked from a to b, as (edge_code(a, b), its
+    # code from the smaller vertex, its orientation factor).
+    step = [
+        [(edge_code(a, b), edge_code(min(a, b), max(a, b)), 1 if a < b else -1) for b in range(n)]
+        for a in range(n)
+    ]
+    fac = [0] * max(len(t.passes) for _, t in tables)
+    opened = [None] * max(t.crossings for _, t in tables)
+    closed = [None] * len(opened)
+    values = []
+    audited = bytearray(len(subjects))
+    for i, subject in enumerate(subjects):
+        knot = type(subject[0]) is int
+        walked, against = (subject, subject) if knot else subject
+        a = against[-1]
+        for b in against:
+            _, code, f = step[a][b]
+            fac[code] = f
+            a = b
+        a = walked[-1]
+        walk = []
+        for b in walked:
+            walk.append(step[a][b][0])
+            a = b
+        walk.append(walk.pop(0))  # from the first vertex
+        read = _a2_at if knot else _lk_at
+        value = read(first.passes, walk, fac, opened, closed)
+        if audit:
+            d = first.restrict((subject,) if knot else subject)
+            if d.crossing_count <= AUDIT_CROSSING_LIMIT:
+                audited[i] = 1
+                (_audit_knot if knot else _audit_link)(d, value)
+        for index, table in rest:
+            v = read(table.passes, walk, fac, opened, closed)
+            if v != value:
+                raise InvariantContractError(
+                    f"frame {index} disagrees: {v} != {value} (frame {first_index})"
+                )
+        a = against[-1]
+        for b in against:
+            fac[step[a][b][1]] = 0
+            a = b
+        values.append(value)
+    return values, audited
 
 
 def curve_invariant(
@@ -293,13 +352,12 @@ def curve_invariant(
 ) -> tuple[int, int, int, bool]:
     """(value, crossing count, frame index, audited) of loose curves.
 
-    One closed polygon gives its a2, two give their lk, as
-    `cycle_invariant` decides by the number of walks.  The value is
-    read at the accepted frames of the curves' own scan; the crossing
-    count and frame index are the first accepted frame's.
+    One closed polygon gives its a2, two give their lk, read by
+    `shard_values` at the accepted frames of the curves' own scan; the
+    crossing count and frame index are the first accepted frame's.
     """
     walks = curve_walks(curves)
     tables, _, _ = accepted_tables(partial(curve_table, curves), seed, verify_frames, retry_limit)
-    value, audited = cycle_invariant(tables, walks, audit)
+    (value,), audited = shard_values(tables, [walks[0] if len(walks) == 1 else walks], audit)
     index, first = tables[0]
-    return value, first.restrict(walks).crossing_count, index, audited
+    return value, first.restrict(walks).crossing_count, index, bool(audited[0])

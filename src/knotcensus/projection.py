@@ -28,16 +28,13 @@ Every diagram and every value comes from a `CrossingTable`: one scan
 embedding's segments join the corners of `SpatialEmbedding.corners`,
 the one numbering of its integer model.  Its
 constructor lays the crossings out once for both walk directions of
-every edge, keyed by an integer code of the directed edge (`edge_code`):
-each pass is (crossing id, code of the other edge, over flag, sign times
-this direction's orientation factor).  A cycle is read as a `Walk`
-(`coded_walk`), coded once and read at every table: its directed codes
-in walk order and each edge's orientation factor.  From a walk a table
-gives a cycle's Gauss arrows (`CrossingTable.arrows`) and a cycle
-pair's signed mutual-crossing total (`CrossingTable.linking_total`)
-without a diagram.  The one way to a `LinkDiagram` is
-`CrossingTable.restrict`, which only the audit and `curve_invariant`'s
-crossing count call.
+every edge, in a list indexed by an integer code of the directed edge
+(`edge_code`): each pass is (crossing id, code of the other edge, over
+flag, sign times this direction's orientation factor).
+`invariants.shard_values` reads a cycle's a2 and a cycle pair's linking
+number straight from those passes, without a diagram.  The one way to a
+`LinkDiagram` is `CrossingTable.restrict`, which only the audit and
+`curve_invariant`'s crossing count call.
 """
 
 from __future__ import annotations
@@ -148,32 +145,15 @@ EdgePass = tuple[int, Edge, int, int]
 #  vertex, over flag, the EdgePass sign times this direction's orientation
 #  factor)
 Pass = tuple[int, int, int, int]
-# (a cycle's directed edge codes in walk order, each edge's orientation
-#  factor by its code from the smaller vertex: +1 if walked from there, else -1)
-Walk = tuple[list[int], dict[int, int]]
-Arrow = tuple[int, int, int]  # (over position, under position, sign)
 Walks = tuple[tuple[int, ...], ...]  # one or two cycles' vertex (or corner) tuples
 
 
 def edge_code(a: int, b: int) -> int:
     """The integer code of the edge walked from a to b: the Cantor pairing,
-    one-to-one on pairs of non-negative integers."""
+    one-to-one on pairs of non-negative integers.  Of an edge's two codes
+    the one from its smaller vertex is the larger."""
     s = a + b
     return s * (s + 1) // 2 + b
-
-
-def coded_walk(vs: tuple[int, ...]) -> Walk:
-    """The `Walk` of cycle `vs`, from its first vertex along its order."""
-    codes = []
-    factor = {}
-    for a, b in zip(vs, vs[1:] + vs[:1]):
-        t = (a + b) * (a + b + 1) // 2  # edge_code(a, b) - b = edge_code(b, a) - a
-        codes.append(t + b)
-        if a < b:
-            factor[t + b] = 1
-        else:
-            factor[t + a] = -1
-    return codes, factor
 
 
 class CrossingTable:
@@ -186,16 +166,23 @@ class CrossingTable:
     once under each of its two edges.  Only the layout below is kept.
 
     `passes[edge_code(a, b)]` lists the same crossings as met walking
-    edge {a, b} from a to b, as `Pass`es.  The constructor lays them out
-    for every table, scanned or built by hand.  A walk keeps a pass
-    whose other edge has a factor in the walk, and the crossing's sign
-    in the walk's `restrict` is the pass's sign times that factor.
+    edge {a, b} from a to b, as `Pass`es; codes of no edge list none.
+    The constructor lays them out for every table, scanned or built by
+    hand.  A walk keeps a pass whose other edge is on the walked cycles,
+    and the crossing's sign in their `restrict` is the pass's sign times
+    that edge's orientation factor: +1 if walked from its smaller vertex,
+    else -1.  `vertices` and `crossings` are one more than the largest
+    vertex (or corner) and crossing id.
     """
 
-    __slots__ = ("passes",)
+    __slots__ = ("passes", "vertices", "crossings")
 
     def __init__(self, forward: dict[Edge, Sequence[EdgePass]]):
-        self.passes: dict[int, tuple[Pass, ...]] = {}
+        self.vertices = 1 + max((j for _, j in forward), default=-1)
+        self.crossings = 1 + max((p[0] for ps in forward.values() for p in ps), default=-1)
+        self.passes: list[tuple[Pass, ...]] = [()] * (
+            1 + max((edge_code(i, j) for i, j in forward), default=-1)
+        )
         for (i, j), edge_passes in forward.items():
             ps = [(gid, edge_code(*other), over, sign) for gid, other, over, sign in edge_passes]
             self.passes[edge_code(i, j)] = tuple(ps)
@@ -213,12 +200,22 @@ class CrossingTable:
         factor (+1 or -1) of each of its two edges.
         """
         passes = self.passes
-        walks = [coded_walk(vs) for vs in cycles]
-        factor = {code: f for _, fs in walks for code, f in fs.items()}
+        walks: list[list[int]] = []
+        factor: dict[int, int] = {}
+        for vs in cycles:
+            codes = []
+            for a, b in zip(vs, vs[1:] + vs[:1]):
+                t = (a + b) * (a + b + 1) // 2  # edge_code(a, b) - b = edge_code(b, a) - a
+                codes.append(t + b)
+                if a < b:
+                    factor[t + b] = 1
+                else:
+                    factor[t + a] = -1
+            walks.append(codes)
         relabel: dict[int, int] = {}
         signs: list[int] = []
         passages = []
-        for codes, _ in walks:
+        for codes in walks:
             ps: list[Passage] = []
             for code in codes:
                 for gid, other, over, sign in passes[code]:
@@ -232,55 +229,6 @@ class CrossingTable:
                     ps.append((cid, over))
             passages.append(tuple(ps))
         return LinkDiagram(tuple(passages), tuple(signs))
-
-    def arrows(self, walk: Walk) -> list[Arrow]:
-        """The Gauss-diagram arrows of one cycle's walk, without a diagram.
-
-        Arrow i is (over position, under position, sign): the two walk
-        positions (in 0..2c-1 for c kept crossings) at which a crossing
-        is passed over and under, and its sign in the cycle's
-        `restrict`, whose walk this is.  Arrows are listed by second
-        encounter.  Raises ValueError unless every kept crossing is
-        passed once over and once under.
-        """
-        passes = self.passes
-        codes, factor = walk
-        opened: dict[int, tuple[int, int, int]] = {}
-        out: list[Arrow] = []
-        pos = 0
-        for code in codes:
-            for gid, other, over, sign in passes[code]:
-                if other not in factor:
-                    continue
-                first = opened.pop(gid, None)
-                if first is None:
-                    opened[gid] = (pos, over, sign * factor[other])
-                elif first[1] == over:
-                    raise ValueError("every crossing must be passed once over and once under")
-                else:
-                    out.append((pos, first[0], first[2]) if over else (first[0], pos, first[2]))
-                pos += 1
-        if opened:
-            raise ValueError("every crossing must be passed once over and once under")
-        return out
-
-    def linking_total(self, a: Walk, b: Walk) -> int:
-        """Signed mutual-crossing total of a disjoint cycle pair's walks.
-
-        Twice lk of the pair's `restrict`: walking `a`'s edges, each
-        crossing with an edge of `b` adds its sign in that diagram.
-        Each such crossing is listed once under its edge on `a`, so it
-        is counted once.
-        """
-        passes = self.passes
-        factor = b[1]
-        total = 0
-        for code in a[0]:
-            for _, other, _, sign in passes[code]:
-                g = factor.get(other)
-                if g is not None:
-                    total += sign * g
-        return total
 
 
 def crossing_table(

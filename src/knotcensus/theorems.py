@@ -1,9 +1,11 @@
 """Exact evaluation of the integer identities a spatial embedding satisfies.
 
 Every aggregate here is read from one `ClassSummary` per cycle class,
-folded from its invariant records (each frame-verified, optionally
-audited): a value histogram, an audited count and the first nonzero and
-positive records, so a report can name the cycles behind its numbers.
+folded straight from the class's values as `invariants.shard_values`
+reads them (each frame-verified, optionally audited), with no record
+built: a value histogram, an audited count and the first nonzero and
+positive (subject, value) pairs, so a report can name the cycles behind
+its numbers.
 All arithmetic is exact: sums are Python integers, the one halved
 coefficient is checked for integrality rather than rounded, and pass
 means lhs equals rhs, nothing weaker.
@@ -43,6 +45,7 @@ from collections import Counter
 from collections.abc import Callable
 from fractions import Fraction
 from functools import partial
+from itertools import islice
 from math import comb, factorial, inf
 from typing import NamedTuple
 
@@ -57,7 +60,7 @@ from .graphs import (
 from .invariants import (
     InvariantRecord,
     classify_triangle_triangle,
-    cycle_invariant,
+    shard_values,
     stick_bound_a2,
 )
 from .projection import FRAME_RETRY_LIMIT, GraphProjection, check_frame_budget
@@ -66,8 +69,8 @@ HAMILTONIAN_CEILING = 10
 WITNESS_CAP = 128
 
 
-def _run_shard(record, shard, fd: int) -> None:
-    """Child side: write the marshal of `shard`'s results to `fd`, and exit.
+def _run_shard(evaluate, shard, fd: int) -> None:
+    """Child side: write the marshal of `evaluate(shard)` to `fd`, and exit.
 
     The child exits 0 once its results are written; on any failure it
     writes nothing and exits 1, and the caller evaluates the shard
@@ -77,7 +80,7 @@ def _run_shard(record, shard, fd: int) -> None:
     """
     code = 1
     try:
-        data = marshal.dumps([record(s) for s in shard])
+        data = marshal.dumps(evaluate(shard))
         with open(fd, "wb") as fh:
             fh.write(data)
         code = 0
@@ -85,7 +88,7 @@ def _run_shard(record, shard, fd: int) -> None:
         os._exit(code)
 
 
-def _fork_shard(record, shard):
+def _fork_shard(evaluate, shard):
     """Fork a child evaluating `shard`; return its pid and the reader of its results."""
     read_fd, write_fd = os.pipe()
     try:
@@ -96,7 +99,7 @@ def _fork_shard(record, shard):
         raise
     if pid == 0:
         os.close(read_fd)
-        _run_shard(record, shard, write_fd)
+        _run_shard(evaluate, shard, write_fd)
     os.close(write_fd)
     return pid, open(read_fd, "rb")
 
@@ -108,36 +111,39 @@ def _shard_bounds(count: int, threads: int) -> list[int]:
     return [count * i // shards for i in range(shards + 1)]
 
 
-def _evaluate(record, subjects: list, threads: int) -> list:
-    """`[record(s) for s in subjects]`, split over `threads` processes.
+def _evaluate(evaluate, subjects: list, threads: int) -> tuple[list[int], bytearray]:
+    """`evaluate(subjects)`, split over `threads` processes.
 
-    Sixteen subjects or fewer are evaluated here; more are cut into
-    `_shard_bounds` shards, at most one per subject.  The calling
-    process evaluates the first and a forked child each of the others;
-    a child inherits the whole-graph tables bound into `record`, so
-    nothing is sent to it.  Results are joined in shard order, so they
-    equal the serial ones for every process count.  A shard whose child
-    did not exit 0 is evaluated again here, so an error is raised as the
-    serial run raises it, and a child killed from outside costs time,
-    not the run.  On any failure every child still running is killed
-    and reaped first.
+    `evaluate` maps a list of subjects to their values and audit flags,
+    as `shard_values` does.  Sixteen subjects or fewer are evaluated
+    here; more are cut into `_shard_bounds` shards, at most one per
+    subject.  The calling process evaluates the first and a forked child
+    each of the others; a child inherits the whole-graph tables bound
+    into `evaluate`, so nothing is sent to it.  Results are joined in
+    shard order, so they equal the serial ones for every process count.
+    A shard whose child did not exit 0 is evaluated again here, so an
+    error is raised as the serial run raises it, and a child killed from
+    outside costs time, not the run.  On any failure every child still
+    running is killed and reaped first.
     """
     if threads == 1 or len(subjects) <= 16:
-        return [record(s) for s in subjects]
+        return evaluate(subjects)
     bounds = _shard_bounds(len(subjects), threads)
     shards = [subjects[lo:hi] for lo, hi in zip(bounds[1:-1], bounds[2:])]
     children = []
     try:
         for shard in shards:
-            children.append(_fork_shard(record, shard))
-        results = [record(s) for s in subjects[: bounds[1]]]
+            children.append(_fork_shard(evaluate, shard))
+        values, audited = evaluate(subjects[: bounds[1]])
         for shard in shards:
             pid, reader = children[0]
             data = reader.read()
             reader.close()
             _, status = os.waitpid(pid, 0)
             children.pop(0)
-            results += marshal.loads(data) if status == 0 else [record(s) for s in shard]
+            more, flags = marshal.loads(data) if status == 0 else evaluate(shard)
+            values += more
+            audited += flags
     finally:
         if children:
             import signal
@@ -145,42 +151,37 @@ def _evaluate(record, subjects: list, threads: int) -> list:
             reader.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return results
+    return values, audited
 
 
-def _subject_invariant(tables, audit: bool, subject: tuple) -> tuple[int, bool]:
-    """`cycle_invariant` of a record subject: a cycle or a pair of cycles."""
-    return cycle_invariant(tables, (subject,) if type(subject[0]) is int else subject, audit)
+def _stick_knot(k: int, subject, value: int) -> str | None:
+    """The contract violation of a straight k-cycle's a2, if any.
+
+    A k-cycle with straight edges is a k-stick polygon: below six sticks
+    only the unknot is possible, and in general its second Conway
+    coefficient cannot exceed the k-stick bound.
+    """
+    if k <= 5 and value != 0:
+        return f"straight {k}-gon {subject} got nonzero a2 {value}"
+    if k >= 6 and value > stick_bound_a2(k):
+        return f"{k}-stick knot {subject} exceeds a2 bound: {value}"
+    return None
 
 
-def _check_stick_knot(k: int, rec: InvariantRecord) -> None:
-    # A k-cycle with straight edges is a k-stick polygon: below six
-    # sticks only the unknot is possible, and in general its second
-    # Conway coefficient cannot exceed the k-stick bound.
-    if k <= 5 and rec.value != 0:
-        raise InvariantContractError(
-            f"straight {k}-gon {rec.subject} got nonzero a2 {rec.value}"
-        )
-    if k >= 6 and rec.value > stick_bound_a2(k):
-        raise InvariantContractError(
-            f"{k}-stick knot {rec.subject} exceeds a2 bound: {rec.value}"
-        )
-
-
-def _check_triangle_pair(rec: InvariantRecord) -> None:
-    if classify_triangle_triangle(rec.value, True) == "other":
-        raise InvariantContractError(
-            f"triangle pair {rec.subject} has |lk| >= 2 in a straight-edge embedding"
-        )
+def _triangle_pair(subject, value: int) -> str | None:
+    """The contract violation of a straight triangle pair's lk, if any."""
+    if classify_triangle_triangle(value, True) == "other":
+        return f"triangle pair {subject} has |lk| >= 2 in a straight-edge embedding"
+    return None
 
 
 class ClassSummary(NamedTuple):
-    """What the reports read of one record class; its records are not kept.
+    """What the reports read of one class; its records are never built.
 
-    `histogram` maps each value to its record count and `audited` counts
-    the audited records.  `nonzero` and `positive` hold (subject, value)
-    for the first `WITNESS_CAP` records, in canonical order, whose value
-    is nonzero or positive: the witnesses a report can list.
+    `histogram` maps each value to its subject count and `audited` counts
+    the audited subjects.  `nonzero` and `positive` hold (subject, value)
+    for the first `WITNESS_CAP` subjects, in canonical order, whose
+    value is nonzero or positive: the witnesses a report can list.
     """
 
     histogram: dict[int, int]
@@ -188,23 +189,15 @@ class ClassSummary(NamedTuple):
     nonzero: tuple[tuple[tuple, int], ...]
     positive: tuple[tuple[tuple, int], ...]
 
-    @classmethod
-    def of(cls, records) -> ClassSummary:
-        """Fold a class's records, in canonical order, into its summary."""
-        nonzero = [r for r in records if r.value]
-        positive = [r for r in nonzero if r.value > 0]
-        return cls(dict(Counter(r.value for r in records)), sum(r.audited for r in records),
-                   *(tuple(r[:2] for r in rs[:WITNESS_CAP]) for rs in (nonzero, positive)))
-
 
 class EmbeddingAnalysis:
-    """Cached per-class summaries of the invariant records of one embedding.
+    """Cached per-class summaries of the invariant values of one embedding.
 
-    A class's records are built once, folded into a `ClassSummary` that
+    A class's values are read once, folded into a `ClassSummary` that
     every identity and the census read, and dropped, so an analysis holds
-    O(classes x WITNESS_CAP) values, not O(records).  With `threads`
+    O(classes x WITNESS_CAP) values, not O(subjects).  With `threads`
     above 1 a class is split into contiguous shards, one per process (see
-    `_evaluate`), and joined back in canonical order, so records, sums
+    `_evaluate`), and joined back in canonical order, so values, sums
     and witnesses do not depend on the process count.
 
     Values are read from whole-graph crossing tables at the embedding's
@@ -271,55 +264,76 @@ class EmbeddingAnalysis:
             "graph_frame_rejects": {} if g is None else dict(sorted(g.rejects.items())),
         }
 
-    def _records(self, subjects: list, check) -> tuple[InvariantRecord, ...]:
-        """The records of `subjects`, in order, each through `check` when not None.
+    def _values(self, subjects, check) -> tuple[list[int], bytearray, Counter]:
+        """The values of `subjects` in order, their audit flags and histogram.
 
         `subjects` is the `enumerate_cycles` (a2) or
-        `enumerate_disjoint_pairs` (lk) output, and each item is one
-        record's subject.  Nothing is cached.
+        `enumerate_disjoint_pairs` (lk) output.  `check`, when not None,
+        gives the contract violation of a (subject, value) or None; it is
+        tried on the histogram's distinct values, and only on a violation
+        are the subjects scanned, in canonical order, for the first one
+        to raise.  Nothing is cached.
         """
         if self._projection is None:
             self._projection = GraphProjection(
                 self.embedding, self.seed, self.verify_frames, self.retry_limit
             )
-        record = partial(_subject_invariant, self._projection.tables, self.audit)
-        results = _evaluate(record, subjects, self.threads)
-        out = tuple(InvariantRecord(s, *result) for s, result in zip(subjects, results))
-        if check is not None:
-            for rec in out:
-                check(rec)
-        return out
+        evaluate = partial(shard_values, self._projection.tables, audit=self.audit)
+        values, audited = _evaluate(evaluate, subjects, self.threads)
+        histogram = Counter(values)
+        if check is not None and any(check(None, v) for v in histogram):
+            raise InvariantContractError(next(filter(None, map(check, subjects, values))))
+        return values, audited, histogram
 
-    def knot_records(
-        self, k: int, subgraph: SimpleGraph | None = None
-    ) -> tuple[InvariantRecord, ...]:
-        """Frame-verified a2 records for all k-cycles, sorted canonically."""
+    def _records(self, subjects, check) -> tuple[InvariantRecord, ...]:
+        """The records of `subjects`, in order, through `check` as `_values` runs it."""
+        values, audited, _ = self._values(subjects, check)
+        return tuple(map(InvariantRecord, subjects, values, map(bool, audited)))
+
+    def _summary(self, subjects, check) -> ClassSummary:
+        """The summary of `_records(subjects, check)`, folded from the values."""
+        values, audited, histogram = self._values(subjects, check)
+        nonzero = islice(((s, v) for s, v in zip(subjects, values) if v), WITNESS_CAP)
+        positive = islice(((s, v) for s, v in zip(subjects, values) if v > 0), WITNESS_CAP)
+        return ClassSummary(dict(histogram), audited.count(1), tuple(nonzero), tuple(positive))
+
+    def _knot_class(self, k: int, subgraph: SimpleGraph | None):
+        """The k-cycles, canonically sorted, and their straight-edge check."""
         if k == self.n and self.n > HAMILTONIAN_CEILING and not self.allow_large:
             raise ScaleLimitExceeded(
                 f"Hamiltonian sums above n={HAMILTONIAN_CEILING} need the override"
             )
         g = subgraph if subgraph is not None else self.graph
-        check = partial(_check_stick_knot, k) if self.embedding.rectilinear else None
-        return self._records(enumerate_cycles(g, k), check)
+        check = partial(_stick_knot, k) if self.embedding.rectilinear else None
+        return enumerate_cycles(g, k), check
+
+    def _link_class(self, key: tuple[int, int]):
+        """The disjoint `key` cycle pairs and their straight-edge check."""
+        check = _triangle_pair if key == (3, 3) and self.embedding.rectilinear else None
+        return enumerate_disjoint_pairs(self.graph, *key), check
+
+    def knot_records(
+        self, k: int, subgraph: SimpleGraph | None = None
+    ) -> tuple[InvariantRecord, ...]:
+        """Frame-verified a2 records for all k-cycles, sorted canonically."""
+        return self._records(*self._knot_class(k, subgraph))
 
     def link_records(self, k: int, l: int) -> tuple[InvariantRecord, ...]:
         """Frame-verified lk records for all disjoint (k, l) cycle pairs."""
-        key = (k, l) if k <= l else (l, k)
-        check = _check_triangle_pair if key == (3, 3) and self.embedding.rectilinear else None
-        return self._records(enumerate_disjoint_pairs(self.graph, *key), check)
+        return self._records(*self._link_class((k, l) if k <= l else (l, k)))
 
     def knot_summary(self, k: int, subgraph: SimpleGraph | None = None) -> ClassSummary:
         """The summary of `knot_records(k, subgraph)`, folded on the first request."""
         key = (k, (subgraph if subgraph is not None else self.graph).edges)
         if key not in self._knots:
-            self._knots[key] = ClassSummary.of(self.knot_records(k, subgraph))
+            self._knots[key] = self._summary(*self._knot_class(k, subgraph))
         return self._knots[key]
 
     def link_summary(self, k: int, l: int) -> ClassSummary:
         """The summary of `link_records(k, l)`, folded on the first request."""
         key = (k, l) if k <= l else (l, k)
         if key not in self._links:
-            self._links[key] = ClassSummary.of(self.link_records(*key))
+            self._links[key] = self._summary(*self._link_class(key))
         return self._links[key]
 
     # -- aggregates -----------------------------------------------------
@@ -659,7 +673,8 @@ def verify_embedding(
     """Run the selected (default: all applicable) checks; return reports.
 
     Raises ValueError when nothing is selected, so a run that checks
-    nothing never reports a pass.
+    nothing never reports a pass, and when the selection names an
+    unknown identity or one identity twice.
     """
     a = _analysis_for(e, analysis, **kw)
     selection = applicable_identities(a.embedding) if identities is None else identities
@@ -671,6 +686,9 @@ def verify_embedding(
     unknown = [i for i in selection if i not in CATALOG]
     if unknown:
         raise ValueError(f"unknown identities: {unknown}")
+    repeated = sorted({i for i in selection if selection.count(i) > 1})
+    if repeated:
+        raise ValueError(f"repeated identities: {repeated}")
     reports = [verify_identity(i, analysis=a, raise_on_fail=raise_on_fail) for i in selection]
     return reports, a
 

@@ -20,6 +20,16 @@ so the digits are exact; Delta(1) = +-1, the symmetry of Delta and
 every division are checked.  `alexander_a2` reads a2 = Delta''(1)/2 off
 it, the reference the tests hold `fox_a2` to.
 
+`cycle_invariant` is the per-record route the package read every value
+by before `knotcensus.invariants.shard_values`: it codes one subject's
+walk (`coded_walk`: its directed edge codes and each edge's orientation
+factor in a dict), lists the Gauss arrows of a knot at each table
+(`arrows`) and counts them by `_a2`, the calibrated pattern, or sums a
+pair's signed mutual crossings (`linking_total`).  The tests hold the
+loop to it.  `class_summary_of` folds its records into a `ClassSummary`, and
+`diagram_table` lays any knot's Gauss code, realizable or virtual, out
+as a crossing table the loop can read.
+
 `reference_certificate` is the validity certificate with the general
 3-space intersector `segment_intersection` as its last check: it
 computes where two segments meet and refuses any point but a shared
@@ -31,6 +41,8 @@ from __future__ import annotations
 
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
+
+from collections import Counter
 
 from knotcensus.errors import InvariantContractError, KnotCensusError
 from knotcensus.geometry import (
@@ -44,16 +56,25 @@ from knotcensus.geometry import (
     _sub,
     collinear,
 )
+from knotcensus.invariants import AUDIT_CROSSING_LIMIT, _audit_knot, _audit_link
 from knotcensus.projection import (
-    Arrow,
+    CrossingTable,
     LinkDiagram,
     Passage,
     ProjectionFrame,
+    Walks,
     curve_table,
     curve_walks,
 )
+from knotcensus import theorems
+from knotcensus.theorems import ClassSummary
 
 ORACLE_CROSSING_LIMIT = 20
+
+Arrow = tuple[int, int, int]  # (over position, under position, sign)
+# (a cycle's directed edge codes in walk order, each edge's orientation
+#  factor by its code from the smaller vertex: +1 if walked from there, else -1)
+Walk = tuple[list[int], dict[int, int]]
 
 
 class OracleLimitExceeded(KnotCensusError):
@@ -397,8 +418,8 @@ def _a2_with_pattern(
 
 
 def _knot_arrows(d: LinkDiagram) -> list[Arrow]:
-    """The Gauss arrows of a knot diagram, as `CrossingTable.arrows`
-    gives them, listed by crossing."""
+    """The Gauss arrows of a knot diagram, as `arrows` gives them,
+    listed by crossing."""
     if d.component_count != 1:
         raise ValueError("gauss arrows need a knot diagram (one component)")
     over_pos: dict[int, int] = {}
@@ -508,3 +529,176 @@ def reference_certificate(e: SpatialEmbedding) -> EmbeddingCertificate:
         if not shared or pt != tuple(x * den for x in points[shared.pop()]):
             return EmbeddingCertificate(False, "segments-intersect", ((e1, k1), (e2, k2)))
     return EmbeddingCertificate(True)
+
+
+# ---------------------------------------------------------------------------
+# The per-record route
+
+
+def coded_walk(vs: tuple[int, ...]) -> Walk:
+    """The `Walk` of cycle `vs`, from its first vertex along its order."""
+    codes = []
+    factor = {}
+    for a, b in zip(vs, vs[1:] + vs[:1]):
+        t = (a + b) * (a + b + 1) // 2  # edge_code(a, b) - b = edge_code(b, a) - a
+        codes.append(t + b)
+        if a < b:
+            factor[t + b] = 1
+        else:
+            factor[t + a] = -1
+    return codes, factor
+
+
+def arrows(table: CrossingTable, walk: Walk) -> list[Arrow]:
+    """The Gauss-diagram arrows of one cycle's walk, without a diagram.
+
+    Arrow i is (over position, under position, sign): the two walk
+    positions (in 0..2c-1 for c kept crossings) at which a crossing
+    is passed over and under, and its sign in the cycle's
+    `restrict`, whose walk this is.  Arrows are listed by second
+    encounter.  Raises ValueError unless every kept crossing is
+    passed once over and once under.
+    """
+    passes = table.passes
+    codes, factor = walk
+    opened: dict[int, tuple[int, int, int]] = {}
+    out: list[Arrow] = []
+    pos = 0
+    for code in codes:
+        for gid, other, over, sign in passes[code]:
+            if other not in factor:
+                continue
+            first = opened.pop(gid, None)
+            if first is None:
+                opened[gid] = (pos, over, sign * factor[other])
+            elif first[1] == over:
+                raise ValueError("every crossing must be passed once over and once under")
+            else:
+                out.append((pos, first[0], first[2]) if over else (first[0], pos, first[2]))
+            pos += 1
+    if opened:
+        raise ValueError("every crossing must be passed once over and once under")
+    return out
+
+
+def linking_total(table: CrossingTable, a: Walk, b: Walk) -> int:
+    """Signed mutual-crossing total of a disjoint cycle pair's walks.
+
+    Twice lk of the pair's `restrict`: walking `a`'s edges, each
+    crossing with an edge of `b` adds its sign in that diagram.
+    Each such crossing is listed once under its edge on `a`, so it
+    is counted once.
+    """
+    passes = table.passes
+    factor = b[1]
+    total = 0
+    for code in a[0]:
+        for _, other, _, sign in passes[code]:
+            g = factor.get(other)
+            if g is not None:
+                total += sign * g
+    return total
+
+
+def _a2(arrows: Sequence[Arrow]) -> int:
+    """The calibrated two-arrow count of a knot's Gauss arrows: its a2.
+
+    Each arrow is taken as a span (start, end, sign).  An interleaved
+    pair of spans a1 < b1 < a2 < b2 adds the product of its signs when
+    the earlier-starting arrow is first passed over and the later one
+    first passed under; the total is taken with sign +1.  Of the eight
+    (pattern, sign) choices only this one and its mirror dual give the
+    skein oracle's a2 on every calibration diagram.
+    """
+    firsts, seconds = [], []
+    for o, u, s in arrows:
+        if o < u:
+            firsts.append((o, u, s))
+        else:
+            seconds.append((u, o, s))
+    total = 0
+    for a1, a2, si in firsts:
+        for b1, b2, sj in seconds:
+            if a1 < b1 < a2 < b2:
+                total += si * sj
+    return total
+
+
+def cycle_invariant(
+    tables: Sequence[tuple[int, CrossingTable]], walks: Walks, audit: bool = False
+) -> tuple[int, bool]:
+    """(value, audited) of one walk or a disjoint pair.
+
+    `walks` is one cycle's walk (a2) or two disjoint ones (lk) in the
+    accepted `tables`, (frame index, table) pairs from
+    `accepted_tables`.  Each walk is coded once (`coded_walk`) and read
+    at every table: a2 is the calibrated two-arrow count (`_a2`) of the
+    table's arrows, lk half the signed mutual-crossing
+    total, which must be even.  With `audit`, the diagram is restricted
+    from the first table and, if it has at most AUDIT_CROSSING_LIMIT
+    crossings, its value is checked by the independent route.  Every
+    further table must give the first table's value, or
+    InvariantContractError is raised.
+    """
+    knot = len(walks) == 1
+    coded = list(map(coded_walk, walks))
+    first_index = tables[0][0]
+    audited = False
+    for index, table in tables:
+        if knot:
+            v = _a2(arrows(table, coded[0]))
+        else:
+            total = linking_total(table, *coded)
+            if total % 2:
+                raise InvariantContractError("odd signed mutual-crossing total")
+            v = total // 2
+        if index == first_index:
+            value = v
+            if audit:
+                d = table.restrict(walks)
+                audited = d.crossing_count <= AUDIT_CROSSING_LIMIT
+                if audited:
+                    (_audit_knot if knot else _audit_link)(d, value)
+        elif v != value:
+            raise InvariantContractError(
+                f"frame {index} disagrees: {v} != {value} (frame {first_index})"
+            )
+    return value, audited
+
+
+def _subject_invariant(tables, audit: bool, subject: tuple) -> tuple[int, bool]:
+    """`cycle_invariant` of a record subject: a cycle or a pair of cycles."""
+    return cycle_invariant(tables, (subject,) if type(subject[0]) is int else subject, audit)
+
+
+def class_summary_of(records) -> ClassSummary:
+    """Fold a class's records, in canonical order, into its summary."""
+    nonzero = [r for r in records if r.value]
+    positive = [r for r in nonzero if r.value > 0]
+    cap = theorems.WITNESS_CAP
+    return ClassSummary(dict(Counter(r.value for r in records)), sum(r.audited for r in records),
+                        *(tuple(r[:2] for r in rs[:cap]) for rs in (nonzero, positive)))
+
+
+def diagram_table(d: LinkDiagram) -> tuple[CrossingTable, tuple[int, ...]]:
+    """A crossing table and a cycle whose walk passes `d`'s crossings in
+    order: the cycle (0, 1, ..., m - 1), at least a triangle, with the
+    k-th passage of the knot diagram `d` on its k-th edge.
+
+    Any Gauss code works, virtual ones too: each crossing is listed
+    under the edges of its two passages, with the sign that makes its
+    sign in the cycle's `restrict` the diagram's.
+    """
+    (passages,) = d.passages
+    m = max(len(passages), 3)
+    walked = [(k, (k + 1) % m) for k in range(m)]
+    factor = [1 if a < b else -1 for a, b in walked]
+    on: dict[int, list[int]] = {}
+    for k, (cid, _) in enumerate(passages):
+        on.setdefault(cid, []).append(k)
+    forward: dict = {tuple(sorted(e)): [] for e in walked}
+    for k, (cid, over) in enumerate(passages):
+        (other,) = [j for j in on[cid] if j != k]
+        sign = d.signs[cid] * factor[k] * factor[other]
+        forward[tuple(sorted(walked[k]))].append((cid, tuple(sorted(walked[other])), int(over), sign))
+    return CrossingTable(forward), tuple(range(m))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -19,7 +20,7 @@ from knotcensus.geometry import (
     random_rectilinear_embedding,
     write_embedding,
 )
-from knotcensus.theorems import IdentityReport
+from knotcensus.theorems import IdentityReport, verify_embedding
 
 
 def run(capsys, *argv):
@@ -209,6 +210,20 @@ def test_unknown_identity_is_usage_error(capsys):
     )
     assert code == 2
     assert "zorp" in err
+
+
+def test_repeated_identity_is_usage_error(capsys):
+    # One report per identity: a selection naming one twice is refused,
+    # as an unknown name is, before any class is read.
+    code, out, err = run(
+        capsys, "verify", "--n", "6", "--kind", "moment",
+        "--identities", "main-identity,k6-identity,main-identity",
+    )
+    assert (code, out) == (2, "")
+    assert err == "knotcensus: repeated identities: ['main-identity']\n"
+    e = moment_curve_embedding(6)
+    with pytest.raises(ValueError, match=re.escape("repeated identities: ['mod2-parity']")):
+        verify_embedding(e, identities=("mod2-parity", "mod2-parity"))
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -36,19 +36,27 @@ from knotcensus.graphs import enumerate_cycles, enumerate_disjoint_pairs
 from knotcensus.invariants import (
     AUDIT_CROSSING_LIMIT,
     curve_invariant,
-    cycle_invariant,
     one_sided_linking_number,
+    shard_values,
 )
 from knotcensus.projection import (
     CrossingTable,
     GraphProjection,
-    coded_walk,
     edge_code,
     frame_sequence,
 )
 from knotcensus.theorems import EmbeddingAnalysis
 
-from oracle import _knot_arrows, alexander_a2, project
+from oracle import (
+    _a2,
+    _knot_arrows,
+    alexander_a2,
+    arrows,
+    coded_walk,
+    cycle_invariant,
+    linking_total,
+    project,
+)
 
 
 def _subjects(e: SpatialEmbedding, ks) -> list[tuple[tuple[int, ...], ...]]:
@@ -72,6 +80,16 @@ def _per_cycle(e: SpatialEmbedding, subject, seed, audit=False):
 
 def _fields(r) -> tuple:
     return (r.value, r.audited)
+
+
+def _loop(tables, walks, audit=False) -> tuple[int, bool]:
+    """(value, audited) of one walk or pair read by `shard_values`, as
+    the reference `cycle_invariant` gives it."""
+    (value,), audited = shard_values(tables, [walks[0] if len(walks) == 1 else walks], audit)
+    return value, bool(audited[0])
+
+
+ROUTES = (cycle_invariant, _loop)
 
 
 def _analysis_records(a: EmbeddingAnalysis, ks) -> dict:
@@ -161,8 +179,9 @@ def _assert_table_values_match_restriction(table: CrossingTable, subject) -> int
     restricted diagram; return its crossing count."""
     d = table.restrict(subject)
     value, _ = cycle_invariant([(0, table)], subject)
+    assert _loop([(0, table)], subject) == (value, False), subject
     if len(subject) == 1:
-        assert sorted(table.arrows(coded_walk(subject[0]))) == sorted(_knot_arrows(d)), subject
+        assert sorted(arrows(table, coded_walk(subject[0]))) == sorted(_knot_arrows(d)), subject
         assert value == alexander_a2(d), subject
     else:
         assert value == one_sided_linking_number(d), subject
@@ -234,11 +253,79 @@ def test_one_walk_per_record_reads_every_table(e):
     # the audit routes' value on its restriction, and one walk read at
     # both tables gives that value.
     tables = GraphProjection(e, 0, verify_frames=1, retry_limit=64).tables
-    for subject in _subjects(e, range(3, e.n + 1)):
+    subjects = _subjects(e, range(3, e.n + 1))
+    for subject in subjects:
         value, _ = cycle_invariant(tables, subject)
+        assert _loop(tables, subject) == (value, False), subject
         for index, table in tables:
             _assert_table_values_match_restriction(table, subject)
             assert cycle_invariant([(index, table)], subject) == (value, False), subject
+            assert _loop([(index, table)], subject) == (value, False), subject
+    # One call reads the whole list, each subject as the reference does.
+    values, audited = shard_values(tables, [s[0] if len(s) == 1 else s for s in subjects])
+    assert values == [cycle_invariant(tables, s)[0] for s in subjects]
+    assert audited == bytearray(len(subjects))
+
+
+def _loop_subjects(e: SpatialEmbedding) -> list:
+    """Every cycle of length 3..n and every (3,3) and (3,4) pair, as
+    `shard_values` takes them."""
+    out = [c for k in range(3, e.n + 1) for c in enumerate_cycles(e.graph, k)]
+    for k, l in ((3, 3), (3, 4)):
+        out += enumerate_disjoint_pairs(e.graph, k, l)
+    return out
+
+
+def _reference_value(table: CrossingTable, subject) -> int:
+    """The per-record reference at one table: `_a2` of the arrows, or
+    half the linking total."""
+    if type(subject[0]) is int:
+        return _a2(arrows(table, coded_walk(subject)))
+    total = linking_total(table, *map(coded_walk, subject))
+    assert total % 2 == 0, subject
+    return total // 2
+
+
+loop_embeddings = st.one_of(
+    st.builds(moment_curve_embedding, st.sampled_from([6, 7, 8])),
+    st.builds(lambda n, s: random_rectilinear_embedding(n, seed=f"loop:{s}"),
+              st.sampled_from([6, 7, 8]), st.integers(0, 10**6)),
+    st.builds(lambda n, s: random_polyline_embedding(n, f"loop:{s}", bent_edges=n * (n - 1) // 2),
+              st.sampled_from([6, 7, 8]), st.integers(0, 10**6)),
+)
+
+
+@settings(max_examples=8, deadline=None)
+@given(loop_embeddings, st.integers(0, 3))
+def test_loop_equals_the_per_record_reference(e, frame_seed):
+    # Moment, random and fully bent polyline K6-K8: one call per table
+    # and one over both tables give, for every subject, the reference's
+    # value at each table and `cycle_invariant`'s over both.
+    tables = GraphProjection(e, frame_seed, verify_frames=1, retry_limit=64).tables
+    subjects = _loop_subjects(e)
+    for index, table in tables:
+        values, audited = shard_values([(index, table)], subjects)
+        assert values == [_reference_value(table, s) for s in subjects]
+        assert audited == bytearray(len(subjects))
+    values, _ = shard_values(tables, subjects)
+    assert values == [cycle_invariant(tables, (s,) if type(s[0]) is int else s)[0] for s in subjects]
+    assert any(values)
+
+
+@pytest.mark.parametrize(
+    "e", [moment_curve_embedding(6), random_polyline_embedding(7, 3, bent_edges=8)],
+    ids=["moment6", "polyline7"],
+)
+def test_a_subject_after_one_that_shares_no_edge_reads_only_its_own(e):
+    # Each triangle (or pair) follows one with no edge in common, so a
+    # factor left set by the subject before would keep crossings that
+    # are not the subject's own.
+    tables = GraphProjection(e, 0, verify_frames=1, retry_limit=64).tables
+    pairs = enumerate_disjoint_pairs(e.graph, 3, 3)
+    subjects = [c for pair in pairs for c in (pair[1], pair[0])]
+    subjects += [s for pair in pairs for s in (pair, pair[::-1])]
+    assert shard_values(tables, subjects)[0] == [shard_values(tables, [s])[0][0] for s in subjects]
+    assert any(shard_values(tables, pairs)[0])
 
 
 # A triangle (1, 2, 3), a disjoint triangle (4, 5, 6) and an edge 7-8
@@ -253,8 +340,9 @@ def _doctored(forward: dict) -> CrossingTable:
 
 def test_crossing_passed_over_twice_is_refused():
     table = _doctored({(1, 2): [(0, (2, 3), 1, 1)], (2, 3): [(0, (1, 2), 1, 1)]})
-    with pytest.raises(ValueError, match="once over and once under"):
-        cycle_invariant([(0, table)], (TRIANGLE,))
+    for route in ROUTES:
+        with pytest.raises(ValueError, match="^every crossing must be passed once over and once under$"):
+            route([(0, table)], (TRIANGLE,))
     with pytest.raises(ValueError, match="once over and once under"):
         _knot_arrows(table.restrict((TRIANGLE,)))
 
@@ -262,10 +350,11 @@ def test_crossing_passed_over_twice_is_refused():
 def test_crossing_passed_over_twice_is_refused_at_either_table():
     good = _doctored({(1, 2): [(0, (2, 3), 1, 1)], (2, 3): [(0, (1, 2), 0, 1)]})
     bad = _doctored({(1, 2): [(0, (2, 3), 1, 1)], (2, 3): [(0, (1, 2), 1, 1)]})
-    assert cycle_invariant([(0, good), (1, good)], (TRIANGLE,)) == (0, False)
-    for tables in ([(0, bad), (1, good)], [(0, good), (1, bad)]):
-        with pytest.raises(ValueError, match="once over and once under"):
-            cycle_invariant(tables, (TRIANGLE,))
+    for route in ROUTES:
+        assert route([(0, good), (1, good)], (TRIANGLE,)) == (0, False)
+        for tables in ([(0, bad), (1, good)], [(0, good), (1, bad)]):
+            with pytest.raises(ValueError, match="^every crossing must be passed once over and once under$"):
+                route(tables, (TRIANGLE,))
 
 
 def _linked(sign: int) -> CrossingTable:
@@ -280,36 +369,45 @@ def _linked(sign: int) -> CrossingTable:
 
 def test_a_second_table_that_disagrees_is_refused():
     pair = (TRIANGLE, OTHER)
-    assert cycle_invariant([(0, _linked(1)), (5, _linked(1))], pair) == (1, False)
-    with pytest.raises(InvariantContractError) as info:
-        cycle_invariant([(0, _linked(1)), (5, _linked(-1))], pair)
-    assert str(info.value) == "frame 5 disagrees: -1 != 1 (frame 0)"
-    # The trefoil of moment K7 against a table with its crossings removed.
     e = moment_curve_embedding(7)
     (i, table), (j, _) = GraphProjection(e, 0, 1, 64).tables
     bare = CrossingTable({edge: () for edge in e.graph.edges})
-    with pytest.raises(InvariantContractError) as info:
-        cycle_invariant([(i, table), (j, bare)], ((1, 3, 5, 7, 2, 4, 6),))
-    assert str(info.value) == f"frame {j} disagrees: 0 != 1 (frame {i})"
+    for route in ROUTES:
+        assert route([(0, _linked(1)), (5, _linked(1))], pair) == (1, False)
+        with pytest.raises(InvariantContractError) as info:
+            route([(0, _linked(1)), (5, _linked(-1))], pair)
+        assert str(info.value) == "frame 5 disagrees: -1 != 1 (frame 0)"
+        # The trefoil of moment K7 against a table with its crossings removed.
+        with pytest.raises(InvariantContractError) as info:
+            route([(i, table), (j, bare)], ((1, 3, 5, 7, 2, 4, 6),))
+        assert str(info.value) == f"frame {j} disagrees: 0 != 1 (frame {i})"
+        with pytest.raises(InvariantContractError) as info:
+            route([(j, bare), (i, table)], ((1, 3, 5, 7, 2, 4, 6),))
+        assert str(info.value) == f"frame {i} disagrees: 1 != 0 (frame {j})"
 
 
 def test_odd_linking_total_is_refused_at_either_table():
     odd = _doctored({(1, 2): [(0, (4, 5), 1, 1)], (4, 5): [(0, (1, 2), 0, 1)]})
-    for tables in ([(0, odd), (1, _linked(1))], [(0, _linked(1)), (1, odd)]):
-        with pytest.raises(InvariantContractError, match="odd signed mutual-crossing total"):
-            cycle_invariant(tables, (TRIANGLE, OTHER))
+    for route in ROUTES:
+        for tables in ([(0, odd), (1, _linked(1))], [(0, _linked(1)), (1, odd)]):
+            with pytest.raises(InvariantContractError, match="^odd signed mutual-crossing total$"):
+                route(tables, (TRIANGLE, OTHER))
 
 
 def test_crossing_met_once_is_refused():
     table = _doctored({(1, 2): [(0, (2, 3), 1, 1)]})
-    with pytest.raises(ValueError, match="once over and once under"):
-        cycle_invariant([(0, table)], (TRIANGLE,))
+    good = _doctored({(1, 2): [(0, (2, 3), 1, 1)], (2, 3): [(0, (1, 2), 0, 1)]})
+    for route in ROUTES:
+        for tables in ([(0, table)], [(0, table), (1, good)], [(0, good), (1, table)]):
+            with pytest.raises(ValueError, match="^every crossing must be passed once over and once under$"):
+                route(tables, (TRIANGLE,))
 
 
 def test_odd_linking_total_is_refused():
     table = _doctored({(1, 2): [(0, (4, 5), 1, 1)], (4, 5): [(0, (1, 2), 0, 1)]})
-    with pytest.raises(InvariantContractError, match="odd"):
-        cycle_invariant([(0, table)], (TRIANGLE, OTHER))
+    for route in ROUTES:
+        with pytest.raises(InvariantContractError, match="odd"):
+            route([(0, table)], (TRIANGLE, OTHER))
 
 
 def test_linking_total_counts_only_crossings_between_the_pair():
@@ -329,8 +427,10 @@ def test_linking_total_counts_only_crossings_between_the_pair():
     d = table.restrict((TRIANGLE, OTHER))
     assert d.crossing_count == 3
     a, b = coded_walk(TRIANGLE), coded_walk(OTHER)
-    assert table.linking_total(a, b) == table.linking_total(b, a) == 2
-    assert cycle_invariant([(0, table)], (TRIANGLE, OTHER)) == (1, False)
+    assert linking_total(table, a, b) == linking_total(table, b, a) == 2
+    for route in ROUTES:
+        assert route([(0, table)], (TRIANGLE, OTHER)) == (1, False)
+        assert route([(0, table)], (OTHER, TRIANGLE)) == (1, False)
 
 
 # ---------------------------------------------------------------------------

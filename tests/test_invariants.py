@@ -19,22 +19,19 @@ from knotcensus.geometry import (
 from knotcensus.graphs import canonical_cycle, enumerate_cycles, enumerate_disjoint_pairs
 from knotcensus import invariants
 from knotcensus.invariants import (
-    _a2,
     classify_triangle_triangle,
     curve_invariant,
-    cycle_invariant,
     fox_a2,
     one_sided_linking_number,
+    shard_values,
     stick_bound_a2,
 )
 from knotcensus.theorems import EmbeddingAnalysis
 from knotcensus.projection import (
     FRAME_RETRY_LIMIT,
-    Arrow,
     CrossingTable,
     GraphProjection,
     LinkDiagram,
-    coded_walk,
     frame_sequence,
 )
 
@@ -42,15 +39,21 @@ import oracle
 from oracle import (
     A2_PATTERN,
     A2_SIGN,
+    Arrow,
     ConwayPolynomial,
     OracleLimitExceeded,
+    _a2,
     _a2_with_pattern,
     _determinant,
     _knot_arrows,
     alexander_a2,
     alexander_polynomial,
+    arrows,
     calibrate_a2_patterns,
     conway_skein_oracle,
+    coded_walk,
+    cycle_invariant,
+    diagram_table,
     project,
 )
 
@@ -176,10 +179,13 @@ def test_linking_number_of_hopf_diagram():
         table = CrossingTable(hopf_forward(sign))
         assert table.restrict(HOPF_WALKS) == hopf_diagram(sign)
         assert cycle_invariant([(0, table)], HOPF_WALKS)[0] == sign
+        assert shard_values([(0, table)], [HOPF_WALKS]) == ([sign], bytearray(1))
     # One mutual crossing alone leaves an odd total.
     odd = CrossingTable({**hopf_forward(1), (1, 2): (), (4, 5): ()})
     with pytest.raises(InvariantContractError):
         cycle_invariant([(0, odd)], HOPF_WALKS)
+    with pytest.raises(InvariantContractError):
+        shard_values([(0, odd)], [HOPF_WALKS])
 
 
 def test_calibration_survivors_are_the_two_mirror_duals():
@@ -209,10 +215,35 @@ def test_calibration_survivors_are_the_two_mirror_duals():
     assert ((False, True), 1) in survivors
     assert len(survivors) == 2
     assert (A2_PATTERN, A2_SIGN) in survivors
-    # The package's `_a2` is that survivor.
+    # The reference `_a2` and the package's loop count that survivor.
     for d, _ in samples:
         arrows = _knot_arrows(d)
         assert _a2(arrows) == _a2_with_pattern(arrows, A2_PATTERN, A2_SIGN)
+        table, cycle = diagram_table(d)
+        assert shard_values([(0, table)], [cycle])[0] == [_a2(arrows)]
+
+
+gauss_codes = st.integers(0, 8).flatmap(lambda c: st.tuples(
+    st.permutations([(i, over) for i in range(c) for over in (True, False)]),
+    st.lists(st.sampled_from([1, -1]), min_size=c, max_size=c),
+))
+
+
+@settings(max_examples=150, deadline=None)
+@given(gauss_codes)
+# Realizable by no knot: its calibrated count is 1, its mirror dual's 0.
+@example((((0, True), (1, False), (0, False), (1, True)), [1, 1]))
+def test_loop_counts_the_calibrated_pattern_on_any_gauss_code(code):
+    # Only the calibrated pattern, not its mirror dual, which agrees
+    # with it on every realizable code.
+    passages, signs = code
+    d = LinkDiagram((tuple(passages),), tuple(signs))
+    table, cycle = diagram_table(d)
+    # The table's cycle has the code's signs, relabelled by first encounter.
+    first_met = dict.fromkeys(cid for cid, _ in passages)
+    assert table.restrict((cycle,)).signs == tuple(signs[cid] for cid in first_met)
+    expected = _a2_with_pattern(_knot_arrows(d), A2_PATTERN, A2_SIGN)
+    assert shard_values([(0, table)], [cycle]) == ([expected], bytearray(1))
 
 
 def test_frozen_pattern_matches_oracle_on_anchor_sticks():
@@ -456,7 +487,7 @@ def test_alexander_a2_matches_gauss_formula_on_dense_k9_diagrams():
     assert index == 0
     per_count: dict[int, list[tuple[int, ...]]] = {}
     for c in enumerate_cycles(e.graph, 9):
-        count = len(table.arrows(coded_walk(c)))
+        count = len(arrows(table, coded_walk(c)))
         if count >= 13 and len(per_count.setdefault(count, [])) < 5:
             per_count[count].append(c)
     walks = [(vs,) for vss in per_count.values() for vs in vss]
@@ -464,6 +495,7 @@ def test_alexander_a2_matches_gauss_formula_on_dense_k9_diagrams():
     for w in walks:
         d = table.restrict(w)
         assert alexander_a2(d) == fox_a2(d) == cycle_invariant([(0, table)], w)[0]
+        assert shard_values([(0, table)], w)[0] == [fox_a2(d)]
 
 
 @settings(max_examples=6, deadline=None)
@@ -516,11 +548,12 @@ def _off_by(fn, step):
 
 def test_audit_catches_a_wrong_fast_path_value(monkeypatch):
     # Loose curves (curve_invariant) and embeddings
-    # (EmbeddingAnalysis) read every value through the same two-arrow
-    # count and linking total; both are made wrong, a2 and lk by one.
+    # (EmbeddingAnalysis) read every value through the same per-table
+    # two-arrow count and linking number of `shard_values`; both are
+    # made wrong, a2 and lk by one.
     pts, _, _ = STICK_ANCHORS["trefoil_hexagon"]
-    monkeypatch.setattr(invariants, "_a2", _off_by(_a2, 1))
-    monkeypatch.setattr(CrossingTable, "linking_total", _off_by(CrossingTable.linking_total, 2))
+    monkeypatch.setattr(invariants, "_a2_at", _off_by(invariants._a2_at, 1))
+    monkeypatch.setattr(invariants, "_lk_at", _off_by(invariants._lk_at, 1))
     curve_invariant((pts,), seed=0)
     curve_invariant(HOPF_STICKS, seed=0)
     EmbeddingAnalysis(moment_curve_embedding(6)).knot_records(6)

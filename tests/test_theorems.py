@@ -45,6 +45,8 @@ from knotcensus.theorems import (
     verify_identity,
 )
 
+from oracle import class_summary_of
+
 R_TABLE = {
     7: 1,
     8: 2,
@@ -361,9 +363,15 @@ def test_census_positive_count_meets_guarantee():
 
 
 def test_a_class_is_evaluated_once(monkeypatch):
+    # `calls` lists every subject that reaches the loop.
     calls = []
-    real = theorems.cycle_invariant
-    monkeypatch.setattr(theorems, "cycle_invariant", lambda *args: calls.append(1) or real(*args))
+    real = theorems.shard_values
+
+    def counted(tables, subjects, audit=False):
+        calls.extend(subjects)
+        return real(tables, subjects, audit)
+
+    monkeypatch.setattr(theorems, "shard_values", counted)
     e = moment_curve_embedding(7)
     a = EmbeddingAnalysis(e, seed=0)
     sixes = len(enumerate_cycles(e.graph, 6))
@@ -431,6 +439,7 @@ def test_summaries_equal_a_fold_of_the_records(e, threads):
         positive = [(r.subject, r.value) for r in records if r.value > 0]
         summary = theorems._SUMS[name][1](a)
         assert type(summary) is ClassSummary
+        assert summary == class_summary_of(records)
         assert summary.histogram == histogram
         assert summary.audited == sum(1 for r in records if r.audited)
         assert list(summary.nonzero) == nonzero[: theorems.WITNESS_CAP]
@@ -525,6 +534,37 @@ def test_records_do_not_depend_on_process_count(e, monkeypatch):
     assert len(forks) == 3 * (1 + 2)
 
 
+# Random K_{3,3,1} (seed 3) read with the audit on: the apex identity
+# and every class it sums, H's hexagons included.
+K331_REPORT = {
+    "identity_id": "k331-identity", "n": 7,
+    "sums": {"sum_a2_5": 0, "sum_a2_6_h": 0, "sum_a2_7": 1, "sum_lk_sq_34": 3},
+    "lhs": 2, "rhs": 2, "pass": True, "witnesses": [{"cycle": [1, 2, 3, 4, 7, 5, 6], "a2": 1}],
+}
+K331_SUMMARIES = [
+    ClassSummary({0: 36}, 36, (), ()),
+    ClassSummary({0: 6}, 6, (), ()),
+    ClassSummary({0: 35, 1: 1}, 36, (((1, 2, 3, 4, 7, 5, 6), 1),), (((1, 2, 3, 4, 7, 5, 6), 1),)),
+    ClassSummary(
+        {0: 6, 1: 2, -1: 1}, 9,
+        ((((3, 4, 7), (1, 2, 5, 6)), 1), (((4, 5, 7), (1, 2, 3, 6)), -1),
+         (((5, 6, 7), (1, 2, 3, 4)), 1)),
+        ((((3, 4, 7), (1, 2, 5, 6)), 1), (((5, 6, 7), (1, 2, 3, 4)), 1)),
+    ),
+]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_k331_identity_and_its_classes_are_pinned(threads):
+    e = random_k331_embedding(3)
+    reports, a = verify_embedding(e, analysis=EmbeddingAnalysis(e, seed=0, audit=True, threads=threads))
+    assert [r.to_json() for r in reports] == [K331_REPORT]
+    h = k331_h_subgraph(e.graph)
+    summaries = [a.knot_summary(5), a.knot_summary(6, h), a.knot_summary(7), a.link_summary(3, 4)]
+    assert summaries == K331_SUMMARIES
+    assert (a.audited_knots, a.audited_links) == (78, 9)
+
+
 @pytest.mark.parametrize("count", [17, 18, 100, 2520])
 def test_shards_are_never_empty(count):
     # The bounds alone, so no process starts whatever the thread count:
@@ -539,16 +579,27 @@ def test_shards_are_never_empty(count):
 
 
 def _planted(monkeypatch, subject, fail):
-    """Make `fail(subject)` happen when the records reach `subject`; what
-    it returns, when not None, is read as the (value, audited) there."""
-    real = theorems.cycle_invariant
+    """Make `fail(subject)` happen when the loop reaches `subject`; what
+    it returns, when not None, is read as the (value, audited) there.
 
-    def record(tables, walks, audit=False):
-        if walks == subject and (planted := fail(walks)) is not None:
-            return planted
-        return real(tables, walks, audit=audit)
+    `subject` is given as the reference `cycle_invariant` takes it: a
+    one-cycle tuple or a pair.
+    """
+    real = theorems.shard_values
 
-    monkeypatch.setattr(theorems, "cycle_invariant", record)
+    def values(tables, subjects, audit=False):
+        out, audited = [], bytearray()
+        for s in subjects:
+            walks = (s,) if type(s[0]) is int else s
+            if walks == subject and (planted := fail(walks)) is not None:
+                value, flag = planted
+            else:
+                (value,), (flag,) = real(tables, [s], audit)
+            out.append(value)
+            audited.append(flag)
+        return out, audited
+
+    monkeypatch.setattr(theorems, "shard_values", values)
 
 
 def _assert_no_child_left():
