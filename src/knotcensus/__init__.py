@@ -30,7 +30,6 @@ from .graphs import (
 )
 from .geometry import (
     SpatialEmbedding,
-    cycle_curve,
     embedding_from_json,
     embedding_to_json,
     moment_curve_embedding,
@@ -50,7 +49,6 @@ from .projection import (
 from .invariants import (
     InvariantRecord,
     classify_triangle_triangle,
-    curve_invariant,
     stick_bound_a2,
 )
 from .theorems import (

@@ -38,9 +38,8 @@ def scan_segments(points, seg_a, seg_b, u, v, d):
 
     Segment s runs from corner seg_a[s] to corner seg_b[s]; segments may
     share corners, and two that do are never tested for a crossing.
-    `projection.crossing_table` is its one caller, for whole graphs and
-    loose curves alike.  Returns the crossing list, or raises
-    GenericityFailure at the first check that fails.
+    `projection.crossing_table` is its one caller.  Returns the crossing
+    list, or raises GenericityFailure at the first check that fails.
     """
     ux, uy, uz = u
     vx, vy, vz = v

@@ -3,7 +3,8 @@
 Subcommands: `embed` samples or constructs an embedding and writes it as
 JSON; `verify` runs the identity checks on an embedding; `census` counts
 knots and links; `rn-table` prints the guaranteed positive-knot counts;
-`invariant` computes a2 or lk for one cycle or pair.
+`invariant` computes a2 or lk for one cycle or pair, read at the frames
+where the whole graph is generic, as `verify` and `census` read it.
 
 Output is byte-deterministic for a fixed command line (sorted JSON keys,
 no timestamps unless --timestamps is given).  Exit codes: 0 all checks
@@ -34,8 +35,8 @@ from .geometry import (
     read_embedding,
 )
 from .graphs import canonical_cycle, is_cycle_of, k331_graph
-from .invariants import AUDIT_CROSSING_LIMIT, curve_invariant
-from .projection import FRAME_RETRY_LIMIT
+from .invariants import AUDIT_CROSSING_LIMIT, shard_values
+from .projection import FRAME_RETRY_LIMIT, GraphProjection
 from .theorems import (
     EmbeddingAnalysis,
     census,
@@ -229,7 +230,7 @@ def _cmd_embed(args) -> int:
 def _cmd_verify(args) -> int:
     e = _load_embedding(args)
     wanted = None
-    if args.identities:
+    if args.identities is not None:
         wanted = tuple(s.strip() for s in args.identities.split(",") if s.strip())
     a = _analysis(e, args)
     reports, a = verify_embedding(e, identities=wanted, analysis=a)
@@ -323,18 +324,15 @@ def _cmd_invariant(args) -> int:
     for c in cycles:
         if not is_cycle_of(e.graph, c):
             raise ValueError(f"cycle {c} is not in the graph")
-    value, ncross, fidx, audited = curve_invariant(
-        tuple(e.cycle_points_scaled(c) for c in cycles),
-        args.seed,
-        verify_frames=args.verify_frames,
-        retry_limit=args.frame_retries,
-        audit=args.audit,
-    )
+    g = GraphProjection(e, args.seed, args.verify_frames, args.frame_retries)
+    (value,), audited = shard_values(g.tables, [cycles[0] if args.cycle else cycles], args.audit)
+    fidx, first = g.tables[0]
     if args.cycle:
         doc = {"kind": "knot", "cycle": list(cycles[0]), "a2": value}
     else:
         doc = {"kind": "link", "pair": [list(c) for c in cycles], "lk": value}
-    doc.update({"crossings": ncross, "frame_index": fidx, "audited": audited})
+    doc.update({"crossings": first.restrict(cycles).crossing_count, "frame_index": fidx,
+                "audited": bool(audited[0])})
     if args.format == "csv":
         _emit(args, _csv_lines([doc], list(doc.keys())))
     else:

@@ -174,33 +174,6 @@ class SpatialEmbedding:
             chains[(i, j)] = (i - 1, *range(start, len(points)), j - 1)
         return tuple(points), chains
 
-    def edge_polyline(self, i: int, j: int) -> tuple[IntPoint, ...]:
-        """Scaled points of edge i->j including both endpoints, oriented i->j."""
-        points, chains = self.corners
-        chain = chains[(i, j)] if i < j else chains[(j, i)][::-1]
-        return tuple(points[c] for c in chain)
-
-    def cycle_points_scaled(self, vs: tuple[int, ...]) -> tuple[IntPoint, ...]:
-        """Closed polygon of the cycle `vs` in the scaled integer model.
-
-        Consecutive vertices contribute their edge polylines; the final
-        point of each edge is dropped since the next edge repeats it, so
-        the polygon closes implicitly from the last point to the first.
-        """
-        pts: list[IntPoint] = []
-        for a, b in zip(vs, vs[1:] + vs[:1]):
-            pts.extend(self.edge_polyline(a, b)[:-1])
-        return tuple(pts)
-
-
-def cycle_curve(e: SpatialEmbedding, vs: tuple[int, ...]) -> tuple[Point, ...]:
-    """Closed polygon of the cycle `vs` as exact rational points."""
-    s = Fraction(e.scale)
-    return tuple(
-        (Fraction(x) / s, Fraction(y) / s, Fraction(z) / s)
-        for x, y, z in e.cycle_points_scaled(vs)
-    )
-
 
 def validate_embedding(e: SpatialEmbedding) -> EmbeddingCertificate:
     """Exact embedding-validity certificate.

@@ -27,11 +27,11 @@ cleared again after it, the crossings opened along the walk, indexed
 by crossing id, and the arrows closed so far.  At each table a knot's
 value is its two-arrow count, taken as the Gauss arrows close
 (`_a2_at`), a link's half the signed crossings met along one cycle's
-edges with the other's (`_lk_at`).  An embedding's cycles are read at
-the frames where its whole graph is generic, loose curves
-(`curve_invariant`) at the frames where the curves' own scan is.  A
-`LinkDiagram` is restricted from the first table only to be audited,
-or for the crossing count that `curve_invariant` reports.
+edges with the other's (`_lk_at`).  Every value, the one subject of
+the `invariant` command included, is read at the frames where the
+embedding's whole graph is generic.  A `LinkDiagram` is restricted from
+the first table only to be audited, or for the crossing count that
+`invariant` reports.
 
 The two-arrow pattern `_a2_at` counts was calibrated against a Conway
 skein oracle; that oracle, exponential in the crossing number, and the
@@ -41,21 +41,11 @@ suite's reference and are not part of the package.
 
 from __future__ import annotations
 
-from functools import partial
 from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import InvariantContractError
-from .geometry import IntPoint
-from .projection import (
-    FRAME_RETRY_LIMIT,
-    CrossingTable,
-    LinkDiagram,
-    accepted_tables,
-    curve_table,
-    curve_walks,
-    edge_code,
-)
+from .projection import CrossingTable, LinkDiagram, edge_code
 
 AUDIT_CROSSING_LIMIT = 12
 
@@ -342,22 +332,3 @@ def shard_values(
         values.append(value)
     return values, audited
 
-
-def curve_invariant(
-    curves: Sequence[tuple[IntPoint, ...]],
-    seed,
-    verify_frames: int = 1,
-    retry_limit: int = FRAME_RETRY_LIMIT,
-    audit: bool = False,
-) -> tuple[int, int, int, bool]:
-    """(value, crossing count, frame index, audited) of loose curves.
-
-    One closed polygon gives its a2, two give their lk, read by
-    `shard_values` at the accepted frames of the curves' own scan; the
-    crossing count and frame index are the first accepted frame's.
-    """
-    walks = curve_walks(curves)
-    tables, _, _ = accepted_tables(partial(curve_table, curves), seed, verify_frames, retry_limit)
-    (value,), audited = shard_values(tables, [walks[0] if len(walks) == 1 else walks], audit)
-    index, first = tables[0]
-    return value, first.restrict(walks).crossing_count, index, bool(audited[0])

@@ -14,14 +14,17 @@ One frame policy (`accepted_tables`): the accepted frames are the first
 verify_frames + 1 frames of `frame_sequence(seed)` at which the scanned
 curves are generic, and GenericityExhausted is raised once retry_limit
 frames have failed.  An embedding applies it once, to its whole graph
-(`GraphProjection`), and reads every cycle and cycle pair at those
-frames; loose curves apply it to their own scan (`curve_table`).
-Each genericity check is a condition on a segment, a pair of corners, a
-corner against a segment, or the crossings of one segment, so it can
-only gain violations as segments are added: a frame generic for the
-whole graph is generic for every cycle and cycle pair in it, and
-restricting the graph's table to them gives the diagram of their own
-scan.
+(`GraphProjection`), and `verify`, `census` and `invariant` all read
+every cycle and cycle pair at those frames.  Each genericity check is
+a condition on a segment, a pair of corners, a corner against a
+segment, or the crossings of one segment, so it can only gain
+violations as segments are added: a frame generic for the whole graph
+is generic for every cycle and cycle pair in it, and restricting the
+graph's table to them gives the diagram of their own scan.  The
+converse fails: a frame the whole graph rejects can be generic for one
+cycle, so a cycle's values may be read at later frames than its own
+scan would accept, and the whole graph may exhaust the retry budget
+where the cycle alone would not.
 
 Every diagram and every value comes from a `CrossingTable`: one scan
 (`crossing_table`) of edge-labelled segments through one frame.  An
@@ -34,7 +37,7 @@ flag, sign times this direction's orientation factor).
 `invariants.shard_values` reads a cycle's a2 and a cycle pair's linking
 number straight from those passes, without a diagram.  The one way to a
 `LinkDiagram` is `CrossingTable.restrict`, which only the audit and
-`curve_invariant`'s crossing count call.
+the crossing count that `invariant` reports call.
 """
 
 from __future__ import annotations
@@ -145,7 +148,6 @@ EdgePass = tuple[int, Edge, int, int]
 #  vertex, over flag, the EdgePass sign times this direction's orientation
 #  factor)
 Pass = tuple[int, int, int, int]
-Walks = tuple[tuple[int, ...], ...]  # one or two cycles' vertex (or corner) tuples
 
 
 def edge_code(a: int, b: int) -> int:
@@ -191,13 +193,12 @@ class CrossingTable:
     def restrict(self, cycles: Sequence[tuple[int, ...]]) -> LinkDiagram:
         """The diagram of one cycle or a disjoint pair.
 
-        Each cycle is a vertex tuple, the same one `cycle_points_scaled`
-        takes, and is walked from its first vertex in tuple order, as
-        that method lists the cycle's points.  Only crossings
-        between edges of the given cycles are kept, relabelled by first
-        encounter.  Reversing a strand flips its direction in the sign's
-        determinant, so a sign is the table's sign times the orientation
-        factor (+1 or -1) of each of its two edges.
+        Each cycle is a vertex tuple, walked from its first vertex in
+        tuple order.  Only crossings between edges of the given cycles
+        are kept, relabelled by first encounter.  Reversing a strand
+        flips its direction in the sign's determinant, so a sign is the
+        table's sign times the orientation factor (+1 or -1) of each of
+        its two edges.
         """
         passes = self.passes
         walks: list[list[int]] = []
@@ -245,9 +246,10 @@ def crossing_table(
     lists its segments consecutively, in walk order from i to j.  The
     kernel `scan_segments` raises GenericityFailure at the first check
     that fails, with the condition "intersect-3d" where two segments
-    touch in 3-space (`curve_table` makes that a ValueError).  Crossings
-    along a segment are sorted exactly; a tie is two crossings at one
-    diagram point, the condition "triple-point".
+    touch in 3-space, which `validate_embedding` rules out for the
+    segments of an embedding.  Crossings along a segment are sorted
+    exactly; a tie is two crossings at one diagram point, the condition
+    "triple-point".
     """
     raw = scan_segments(points, seg_a, seg_b, frame.axis_u, frame.axis_v, frame.direction)
 
@@ -267,46 +269,6 @@ def crossing_table(
             other, over = (sj, i_over) if si == s else (si, 1 - i_over)
             passes.append((gid, seg_edge[other], over, sign))
     return CrossingTable(forward)
-
-
-def curve_walks(curves: Sequence[tuple[IntPoint, ...]]) -> Walks:
-    """The walks of one or two closed polygons in their `curve_table`.
-
-    Corners are numbered through the curves in order, so a curve's walk
-    is its run of corner numbers.
-    """
-    if not 1 <= len(curves) <= 2:
-        raise ValueError("expected one or two closed curves")
-    walks = []
-    start = 0
-    for curve in curves:
-        if len(curve) < 3:
-            raise ValueError("a closed polygon needs at least 3 points")
-        walks.append(tuple(range(start, start + len(curve))))
-        start += len(curve)
-    return tuple(walks)
-
-
-def curve_table(curves: Sequence[tuple[IntPoint, ...]], frame: ProjectionFrame) -> CrossingTable:
-    """The crossing table of one or two closed polygons.
-
-    Each segment is its own edge, named by its two corners (numbered as
-    in `curve_walks`); the closing one is walked backwards.  Raises
-    GenericityFailure when the frame is not generic for these curves,
-    and ValueError if the curves actually touch in 3-space.
-    """
-    points = [p for curve in curves for p in curve]
-    seg_edge: list[Edge] = []
-    for walk in curve_walks(curves):
-        seg_edge += zip(walk, walk[1:])
-        seg_edge.append((walk[0], walk[-1]))
-    seg_a, seg_b = zip(*seg_edge)
-    try:
-        return crossing_table(points, seg_a, seg_b, seg_edge, frame)
-    except GenericityFailure as exc:
-        if exc.condition == "intersect-3d":
-            raise ValueError(f"curves intersect in 3-space near segments {exc.detail}") from None
-        raise
 
 
 # ---------------------------------------------------------------------------

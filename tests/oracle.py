@@ -20,6 +20,15 @@ so the digits are exact; Delta(1) = +-1, the symmetry of Delta and
 every division are checked.  `alexander_a2` reads a2 = Delta''(1)/2 off
 it, the reference the tests hold `fox_a2` to.
 
+`curve_invariant` is the own-scan route: one cycle's or pair's points
+scanned on their own, under their own frame search (`accepted_tables`).
+The package's `invariant` command took it before it read the whole
+graph's frames; the tests hold the whole-graph values to it.
+`cycle_points_scaled` (through `edge_polyline`) lists a cycle's points
+in the scaled integer model, `curve_walks` numbers the corners of one
+or two closed polygons and `curve_table` scans them; `cycle_curve`
+gives a cycle's points as exact rationals.
+
 `cycle_invariant` is the per-record route the package read every value
 by before `knotcensus.invariants.shard_values`: it codes one subject's
 walk (`coded_walk`: its directed edge codes and each edge's orientation
@@ -39,15 +48,18 @@ is exact only after the earlier checks; the tests hold it to this one.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from collections import Counter
 
-from knotcensus.errors import InvariantContractError, KnotCensusError
+from knotcensus.errors import GenericityFailure, InvariantContractError, KnotCensusError
 from knotcensus.geometry import (
     EmbeddingCertificate,
     IntPoint,
+    Point,
     SpatialEmbedding,
     _cross,
     _dot,
@@ -56,15 +68,16 @@ from knotcensus.geometry import (
     _sub,
     collinear,
 )
-from knotcensus.invariants import AUDIT_CROSSING_LIMIT, _audit_knot, _audit_link
+from knotcensus.invariants import AUDIT_CROSSING_LIMIT, _audit_knot, _audit_link, shard_values
 from knotcensus.projection import (
+    FRAME_RETRY_LIMIT,
     CrossingTable,
+    Edge,
     LinkDiagram,
     Passage,
     ProjectionFrame,
-    Walks,
-    curve_table,
-    curve_walks,
+    accepted_tables,
+    crossing_table,
 )
 from knotcensus import theorems
 from knotcensus.theorems import ClassSummary
@@ -75,10 +88,104 @@ Arrow = tuple[int, int, int]  # (over position, under position, sign)
 # (a cycle's directed edge codes in walk order, each edge's orientation
 #  factor by its code from the smaller vertex: +1 if walked from there, else -1)
 Walk = tuple[list[int], dict[int, int]]
+Walks = tuple[tuple[int, ...], ...]  # one or two cycles' vertex (or corner) tuples
 
 
 class OracleLimitExceeded(KnotCensusError):
     """The skein-recursion oracle refused a diagram above its crossing cap."""
+
+
+# ---------------------------------------------------------------------------
+# The own-scan route: one cycle's or pair's points under their own frames
+
+
+def edge_polyline(e: SpatialEmbedding, i: int, j: int) -> tuple[IntPoint, ...]:
+    """Scaled points of edge i->j including both endpoints, oriented i->j."""
+    points, chains = e.corners
+    chain = chains[(i, j)] if i < j else chains[(j, i)][::-1]
+    return tuple(points[c] for c in chain)
+
+
+def cycle_points_scaled(e: SpatialEmbedding, vs: tuple[int, ...]) -> tuple[IntPoint, ...]:
+    """Closed polygon of the cycle `vs` in the scaled integer model.
+
+    Consecutive vertices contribute their edge polylines; the final
+    point of each edge is dropped since the next edge repeats it, so
+    the polygon closes implicitly from the last point to the first.
+    """
+    pts: list[IntPoint] = []
+    for a, b in zip(vs, vs[1:] + vs[:1]):
+        pts.extend(edge_polyline(e, a, b)[:-1])
+    return tuple(pts)
+
+
+def cycle_curve(e: SpatialEmbedding, vs: tuple[int, ...]) -> tuple[Point, ...]:
+    """Closed polygon of the cycle `vs` as exact rational points."""
+    s = Fraction(e.scale)
+    return tuple(
+        (Fraction(x) / s, Fraction(y) / s, Fraction(z) / s)
+        for x, y, z in cycle_points_scaled(e, vs)
+    )
+
+
+def curve_walks(curves: Sequence[tuple[IntPoint, ...]]) -> Walks:
+    """The walks of one or two closed polygons in their `curve_table`.
+
+    Corners are numbered through the curves in order, so a curve's walk
+    is its run of corner numbers.
+    """
+    if not 1 <= len(curves) <= 2:
+        raise ValueError("expected one or two closed curves")
+    walks = []
+    start = 0
+    for curve in curves:
+        if len(curve) < 3:
+            raise ValueError("a closed polygon needs at least 3 points")
+        walks.append(tuple(range(start, start + len(curve))))
+        start += len(curve)
+    return tuple(walks)
+
+
+def curve_table(curves: Sequence[tuple[IntPoint, ...]], frame: ProjectionFrame) -> CrossingTable:
+    """The crossing table of one or two closed polygons.
+
+    Each segment is its own edge, named by its two corners (numbered as
+    in `curve_walks`); the closing one is walked backwards.  Raises
+    GenericityFailure when the frame is not generic for these curves,
+    and ValueError if the curves actually touch in 3-space.
+    """
+    points = [p for curve in curves for p in curve]
+    seg_edge: list[Edge] = []
+    for walk in curve_walks(curves):
+        seg_edge += zip(walk, walk[1:])
+        seg_edge.append((walk[0], walk[-1]))
+    seg_a, seg_b = zip(*seg_edge)
+    try:
+        return crossing_table(points, seg_a, seg_b, seg_edge, frame)
+    except GenericityFailure as exc:
+        if exc.condition == "intersect-3d":
+            raise ValueError(f"curves intersect in 3-space near segments {exc.detail}") from None
+        raise
+
+
+def curve_invariant(
+    curves: Sequence[tuple[IntPoint, ...]],
+    seed,
+    verify_frames: int = 1,
+    retry_limit: int = FRAME_RETRY_LIMIT,
+    audit: bool = False,
+) -> tuple[int, int, int, bool]:
+    """(value, crossing count, frame index, audited) of loose curves.
+
+    One closed polygon gives its a2, two give their lk, read by
+    `shard_values` at the accepted frames of the curves' own scan; the
+    crossing count and frame index are the first accepted frame's.
+    """
+    walks = curve_walks(curves)
+    tables, _, _ = accepted_tables(partial(curve_table, curves), seed, verify_frames, retry_limit)
+    (value,), audited = shard_values(tables, [walks[0] if len(walks) == 1 else walks], audit)
+    index, first = tables[0]
+    return value, first.restrict(walks).crossing_count, index, bool(audited[0])
 
 
 def project(curves: Sequence[tuple[IntPoint, ...]], frame: ProjectionFrame) -> LinkDiagram:

@@ -59,19 +59,19 @@ PUBLIC_NAMES = [
     "InvariantRecord", "KnotCensusError", "LinkDiagram", "ProjectionFrame",
     "SamplingExhausted", "ScaleLimitExceeded", "SimpleGraph", "SpatialEmbedding",
     "applicable_identities", "canonical_cycle", "census", "classify_triangle_triangle",
-    "complete_graph", "curve_invariant", "cycle_curve", "embedding_from_json",
-    "embedding_to_json", "enumerate_cycles", "enumerate_disjoint_pairs",
-    "expected_residue", "frame_from_direction", "frame_sequence", "k331_graph",
-    "k331_h_subgraph", "lower_bound_value", "moment_curve_embedding", "r_n",
-    "random_k331_embedding", "random_polyline_embedding", "random_rectilinear_embedding",
-    "read_embedding", "stick_bound_a2", "upper_bound_value", "validate_embedding",
-    "verify_embedding", "verify_identity", "write_embedding",
+    "complete_graph", "embedding_from_json", "embedding_to_json", "enumerate_cycles",
+    "enumerate_disjoint_pairs", "expected_residue", "frame_from_direction",
+    "frame_sequence", "k331_graph", "k331_h_subgraph", "lower_bound_value",
+    "moment_curve_embedding", "r_n", "random_k331_embedding", "random_polyline_embedding",
+    "random_rectilinear_embedding", "read_embedding", "stick_bound_a2", "upper_bound_value",
+    "validate_embedding", "verify_embedding", "verify_identity", "write_embedding",
 ]
 
 
 def test_public_api_is_pinned():
-    # The skein oracle, its polynomial type and limit error, and
-    # `project` are the tests' reference, not the package's.
+    # The skein oracle, its polynomial type and limit error, `project`
+    # and the own-scan route (`curve_invariant`, `cycle_curve`) are the
+    # tests' reference, not the package's.
     assert sorted(knotcensus.__all__) == PUBLIC_NAMES
     # A star import binds the exports only: no submodule, no
     # `annotations` feature flag.
@@ -229,6 +229,7 @@ def test_repeated_identity_is_usage_error(capsys):
 @pytest.mark.parametrize("argv,message", [
     (("--n", "5"), "no identity applies to this embedding"),
     (("--n", "6", "--identities", ","), "no identities selected"),
+    (("--n", "6", "--identities", ""), "no identities selected"),
 ])
 def test_empty_identity_selection_is_usage_error(capsys, argv, message):
     # A run that checks nothing must not report a pass.

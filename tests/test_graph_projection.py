@@ -5,18 +5,21 @@ per accepted frame of the whole graph.  These tests hold it to the
 per-cycle route: the same diagrams, the same values, the same crossing
 count, frame index and audit flag wherever the whole graph is generic at
 every frame the cycles' own scans accept, and one exhaustion per
-embedding.  Values read straight from a table are held to the audit
-routes on its restricted diagrams.
+embedding.  The `invariant` command reads the same whole-graph tables
+and is held to the per-cycle route the same way.  Values read straight
+from a table are held to the audit routes on its restricted diagrams.
 """
 
 from __future__ import annotations
 
 import gc
 import hashlib
+import json
 import os
 import weakref
 from fractions import Fraction
 from itertools import islice
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,10 +35,14 @@ from knotcensus.geometry import (
     validate_embedding,
     write_embedding,
 )
-from knotcensus.graphs import enumerate_cycles, enumerate_disjoint_pairs
+from knotcensus.graphs import (
+    canonical_cycle,
+    enumerate_cycles,
+    enumerate_disjoint_pairs,
+    is_cycle_of,
+)
 from knotcensus.invariants import (
     AUDIT_CROSSING_LIMIT,
-    curve_invariant,
     one_sided_linking_number,
     shard_values,
 )
@@ -53,7 +60,9 @@ from oracle import (
     alexander_a2,
     arrows,
     coded_walk,
+    curve_invariant,
     cycle_invariant,
+    cycle_points_scaled,
     linking_total,
     project,
 )
@@ -67,7 +76,7 @@ def _subjects(e: SpatialEmbedding, ks) -> list[tuple[tuple[int, ...], ...]]:
 
 
 def _curves(e: SpatialEmbedding, subject) -> list[tuple]:
-    return [e.cycle_points_scaled(vs) for vs in subject]
+    return [cycle_points_scaled(e, vs) for vs in subject]
 
 
 def _frame(seed, index: int):
@@ -530,6 +539,74 @@ def test_frame_exhaustion_from_the_cli(tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "c9e7b13777eba41ea68bf9eb5a506a694210a1dd8c81ecf0cb23657d9325662b"
     )
+    # `invariant` reads the same whole-graph frames.  The triangle 3-4-5
+    # misses vertex 6 and edge 1-2, so its own scan accepts frame 0, but
+    # the whole graph does not: one retry is exhausted, as for `verify`.
+    e = _non_generic_at_frame_0()
+    assert curve_invariant([cycle_points_scaled(e, (3, 4, 5))], 0)[2] == 0
+    assert cli.main(["invariant", str(path), "--cycle", "3,4,5", "--frame-retries", "1"]) == 3
+    assert capsys.readouterr() == ("", err)
+    assert cli.main(["invariant", str(path), "--cycle", "3,4,5"]) == 0
+    a = EmbeddingAnalysis(e, seed=0)
+    a.knot_records(3)
+    frame_index = json.loads(capsys.readouterr().out)["frame_index"]
+    assert frame_index == a.stats["graph_frames"][0] == 1
+
+
+def _random_subject(rng: Random, e: SpatialEmbedding, knot: bool) -> tuple:
+    """A random cycle of e of length 3..n if `knot`, else a random
+    disjoint pair of its cycles."""
+    while True:
+        if knot:
+            subject = (canonical_cycle(rng.sample(e.graph.vertices, rng.randint(3, e.n))),)
+        else:
+            k = rng.randint(3, e.n - 3)
+            vs = rng.sample(e.graph.vertices, rng.randint(k + 3, e.n))
+            subject = (canonical_cycle(vs[:k]), canonical_cycle(vs[k:]))
+        if all(is_cycle_of(e.graph, c) for c in subject):
+            return subject
+
+
+INVARIANT_EMBEDDINGS = {
+    "moment7": (("--n", "7", "--kind", "moment"), lambda s: moment_curve_embedding(7)),
+    "moment8": (("--n", "8", "--kind", "moment"), lambda s: moment_curve_embedding(8)),
+    "random8": (("--n", "8"), lambda s: random_rectilinear_embedding(8, s)),
+    "random9": (("--n", "9"), lambda s: random_rectilinear_embedding(9, s)),
+    "polyline8": (("--n", "8", "--kind", "polyline", "--bent-edges", "6"),
+                  lambda s: random_polyline_embedding(8, s, bent_edges=6)),
+    "bent7": (("--n", "7", "--kind", "polyline", "--bent-edges", "21"),
+              lambda s: random_polyline_embedding(7, s, bent_edges=21)),
+    "k331": (("--graph", "k331"), lambda s: random_k331_embedding(s)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVARIANT_EMBEDDINGS))
+def test_invariant_command_equals_the_own_scan_reference(capsys, name):
+    # Where the whole graph accepts frames 0 and 1, the cycle's own scan
+    # accepts them too, so value, crossings, frame index and audit flag
+    # must all agree with the reference scan of the subject's points.
+    options, build = INVARIANT_EMBEDDINGS[name]
+    rng = Random(f"invariant:{name}")
+    seed = rng.randint(0, 10**6)
+    e = build(seed)
+    assert [index for index, _ in GraphProjection(e, seed, 1, 64).tables] == [0, 1]
+    crossed = audited = 0
+    for i in range(40):
+        subject = _random_subject(rng, e, knot=i % 2 == 0)
+        audit = i % 3 == 0
+        argv = ["invariant", *options, "--seed", str(seed), *(["--audit"] if audit else [])]
+        if len(subject) == 1:
+            argv += ["--cycle", ",".join(map(str, subject[0]))]
+        else:
+            argv += ["--pair", ";".join(",".join(map(str, c)) for c in subject)]
+        assert cli.main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        got = (doc["a2" if len(subject) == 1 else "lk"], doc["crossings"], doc["frame_index"],
+               doc["audited"])
+        assert got == _per_cycle(e, subject, seed, audit), argv
+        crossed += doc["crossings"] > 0
+        audited += doc["audited"]
+    assert crossed and audited
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from knotcensus.graphs import canonical_cycle, enumerate_cycles, enumerate_disjo
 from knotcensus import invariants
 from knotcensus.invariants import (
     classify_triangle_triangle,
-    curve_invariant,
     fox_a2,
     one_sided_linking_number,
     shard_values,
@@ -52,7 +51,9 @@ from oracle import (
     calibrate_a2_patterns,
     conway_skein_oracle,
     coded_walk,
+    curve_invariant,
     cycle_invariant,
+    cycle_points_scaled,
     diagram_table,
     project,
 )
@@ -205,7 +206,7 @@ def test_calibration_survivors_are_the_two_mirror_duals():
         seed += 1
         e = random_rectilinear_embedding(6, seed=seed, coord_range=9)
         for c in enumerate_cycles(e.graph, 6)[:4]:
-            for dia, _ in diagram_for((e.cycle_points_scaled(c),), seed=0):
+            for dia, _ in diagram_for((cycle_points_scaled(e, c),), seed=0):
                 if dia.crossing_count <= 12:
                     samples.append((dia, conway_skein_oracle(dia).a2))
                     made += 1
@@ -304,7 +305,7 @@ def test_mirror_image_negates_lk():
 def test_values_are_frame_independent(seed):
     e = random_rectilinear_embedding(6, seed=seed)
     for c in enumerate_cycles(e.graph, 6)[:8]:
-        pts = e.cycle_points_scaled(c)
+        pts = cycle_points_scaled(e, c)
         v1, *_ = curve_invariant((pts,), seed=0, verify_frames=4)
         v2, *_ = curve_invariant((pts,), seed="other-frames", verify_frames=2)
         assert v1 == v2
@@ -346,7 +347,7 @@ def test_moment_trefoil_knot():
     e = moment_curve_embedding(7)
     c = canonical_cycle((1, 3, 5, 7, 2, 4, 6))
     value, ncross, _, audited = curve_invariant(
-        (e.cycle_points_scaled(c),), seed=0, audit=True
+        (cycle_points_scaled(e, c),), seed=0, audit=True
     )
     assert value == 1
     assert audited
@@ -385,7 +386,7 @@ def test_triangle_pair_classification():
 def test_random_hexagons_stay_within_stick_bound(seed):
     e = random_rectilinear_embedding(6, seed=f"hex:{seed}", coord_range=12)
     c = enumerate_cycles(e.graph, 6)[0]
-    value, *_ = curve_invariant((e.cycle_points_scaled(c),), seed=0)
+    value, *_ = curve_invariant((cycle_points_scaled(e, c),), seed=0)
     assert abs(value) <= stick_bound_a2(6)
 
 
@@ -528,11 +529,11 @@ def test_one_sided_count_of_hopf_diagrams():
 def test_audit_routes_match_the_skein_oracle(seed, n):
     e = random_rectilinear_embedding(n, seed=f"audit:{seed}", coord_range=12)
     for c in enumerate_cycles(e.graph, n)[:6]:
-        dia = _first_diagram(e.cycle_points_scaled(c))
+        dia = _first_diagram(cycle_points_scaled(e, c))
         if dia.crossing_count <= 12:
             assert alexander_a2(dia) == fox_a2(dia) == conway_skein_oracle(dia).a2
     for a, b in enumerate_disjoint_pairs(e.graph, 3, 3)[:6]:
-        curves = (e.cycle_points_scaled(a), e.cycle_points_scaled(b))
+        curves = (cycle_points_scaled(e, a), cycle_points_scaled(e, b))
         dia = _first_diagram(*curves)
         lk = one_sided_linking_number(dia)
         assert lk == conway_skein_oracle(dia).a1

@@ -21,7 +21,7 @@ from knotcensus.geometry import (
 from knotcensus.graphs import canonical_cycle, enumerate_cycles, enumerate_disjoint_pairs
 from knotcensus.projection import frame_sequence
 
-from oracle import project
+from oracle import cycle_points_scaled, project
 
 
 def _frames(seed, count):
@@ -54,7 +54,7 @@ def test_oversized_coordinates_keep_crossings():
     # integer; the arithmetic must stay exact.
     e = moment_curve_embedding(6)
     c = canonical_cycle((1, 3, 5, 2, 4, 6))
-    small = e.cycle_points_scaled(c)
+    small = cycle_points_scaled(e, c)
     big = tuple(tuple(x * 10**40 for x in p) for p in small)
     frame = _frames(0, 1)[0]
     rows_small = scan((small,), frame)
@@ -127,11 +127,11 @@ def test_crossing_rows_are_deterministic():
     e = random_rectilinear_embedding(6, seed=6)
     c = enumerate_cycles(e.graph, 6)[0]
     frame = _frames(5, 1)[0]
-    one = scan((e.cycle_points_scaled(c),), frame)
-    two = scan((e.cycle_points_scaled(c),), frame)
+    one = scan((cycle_points_scaled(e, c),), frame)
+    two = scan((cycle_points_scaled(e, c),), frame)
     assert one == two
-    assert project((e.cycle_points_scaled(c),), frame) == project(
-        (e.cycle_points_scaled(c),), frame
+    assert project((cycle_points_scaled(e, c),), frame) == project(
+        (cycle_points_scaled(e, c),), frame
     )
 
 
@@ -149,7 +149,7 @@ def test_project_output_is_pinned():
         subjects = [(c,) for k in (5, 7) for c in enumerate_cycles(e.graph, k)]
         subjects += enumerate_disjoint_pairs(e.graph, 3, 4)
         for subject in subjects:
-            curves = tuple(e.cycle_points_scaled(c) for c in subject)
+            curves = tuple(cycle_points_scaled(e, c) for c in subject)
             for frame in frames:
                 d = project(curves, frame)
                 digest.update(repr((d.passages, d.signs)).encode())
