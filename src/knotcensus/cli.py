@@ -7,7 +7,8 @@ knots and links; `rn-table` prints the guaranteed positive-knot counts;
 where the whole graph is generic, as `verify` and `census` read it.
 
 Output is byte-deterministic for a fixed command line (sorted JSON keys,
-no timestamps unless --timestamps is given).  Exit codes: 0 all checks
+no timestamps unless --timestamps is given; it stamps JSON only, and
+with --format csv it is a usage error).  Exit codes: 0 all checks
 passed, 1 an identity or contract check failed, 2 usage error, 3 random
 sampling or projection retries were exhausted.
 """
@@ -353,6 +354,9 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if args.timestamps and args.format == "csv":
+            raise ValueError("--timestamps cannot be combined with --format csv: "
+                             "csv output has no field for the stamp")
         return _HANDLERS[args.command](args)
     except (SamplingExhausted, GenericityExhausted) as exc:
         print(f"knotcensus: {exc}", file=sys.stderr)

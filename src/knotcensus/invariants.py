@@ -16,6 +16,13 @@ of that value on the first accepted diagram of at most
   the first component passes over the second.
 
 A disagreement is an engine defect, raised as InvariantContractError.
+Most audited subjects share their diagram with another (on moment K7,
+1,031 audited knots restrict to 151 distinct diagrams), so one
+`shard_values` call keeps each audit route's value in a dict keyed by
+an exact byte encoding of the diagram (`_diagram_key`) and runs the
+route once per distinct diagram; every subject's value is still
+compared.  The dict is freed on return, and each forked shard has its
+own, so nothing is cached across calls or processes.
 
 Both fast paths read a crossing table, never a diagram.  One loop
 (`shard_values`) reads every value: for each record subject, a cycle or
@@ -41,6 +48,7 @@ suite's reference and are not part of the package.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -180,7 +188,9 @@ class InvariantRecord(NamedTuple):
     of at most AUDIT_CROSSING_LIMIT crossings at that first frame, whose
     value the independent audit route then also gave: for a knot, a2 of
     the Fox minor at t = 1 + eps (`fox_a2`), for a link the one-sided
-    crossing count.
+    crossing count.  The route may have run on an equal diagram of an
+    earlier subject of the same `shard_values` call; the value was
+    compared all the same.
     """
 
     subject: tuple
@@ -188,19 +198,37 @@ class InvariantRecord(NamedTuple):
     audited: bool
 
 
-def _audit_knot(d: LinkDiagram, value: int) -> None:
-    expected = fox_a2(d)
-    if expected != value:
-        raise InvariantContractError(
-            f"gauss-formula a2 {value} != Alexander a2 {expected}"
-        )
+def _diagram_key(d: LinkDiagram) -> bytes:
+    """`d`'s passages and signs as one byte string: its component count,
+    each component's passage count, each passage as twice its crossing
+    id plus its over flag, then each sign (-1 as 255).  It reads back to
+    `d`, so two diagrams share a key only if they are equal.  Every
+    number fits a byte up to 127 crossings; the audit stops at
+    AUDIT_CROSSING_LIMIT.
+    """
+    passages, signs = d
+    return bytes((
+        len(passages), *map(len, passages),
+        *[2 * cid + over for cid, over in chain.from_iterable(passages)],
+        *map((255).__and__, signs),
+    ))
 
 
-def _audit_link(d: LinkDiagram, value: int) -> None:
-    expected = one_sided_linking_number(d)
+def _audit(memo: dict[bytes, int], d: LinkDiagram, knot: bool, value: int) -> None:
+    """Check a fast-path `value` of `d` against its audit route.
+
+    The route's value is kept in `memo` by `_diagram_key`, so `fox_a2`
+    or `one_sided_linking_number` runs once per distinct diagram; every
+    `value` is still compared.
+    """
+    key = _diagram_key(d)
+    expected = memo.get(key)
+    if expected is None:
+        expected = memo[key] = fox_a2(d) if knot else one_sided_linking_number(d)
     if expected != value:
         raise InvariantContractError(
-            f"linking number {value} != one-sided count {expected}"
+            f"gauss-formula a2 {value} != Alexander a2 {expected}" if knot
+            else f"linking number {value} != one-sided count {expected}"
         )
 
 
@@ -282,8 +310,11 @@ def shard_values(
     first vertex, and read at every table.  With `audit`, its diagram is
     restricted from the first table right after that table's value and,
     if it has at most AUDIT_CROSSING_LIMIT crossings, the value is
-    checked by the independent route.  Every further table must give the
-    first table's value, or InvariantContractError is raised.
+    checked against the independent route's (`_audit`).  That route runs
+    once per distinct diagram of the call: its values are kept in a
+    dict by `_diagram_key` that lives as long as the call.  Every
+    further table must give the first table's value, or
+    InvariantContractError is raised.
     """
     (first_index, first), rest = tables[0], tables[1:]
     n = max(t.vertices for _, t in tables)
@@ -298,6 +329,7 @@ def shard_values(
     closed = [None] * len(opened)
     values = []
     audited = bytearray(len(subjects))
+    memo: dict[bytes, int] = {}
     for i, subject in enumerate(subjects):
         knot = type(subject[0]) is int
         walked, against = (subject, subject) if knot else subject
@@ -318,7 +350,7 @@ def shard_values(
             d = first.restrict((subject,) if knot else subject)
             if d.crossing_count <= AUDIT_CROSSING_LIMIT:
                 audited[i] = 1
-                (_audit_knot if knot else _audit_link)(d, value)
+                _audit(memo, d, knot, value)
         for index, table in rest:
             v = read(table.passes, walk, fac, opened, closed)
             if v != value:

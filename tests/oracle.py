@@ -68,7 +68,12 @@ from knotcensus.geometry import (
     _sub,
     collinear,
 )
-from knotcensus.invariants import AUDIT_CROSSING_LIMIT, _audit_knot, _audit_link, shard_values
+from knotcensus.invariants import (
+    AUDIT_CROSSING_LIMIT,
+    fox_a2,
+    one_sided_linking_number,
+    shard_values,
+)
 from knotcensus.projection import (
     FRAME_RETRY_LIMIT,
     CrossingTable,
@@ -731,6 +736,18 @@ def _a2(arrows: Sequence[Arrow]) -> int:
     return total
 
 
+def _audit_knot(d: LinkDiagram, value: int) -> None:
+    expected = fox_a2(d)
+    if expected != value:
+        raise InvariantContractError(f"gauss-formula a2 {value} != Alexander a2 {expected}")
+
+
+def _audit_link(d: LinkDiagram, value: int) -> None:
+    expected = one_sided_linking_number(d)
+    if expected != value:
+        raise InvariantContractError(f"linking number {value} != one-sided count {expected}")
+
+
 def cycle_invariant(
     tables: Sequence[tuple[int, CrossingTable]], walks: Walks, audit: bool = False
 ) -> tuple[int, bool]:
@@ -743,7 +760,8 @@ def cycle_invariant(
     table's arrows, lk half the signed mutual-crossing
     total, which must be even.  With `audit`, the diagram is restricted
     from the first table and, if it has at most AUDIT_CROSSING_LIMIT
-    crossings, its value is checked by the independent route.  Every
+    crossings, its value is checked by the independent route, run
+    afresh for every subject (`_audit_knot`, `_audit_link`).  Every
     further table must give the first table's value, or
     InvariantContractError is raised.
     """

@@ -131,6 +131,26 @@ def test_timestamps_are_opt_in(capsys):
     assert "generated_at" in json.loads(out)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("embed", "--n", "6", "--kind", "moment"),
+        ("verify", "--n", "6", "--kind", "moment"),
+        ("census", "--n", "6", "--kind", "moment"),
+        ("rn-table", "--start", "7", "--stop", "8"),
+        ("invariant", "--n", "6", "--kind", "moment", "--cycle", "1,2,3"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_timestamps_with_csv_is_usage_error(capsys, argv):
+    # csv has no field for the stamp, so the pair is refused, not dropped.
+    code, out, err = run(capsys, *argv, "--format", "csv", "--timestamps")
+    assert code == 2
+    assert out == ""
+    assert err == ("knotcensus: --timestamps cannot be combined with --format csv: "
+                   "csv output has no field for the stamp\n")
+
+
 def test_embed_then_verify_file_round_trip(tmp_path, capsys):
     path = tmp_path / "e.json"
     code, out, _ = run(

@@ -568,6 +568,51 @@ def test_audit_catches_a_wrong_fast_path_value(monkeypatch):
         EmbeddingAnalysis(moment_curve_embedding(6), audit=True).link_records(3, 3)
 
 
+def _repeat_in_second_half(table: CrossingTable, subjects: list) -> tuple:
+    """The first subject in the second half of `subjects` whose audited
+    diagram at `table` an earlier subject of that half also has, and
+    that diagram."""
+    seen = set()
+    for s in subjects[len(subjects) // 2:]:
+        d = table.restrict((s,) if type(s[0]) is int else s)
+        if d.crossing_count <= invariants.AUDIT_CROSSING_LIMIT:
+            if d in seen:
+                return s, d
+            seen.add(d)
+    raise AssertionError("no audited diagram repeats")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("knot", [True, False], ids=["knot", "link"])
+def test_audit_compares_a_value_whose_diagram_was_audited_before(monkeypatch, knot, threads):
+    # One value is made wrong by one: that of a subject whose diagram an
+    # earlier subject of the same shard (the second of two) already had
+    # audited, so the audit route's value comes from the memo.
+    e = moment_curve_embedding(7)
+    tables = GraphProjection(e, 0, 1, FRAME_RETRY_LIMIT).tables
+    subjects = enumerate_cycles(e.graph, 6) if knot else enumerate_disjoint_pairs(e.graph, 3, 3)
+    target, d = _repeat_in_second_half(tables[0][1], subjects)
+    walked, against = (target, target) if knot else target
+    walk, factor = coded_walk(walked)[0], coded_walk(against)[1]
+    name = "_a2_at" if knot else "_lk_at"
+    read = getattr(invariants, name)
+
+    def planted(passes, w, fac, *buffers):
+        wrong = w == walk and all(fac[c] == f for c, f in factor.items())
+        return read(passes, w, fac, *buffers) + wrong
+
+    monkeypatch.setattr(invariants, name, planted)
+    a = EmbeddingAnalysis(e, seed=0, threads=threads, audit=True)
+    with pytest.raises(InvariantContractError) as info:
+        a.knot_summary(6) if knot else a.link_summary(3, 3)
+    if knot:
+        value = fox_a2(d)
+        assert str(info.value) == f"gauss-formula a2 {value + 1} != Alexander a2 {value}"
+    else:
+        value = one_sided_linking_number(d)
+        assert str(info.value) == f"linking number {value + 1} != one-sided count {value}"
+
+
 @pytest.mark.parametrize(
     "verify_frames,retry_limit", [(-1, FRAME_RETRY_LIMIT), (0, FRAME_RETRY_LIMIT), (1, 0), (1, -4)]
 )

@@ -14,7 +14,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotcensus import cli, theorems
+from knotcensus import cli, invariants, theorems
 from knotcensus.errors import IdentityViolation, InvariantContractError, ScaleLimitExceeded
 from knotcensus.graphs import (
     canonical_cycle,
@@ -22,7 +22,7 @@ from knotcensus.graphs import (
     enumerate_disjoint_pairs,
     k331_h_subgraph,
 )
-from knotcensus.invariants import InvariantRecord, stick_bound_a2
+from knotcensus.invariants import AUDIT_CROSSING_LIMIT, InvariantRecord, stick_bound_a2
 from knotcensus.geometry import (
     SpatialEmbedding,
     embedding_from_json,
@@ -45,7 +45,7 @@ from knotcensus.theorems import (
     verify_identity,
 )
 
-from oracle import class_summary_of
+from oracle import _subject_invariant, class_summary_of
 
 R_TABLE = {
     7: 1,
@@ -418,39 +418,79 @@ _CLASS_RECORDS = {
 }
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+def _log_audits(monkeypatch, log) -> None:
+    """Make every `shard_values` call, here or in a forked shard, write
+    one line to the unbuffered file `log`: its pid, the `fox_a2` calls it
+    made and the distinct audited knot diagrams among its subjects."""
+    real_fox, real_values = invariants.fox_a2, theorems.shard_values
+    calls = [0]
+
+    def counted(d):
+        calls[0] += 1
+        return real_fox(d)
+
+    def logged(tables, subjects, audit=False):
+        calls[0] = 0
+        out = real_values(tables, subjects, audit)
+        first = tables[0][1]
+        knots = {first.restrict((s,)) for s in subjects if type(s[0]) is int}
+        distinct = sum(d.crossing_count <= AUDIT_CROSSING_LIMIT for d in knots)
+        log.write(f"{os.getpid()} {calls[0]} {distinct}\n".encode())
+        return out
+
+    monkeypatch.setattr(invariants, "fox_a2", counted)
+    monkeypatch.setattr(theorems, "shard_values", logged)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize(
     "e",
-    [moment_curve_embedding(7), random_polyline_embedding(7, 0), random_k331_embedding(1)],
-    ids=["moment", "polyline", "K331"],
+    [moment_curve_embedding(7), moment_curve_embedding(8), random_polyline_embedding(7, 0),
+     random_k331_embedding(1)],
+    ids=["moment", "moment8", "polyline", "K331"],
 )
-def test_summaries_equal_a_fold_of_the_records(e, threads):
-    a = EmbeddingAnalysis(e, seed=0, threads=threads, audit=True)
-    names = {name for i in applicable_identities(e) for name in CATALOG[i].terms(e.n)}
-    assert set(theorems._SUMS) == set(_CLASS_RECORDS) >= names
-    assert ("sum_a2_6_h" in names) == bool(e.graph.tags)
-    audited = {}
-    for name in sorted(names):
-        records = _CLASS_RECORDS[name](a)
-        histogram = {}
-        for r in records:
-            histogram[r.value] = histogram.get(r.value, 0) + 1
-        nonzero = [(r.subject, r.value) for r in records if r.value != 0]
-        positive = [(r.subject, r.value) for r in records if r.value > 0]
-        summary = theorems._SUMS[name][1](a)
-        assert type(summary) is ClassSummary
-        assert summary == class_summary_of(records)
-        assert summary.histogram == histogram
-        assert summary.audited == sum(1 for r in records if r.audited)
-        assert list(summary.nonzero) == nonzero[: theorems.WITNESS_CAP]
-        assert list(summary.positive) == positive[: theorems.WITNESS_CAP]
-        assert all(type(w) is tuple for w in summary.nonzero + summary.positive)
-        square = name.startswith("sum_lk_sq")
-        assert theorems._SUMS[name][0](a) == sum(
-            r.value * r.value if square else r.value for r in records
-        )
-        audited[id(summary)] = summary.audited  # S_a2(7) is S_a2(n) at n = 7
-    assert sum(audited.values()) == a.audited_knots + a.audited_links > 0
+def test_summaries_equal_a_fold_of_the_records(e, threads, monkeypatch, tmp_path):
+    # Audited, so each record's value and flag must also be the
+    # unmemoized per-record reference's, and each `shard_values` call, in
+    # whichever process, must run `fox_a2` once per distinct audited knot
+    # diagram.
+    path = tmp_path / "audits.log"
+    with open(path, "ab", buffering=0) as log:
+        _log_audits(monkeypatch, log)
+        a = EmbeddingAnalysis(e, seed=0, threads=threads, audit=True)
+        names = {name for i in applicable_identities(e) for name in CATALOG[i].terms(e.n)}
+        assert set(theorems._SUMS) == set(_CLASS_RECORDS) >= names
+        assert ("sum_a2_6_h" in names) == bool(e.graph.tags)
+        audited = {}
+        for name in sorted(names):
+            records = _CLASS_RECORDS[name](a)
+            histogram = {}
+            for r in records:
+                histogram[r.value] = histogram.get(r.value, 0) + 1
+            nonzero = [(r.subject, r.value) for r in records if r.value != 0]
+            positive = [(r.subject, r.value) for r in records if r.value > 0]
+            summary = theorems._SUMS[name][1](a)
+            assert type(summary) is ClassSummary
+            assert summary == class_summary_of(records)
+            assert summary.histogram == histogram
+            assert summary.audited == sum(1 for r in records if r.audited)
+            assert list(summary.nonzero) == nonzero[: theorems.WITNESS_CAP]
+            assert list(summary.positive) == positive[: theorems.WITNESS_CAP]
+            assert all(type(w) is tuple for w in summary.nonzero + summary.positive)
+            square = name.startswith("sum_lk_sq")
+            assert theorems._SUMS[name][0](a) == sum(
+                r.value * r.value if square else r.value for r in records
+            )
+            audited[id(summary)] = summary.audited  # S_a2(7) is S_a2(n) at n = 7
+            tables = a._projection.tables
+            assert [r[1:] for r in records] == [
+                _subject_invariant(tables, True, r.subject) for r in records
+            ]
+        assert sum(audited.values()) == a.audited_knots + a.audited_links > 0
+    lines = [tuple(map(int, line.split())) for line in path.read_text().splitlines()]
+    assert [calls for _, calls, _ in lines] == [distinct for _, _, distinct in lines]
+    assert sum(distinct for _, _, distinct in lines) > 0
+    assert (len({pid for pid, _, _ in lines}) > 1) == (threads > 1)
 
 
 def _witness(r) -> dict:
