@@ -5,7 +5,9 @@ folded straight from the class's values as `invariants.shard_values`
 reads them (each frame-verified, optionally audited), with no record
 built: a value histogram, an audited count and the first nonzero and
 positive (subject, value) pairs, so a report can name the cycles behind
-its numbers.
+its numbers.  A class is named by a key, and `SUM_KEYS` maps each report
+sum to one; `EmbeddingAnalysis.summary(key)` and `class_sum(key)` are the
+one route every row and the census read a class through.
 All arithmetic is exact: sums are Python integers, the one halved
 coefficient is checked for integrality rather than rounded, and pass
 means lhs equals rhs, nothing weaker.
@@ -215,8 +217,8 @@ class EmbeddingAnalysis:
         audit: bool = False,
         allow_large: bool = False,
     ):
-        if threads < 1:
-            raise ValueError(f"threads must be at least 1, got {threads}")
+        if not isinstance(threads, int) or threads < 1:
+            raise ValueError(f"threads must be an integer of at least 1, got {threads!r}")
         if threads > 1 and not hasattr(os, "fork"):
             raise ValueError("threads above 1 need os.fork, which this platform lacks")
         check_frame_budget(verify_frames, retry_limit)
@@ -227,8 +229,7 @@ class EmbeddingAnalysis:
         self.retry_limit = retry_limit
         self.audit = audit
         self.allow_large = allow_large
-        self._knots: dict[tuple, ClassSummary] = {}
-        self._links: dict[tuple, ClassSummary] = {}
+        self._summaries: dict[tuple, ClassSummary] = {}
         self._projection: GraphProjection | None = None
 
     @property
@@ -241,11 +242,11 @@ class EmbeddingAnalysis:
 
     @property
     def audited_knots(self) -> int:
-        return sum(s.audited for s in self._knots.values())
+        return sum(s.audited for key, s in self._summaries.items() if key[0] == "a2")
 
     @property
     def audited_links(self) -> int:
-        return sum(s.audited for s in self._links.values())
+        return sum(s.audited for key, s in self._summaries.items() if key[0] == "lk2")
 
     @property
     def stats(self) -> dict:
@@ -290,59 +291,55 @@ class EmbeddingAnalysis:
         values, audited, _ = self._values(subjects, check)
         return tuple(map(InvariantRecord, subjects, values, map(bool, audited)))
 
-    def _summary(self, subjects, check) -> ClassSummary:
-        """The summary of `_records(subjects, check)`, folded from the values."""
-        values, audited, histogram = self._values(subjects, check)
-        nonzero = islice(((s, v) for s, v in zip(subjects, values) if v), WITNESS_CAP)
-        positive = islice(((s, v) for s, v in zip(subjects, values) if v > 0), WITNESS_CAP)
-        return ClassSummary(dict(histogram), audited.count(1), tuple(nonzero), tuple(positive))
+    def _resolve(self, key: tuple) -> tuple:
+        """`key` as the cache holds it: n filled in, H as its graph, pair lengths sorted."""
+        kind, k, *rest = key
+        if kind == "lk2":
+            return (kind, *sorted((k, *rest)))
+        g = rest[0] if rest else None
+        g = k331_h_subgraph(self.graph) if g == "h" else g if g is not None else self.graph
+        return kind, self.n if k is None else k, g
 
-    def _knot_class(self, k: int, subgraph: SimpleGraph | None):
-        """The k-cycles, canonically sorted, and their straight-edge check."""
+    def _class(self, key: tuple):
+        """The subjects of class `key`, canonically sorted, and their straight-edge check."""
+        kind, k, other = self._resolve(key)
+        straight = self.embedding.rectilinear
+        if kind == "lk2":
+            check = _triangle_pair if (k, other) == (3, 3) and straight else None
+            return enumerate_disjoint_pairs(self.graph, k, other), check
         if k == self.n and self.n > HAMILTONIAN_CEILING and not self.allow_large:
             raise ScaleLimitExceeded(
                 f"Hamiltonian sums above n={HAMILTONIAN_CEILING} need the override"
             )
-        g = subgraph if subgraph is not None else self.graph
-        check = partial(_stick_knot, k) if self.embedding.rectilinear else None
-        return enumerate_cycles(g, k), check
-
-    def _link_class(self, key: tuple[int, int]):
-        """The disjoint `key` cycle pairs and their straight-edge check."""
-        check = _triangle_pair if key == (3, 3) and self.embedding.rectilinear else None
-        return enumerate_disjoint_pairs(self.graph, *key), check
+        return enumerate_cycles(other, k), partial(_stick_knot, k) if straight else None
 
     def knot_records(
         self, k: int, subgraph: SimpleGraph | None = None
     ) -> tuple[InvariantRecord, ...]:
         """Frame-verified a2 records for all k-cycles, sorted canonically."""
-        return self._records(*self._knot_class(k, subgraph))
+        return self._records(*self._class(("a2", k, subgraph)))
 
     def link_records(self, k: int, l: int) -> tuple[InvariantRecord, ...]:
         """Frame-verified lk records for all disjoint (k, l) cycle pairs."""
-        return self._records(*self._link_class((k, l) if k <= l else (l, k)))
+        return self._records(*self._class(("lk2", k, l)))
 
-    def knot_summary(self, k: int, subgraph: SimpleGraph | None = None) -> ClassSummary:
-        """The summary of `knot_records(k, subgraph)`, folded on the first request."""
-        key = (k, (subgraph if subgraph is not None else self.graph).edges)
-        if key not in self._knots:
-            self._knots[key] = self._summary(*self._knot_class(k, subgraph))
-        return self._knots[key]
+    def summary(self, key: tuple) -> ClassSummary:
+        """The summary of class `key` (see `SUM_KEYS`), folded on the first request."""
+        key = self._resolve(key)
+        if key not in self._summaries:
+            subjects, check = self._class(key)
+            values, audited, histogram = self._values(subjects, check)
+            nonzero = islice(((s, v) for s, v in zip(subjects, values) if v), WITNESS_CAP)
+            positive = islice(((s, v) for s, v in zip(subjects, values) if v > 0), WITNESS_CAP)
+            self._summaries[key] = ClassSummary(
+                dict(histogram), audited.count(1), tuple(nonzero), tuple(positive)
+            )
+        return self._summaries[key]
 
-    def link_summary(self, k: int, l: int) -> ClassSummary:
-        """The summary of `link_records(k, l)`, folded on the first request."""
-        key = (k, l) if k <= l else (l, k)
-        if key not in self._links:
-            self._links[key] = self._summary(*self._link_class(key))
-        return self._links[key]
-
-    # -- aggregates -----------------------------------------------------
-
-    def sum_a2(self, k: int, subgraph: SimpleGraph | None = None) -> int:
-        return sum(v * c for v, c in self.knot_summary(k, subgraph).histogram.items())
-
-    def sum_lk_sq(self, k: int, l: int) -> int:
-        return sum(v * v * c for v, c in self.link_summary(k, l).histogram.items())
+    def class_sum(self, key: tuple) -> int:
+        """Sum of v * c over class `key`'s histogram, of v * v * c for an lk2 key."""
+        power = 2 if key[0] == "lk2" else 1
+        return sum(v**power * c for v, c in self.summary(key).histogram.items())
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +428,8 @@ def _witnesses_from(prefixes, count: int) -> tuple[dict, ...]:
 
 def _analysis_for(e, analysis, **kw) -> EmbeddingAnalysis:
     if analysis is None:
+        if e is None:
+            raise ValueError("no embedding given, and no analysis to read one from")
         return EmbeddingAnalysis(e, **kw)
     if kw:
         raise ValueError(f"analysis keywords {sorted(kw)} given with an analysis")
@@ -506,19 +505,18 @@ def _complete(low: int, high: float = inf, straight: bool = False):
     return applies
 
 
-# The class sums an equation can read: name -> (its value, the summary of
-# the class it adds up), both from an EmbeddingAnalysis.
-_SUMS = {
-    "sum_a2_5": (lambda a: a.sum_a2(5), lambda a: a.knot_summary(5)),
-    "sum_a2_6": (lambda a: a.sum_a2(6), lambda a: a.knot_summary(6)),
-    "sum_a2_7": (lambda a: a.sum_a2(7), lambda a: a.knot_summary(7)),
-    "sum_a2_hamiltonian": (lambda a: a.sum_a2(a.n), lambda a: a.knot_summary(a.n)),
-    "sum_a2_6_h": (
-        lambda a: a.sum_a2(6, k331_h_subgraph(a.graph)),
-        lambda a: a.knot_summary(6, k331_h_subgraph(a.graph)),
-    ),
-    "sum_lk_sq_33": (lambda a: a.sum_lk_sq(3, 3), lambda a: a.link_summary(3, 3)),
-    "sum_lk_sq_34": (lambda a: a.sum_lk_sq(3, 4), lambda a: a.link_summary(3, 4)),
+# The class sums an equation can read: report name -> the key of the class
+# it adds up, for `EmbeddingAnalysis.class_sum` and `summary`.  ("a2", k)
+# is the k-cycles, k None meaning n; ("a2", k, "h") the k-cycles of H;
+# ("lk2", k, l) the disjoint (k, l) cycle pairs.
+SUM_KEYS = {
+    "sum_a2_5": ("a2", 5),
+    "sum_a2_6": ("a2", 6),
+    "sum_a2_7": ("a2", 7),
+    "sum_a2_hamiltonian": ("a2", None),
+    "sum_a2_6_h": ("a2", 6, "h"),
+    "sum_lk_sq_33": ("lk2", 3, 3),
+    "sum_lk_sq_34": ("lk2", 3, 4),
 }
 
 
@@ -556,18 +554,19 @@ def _mod2(a: EmbeddingAnalysis) -> IdentityReport:
     lk^2 has the parity of lk, so S_lk2(3,3) has the parity of the
     signed lk sum that Conway-Gordon's mod-2 theorem is about.
     """
-    value = a.sum_lk_sq(3, 3) if a.n == 6 else a.sum_a2(7)
+    value = a.class_sum(("lk2", 3, 3) if a.n == 6 else ("a2", 7))
     return _congruence("mod2-parity", a.n, value, 2, 1)
 
 
 def _residue(a: EmbeddingAnalysis) -> IdentityReport:
-    return _congruence("residue-congruence", a.n, a.sum_a2(a.n), *expected_residue(a.n))
+    value = a.class_sum(("a2", None))
+    return _congruence("residue-congruence", a.n, value, *expected_residue(a.n))
 
 
 def _bounds(a: EmbeddingAnalysis) -> IdentityReport:
     n = a.n
-    sn = a.sum_a2(n)
-    value = sn - factorial(n - 5) * a.sum_a2(5)
+    sn = a.class_sum(("a2", None))
+    value = sn - factorial(n - 5) * a.class_sum(("a2", 5))
     lower = lower_bound_value(n)
     rectilinear = a.embedding.rectilinear
     upper = upper_bound_value(n) if rectilinear else None
@@ -648,13 +647,13 @@ def verify_identity(identity_id: str, e=None, analysis=None, raise_on_fail=True,
     else:
         n = a.n
         terms = row.terms(n)
-        sums = {name: _SUMS[name][0](a) for name in terms}
+        sums = {name: a.class_sum(SUM_KEYS[name]) for name in terms}
         lhs = sum(l * sums[name] for name, (l, _) in terms.items())
         rhs = sum(r * sums[name] for name, (_, r) in terms.items()) + row.constant(n)
         if row.scale is not None:
             rhs = row.scale(n) * rhs
             rhs = int(rhs) if rhs.denominator == 1 else rhs
-        named = [_SUMS[name][1](a) for name in row.witnesses]
+        named = [a.summary(SUM_KEYS[name]) for name in row.witnesses]
         nonzero = sum(c for s in named for v, c in s.histogram.items() if v)
         witnesses = _witnesses_from([s.nonzero for s in named], nonzero)
         rep = IdentityReport(identity_id, n, sums, lhs, rhs, lhs == rhs, witnesses)
@@ -703,8 +702,8 @@ def census(e: SpatialEmbedding, analysis: EmbeddingAnalysis | None = None, **kw)
     if not _complete(6)(a.embedding):
         raise ValueError("the census needs a complete graph with n >= 6")
     n = a.n
-    ham = a.knot_summary(n)
-    pairs = a.link_summary(3, 3).histogram
+    ham = a.summary(("a2", None))
+    pairs = a.summary(("lk2", 3, 3)).histogram
     positive = sum(c for v, c in ham.histogram.items() if v > 0)
     rectilinear = a.embedding.rectilinear
     checks: list[dict] = []
@@ -715,7 +714,7 @@ def census(e: SpatialEmbedding, analysis: EmbeddingAnalysis | None = None, **kw)
     hopf = None
     if rectilinear:
         hopf = pairs.get(1, 0) + pairs.get(-1, 0)
-        s33 = a.sum_lk_sq(3, 3)
+        s33 = a.class_sum(("lk2", 3, 3))
         check("hopf-count-equals-lk-square-sum", hopf, s33, hopf == s33)
         check("hopf-count-at-least-choose-6", hopf, comb(n, 6), hopf >= comb(n, 6))
     expected_min = r_n(n) if n >= 7 else None

@@ -59,7 +59,7 @@ def test_criterion_1_moment_k6():
         reports, a = verify_embedding(e, analysis=a)
         assert len(reports) == 7
         assert all(r.passed for r in reports)
-        assert a.sum_lk_sq(3, 3) == 1
+        assert a.class_sum(("lk2", 3, 3)) == 1
         _tally(a)
         return f"{len(reports)} identities"
 
@@ -89,14 +89,14 @@ def test_criterion_3_moment_k8():
         a = EmbeddingAnalysis(e, seed=0, audit=True)
         reports, a = verify_embedding(e, analysis=a)
         assert all(r.passed for r in reports)
-        assert a.sum_lk_sq(3, 3) == 28
+        assert a.class_sum(("lk2", 3, 3)) == 28
         rep = census(e, analysis=a)
         assert rep.a2_histogram == {0: 2499, 1: 21}
         assert rep.positive_a2_count == 21
         cong = next(r for r in reports if r.identity_id == "residue-congruence")
         assert cong.extra["modulus"] == 6 and cong.sums["value"] % 6 == 3
         bounds = next(r for r in reports if r.identity_id == "a2-bounds")
-        assert bounds.rhs == 21 <= a.sum_a2(8) <= bounds.extra["upper"] == 189
+        assert bounds.rhs == 21 <= a.class_sum(("a2", 8)) <= bounds.extra["upper"] == 189
         _tally(a)
         return "28 squared links, 21 trefoils, residue 3 mod 6"
 
@@ -124,7 +124,7 @@ def test_criterion_4_random_embeddings():
             reports, a = verify_embedding(e, analysis=a)
             assert all(r.passed for r in reports), (kind, n, seed)
             checked += len(reports)
-            if kind == "poly" and a.sum_a2(5) != 0:
+            if kind == "poly" and a.class_sum(("a2", 5)) != 0:
                 knotted_pentagons += 1
             _tally(a)
         assert knotted_pentagons == 4  # the 5-cycle term is genuinely exercised

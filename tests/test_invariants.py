@@ -604,7 +604,7 @@ def test_audit_compares_a_value_whose_diagram_was_audited_before(monkeypatch, kn
     monkeypatch.setattr(invariants, name, planted)
     a = EmbeddingAnalysis(e, seed=0, threads=threads, audit=True)
     with pytest.raises(InvariantContractError) as info:
-        a.knot_summary(6) if knot else a.link_summary(3, 3)
+        a.summary(("a2", 6) if knot else ("lk2", 3, 3))
     if knot:
         value = fox_a2(d)
         assert str(info.value) == f"gauss-formula a2 {value + 1} != Alexander a2 {value}"

@@ -63,9 +63,9 @@ R_TABLE = {
 def test_moment_k6_sums_and_identities():
     e = moment_curve_embedding(6)
     a = EmbeddingAnalysis(e, seed=0)
-    assert a.sum_a2(6) == 0
-    assert a.sum_a2(5) == 0
-    assert a.sum_lk_sq(3, 3) == 1
+    assert a.class_sum(("a2", 6)) == 0
+    assert a.class_sum(("a2", 5)) == 0
+    assert a.class_sum(("lk2", 3, 3)) == 1
     reports, _ = verify_embedding(e, analysis=a)
     assert {r.identity_id for r in reports} == set(applicable_identities(e))
     assert all(r.passed for r in reports)
@@ -76,10 +76,10 @@ def test_moment_k6_sums_and_identities():
 def test_moment_k7_sums_and_identities():
     e = moment_curve_embedding(7)
     a = EmbeddingAnalysis(e, seed=0)
-    assert a.sum_lk_sq(3, 3) == 7
-    assert a.sum_lk_sq(3, 4) == 14
-    assert a.sum_a2(7) == 1
-    assert a.sum_a2(5) == 0
+    assert a.class_sum(("lk2", 3, 3)) == 7
+    assert a.class_sum(("lk2", 3, 4)) == 14
+    assert a.class_sum(("a2", 7)) == 1
+    assert a.class_sum(("a2", 5)) == 0
     reports, _ = verify_embedding(e, analysis=a)
     assert all(r.passed for r in reports)
     main = next(r for r in reports if r.identity_id == "main-identity")
@@ -92,7 +92,7 @@ def test_moment_k8_census_values():
     a = EmbeddingAnalysis(e, seed=0)
     reports, _ = verify_embedding(e, analysis=a)
     assert all(r.passed for r in reports)
-    assert a.sum_lk_sq(3, 3) == 28
+    assert a.class_sum(("lk2", 3, 3)) == 28
     rep = census(e, analysis=a)
     assert rep.hopf_count == 28
     assert rep.positive_a2_count == 21
@@ -128,7 +128,7 @@ def test_pair_square_sum_parity(n, seed):
     # parity of C(n, 6) whenever the 5-cycle term vanishes.
     e = random_rectilinear_embedding(n, seed=seed)
     a = EmbeddingAnalysis(e, seed=0)
-    assert (a.sum_lk_sq(3, 3) - comb(n, 6)) % 2 == 0
+    assert (a.class_sum(("lk2", 3, 3)) - comb(n, 6)) % 2 == 0
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -142,7 +142,7 @@ def test_tripartite_identity_on_random_embeddings(seed):
 def test_polyline_embeddings_with_knotted_pentagons():
     e = random_polyline_embedding(6, seed=16, coord_range=30, bent_edges=4)
     a = EmbeddingAnalysis(e, seed=0)
-    assert a.sum_a2(5) == 1
+    assert a.class_sum(("a2", 5)) == 1
     reports, _ = verify_embedding(e, analysis=a)
     assert all(r.passed for r in reports)
     assert "pentagon-triviality" not in {r.identity_id for r in reports}
@@ -248,31 +248,39 @@ def test_unknown_identity_is_refused():
         verify_embedding(e, identities=("k6-identity", "k5-identity"), seed=0)
 
 
-# Each equation row, an embedding it applies to, and one sum its lhs reads
-# (the method and its arguments) to shift by one.
+# Each equation row and check row, an embedding it applies to, the start of
+# the name of the report sum that moves, and the `class_sum` argument (a
+# class key) its lhs reads to shift by one.  Moment curves meet a2-bounds
+# with equality.
 EQUATION_ROWS = [
-    ("k6-identity", 6, "sum_a2", (6,)),
-    ("main-identity", 6, "sum_a2", (6,)),
-    ("hexagon-lemma", 6, "sum_a2", (6,)),
-    ("pentagon-triviality", 6, "sum_a2", (5,)),
-    ("rectilinear-degeneration", 6, "sum_a2", (6,)),
-    ("square-lemma", 7, "sum_lk_sq", (3, 4)),
-    ("k7-identity", 7, "sum_a2", (7,)),
-    ("k7-ratio", 7, "sum_lk_sq", (3, 4)),
-    ("k7-combined", 7, "sum_a2", (7,)),
-    ("k331-identity", "k331", "sum_a2", (7,)),
+    ("k6-identity", 6, "sum_a2", ("a2", 6)),
+    ("main-identity", 6, "sum_a2", ("a2", 6)),
+    ("hexagon-lemma", 6, "sum_a2", ("a2", 6)),
+    ("pentagon-triviality", 6, "sum_a2", ("a2", 5)),
+    ("rectilinear-degeneration", 6, "sum_a2", ("a2", 6)),
+    ("square-lemma", 7, "sum_lk_sq", ("lk2", 3, 4)),
+    ("k7-identity", 7, "sum_a2", ("a2", 7)),
+    ("k7-ratio", 7, "sum_lk_sq", ("lk2", 3, 4)),
+    ("k7-combined", 7, "sum_a2", ("a2", 7)),
+    ("k331-identity", "k331", "sum_a2", ("a2", 7)),
+    ("mod2-parity", 6, "value", ("lk2", 3, 3)),
+    ("residue-congruence", 7, "value", ("a2", 7)),
+    ("a2-bounds", 6, "value", ("a2", 5)),
 ]
 
 
-@pytest.mark.parametrize("identity_id,graph,method,args", EQUATION_ROWS)
-def test_shifting_an_lhs_sum_fails_each_equation_row(identity_id, graph, method, args):
+@pytest.mark.parametrize("identity_id,graph,moved,args", EQUATION_ROWS)
+def test_shifting_an_lhs_sum_fails_each_equation_row(identity_id, graph, moved, args):
     e = random_k331_embedding(seed=0) if graph == "k331" else moment_curve_embedding(graph)
     a = EmbeddingAnalysis(e, seed=0)
-    assert verify_identity(identity_id, analysis=a).passed
-    real = getattr(a, method)
-    setattr(a, method, lambda *ar, **kw: real(*ar, **kw) + (1 if ar == args else 0))
+    passed = verify_identity(identity_id, analysis=a)
+    assert passed.passed
+    real, shifted = a.class_sum, a._resolve(args)
+    a.class_sum = lambda key: real(key) + (a._resolve(key) == shifted)
     rep = verify_identity(identity_id, analysis=a, raise_on_fail=False)
     assert not rep.passed
+    changed = [name for name, value in rep.sums.items() if value != passed.sums[name]]
+    assert len(changed) == 1 and changed[0].startswith(moved)
     with pytest.raises(IdentityViolation) as info:
         verify_identity(identity_id, analysis=a)
     assert info.value.report.identity_id == identity_id
@@ -281,12 +289,12 @@ def test_shifting_an_lhs_sum_fails_each_equation_row(identity_id, graph, method,
 def test_violation_raised_when_sums_are_corrupted():
     e = moment_curve_embedding(6)
     a = EmbeddingAnalysis(e, seed=0)
-    real = a.sum_a2
+    real = a.class_sum
 
-    def corrupted(k, subgraph=None):
-        return real(k, subgraph) + (1 if k == 6 else 0)
+    def corrupted(key):
+        return real(key) + (1 if key == ("a2", 6) else 0)
 
-    a.sum_a2 = corrupted
+    a.class_sum = corrupted
     with pytest.raises(IdentityViolation) as info:
         verify_identity("k6-identity", analysis=a)
     assert info.value.report.identity_id == "k6-identity"
@@ -298,7 +306,8 @@ def test_violation_raised_when_sums_are_corrupted():
 def test_non_integral_rhs_cannot_pass():
     e = moment_curve_embedding(6)
     a = EmbeddingAnalysis(e, seed=0)
-    a.sum_lk_sq = lambda k, l: 2  # even total makes rhs = 1/2
+    real = a.class_sum
+    a.class_sum = lambda key: 2 if key[0] == "lk2" else real(key)  # rhs = 1/2
     rep = verify_identity("main-identity", analysis=a, raise_on_fail=False)
     assert not rep.passed
     assert rep.rhs == Fraction(1, 2)
@@ -312,6 +321,29 @@ def test_hamiltonian_ceiling():
         a.knot_records(11)
     # Non-Hamiltonian classes stay available below the ceiling.
     assert len(a.link_records(3, 3)) == comb(11, 3) * comb(8, 3) // 2
+
+
+@pytest.mark.parametrize(
+    "call",
+    ["main-identity", "rectilinear-degeneration", "residue-congruence", "a2-bounds", "census"],
+)
+def test_the_ceiling_is_decided_before_any_frame_is_scanned(call):
+    # Every row that reads S_a2(n) on K11 stops at the one class builder,
+    # before the whole-graph frame search.
+    e = moment_curve_embedding(11)
+    a = EmbeddingAnalysis(e, seed=0)
+    with pytest.raises(ScaleLimitExceeded):
+        census(e, analysis=a) if call == "census" else verify_identity(call, analysis=a)
+    assert a.stats["graph_frames_tried"] == 0
+    # A row that reads no Hamiltonian sum still evaluates.
+    assert verify_identity("square-lemma", analysis=a).passed
+
+
+def test_a_call_without_embedding_or_analysis_is_refused():
+    for call in (lambda: verify_identity("k6-identity"), lambda: verify_embedding(None),
+                 lambda: census(None)):
+        with pytest.raises(ValueError, match="no embedding given"):
+            call()
 
 
 def test_expected_residue_branches():
@@ -375,14 +407,18 @@ def test_a_class_is_evaluated_once(monkeypatch):
     e = moment_curve_embedding(7)
     a = EmbeddingAnalysis(e, seed=0)
     sixes = len(enumerate_cycles(e.graph, 6))
-    assert a.sum_a2(6) == a.sum_a2(6)
+    assert a.class_sum(("a2", 6)) == a.class_sum(("a2", 6))
     assert len(calls) == sixes
-    assert a.knot_summary(6) is a.knot_summary(6)
+    assert a.summary(("a2", 6)) is a.summary(("a2", 6))
     verify_embedding(e, analysis=a)
     evaluated = len(calls)
+    # S_a2(7) is S_a2(n) at n = 7: one summary, read once.
+    sevens = len(enumerate_cycles(e.graph, 7))
+    assert sum(1 for s in calls if len(s) == 7 and type(s[0]) is int) == sevens
+    assert a.summary(("a2", 7)) is a.summary(("a2", None)) is a.summary(("a2", 7, e.graph))
     census(e, analysis=a)
-    a.sum_a2(6)
-    a.sum_lk_sq(4, 3)
+    a.class_sum(("a2", 6))
+    a.class_sum(("lk2", 4, 3))
     assert len(calls) == evaluated
     # Records are built on each request; only the summary is kept.
     assert len(a.knot_records(6)) == sixes
@@ -394,7 +430,9 @@ def test_no_record_outlives_its_class():
     # the seven identities, all summarised.
     e = moment_curve_embedding(8)
     _, a = verify_embedding(e, analysis=EmbeddingAnalysis(e, seed=0))
-    assert len(a._knots) == 3 and len(a._links) == 2
+    classes = [("a2", 5), ("a2", 6), ("a2", 8), ("lk2", 3, 3), ("lk2", 3, 4)]
+    assert set(a._summaries) == {a._resolve(key) for key in classes}
+    assert len(a._summaries) == 5
     seen, stack = set(), [a]
     while stack:
         obj = stack.pop()
@@ -406,7 +444,7 @@ def test_no_record_outlives_its_class():
     assert len(seen) > 1000
 
 
-# Every class a catalog row reads, by its `theorems._SUMS` name.
+# Every class a catalog row reads, by its `theorems.SUM_KEYS` name.
 _CLASS_RECORDS = {
     "sum_a2_5": lambda a: a.knot_records(5),
     "sum_a2_6": lambda a: a.knot_records(6),
@@ -459,7 +497,7 @@ def test_summaries_equal_a_fold_of_the_records(e, threads, monkeypatch, tmp_path
         _log_audits(monkeypatch, log)
         a = EmbeddingAnalysis(e, seed=0, threads=threads, audit=True)
         names = {name for i in applicable_identities(e) for name in CATALOG[i].terms(e.n)}
-        assert set(theorems._SUMS) == set(_CLASS_RECORDS) >= names
+        assert set(theorems.SUM_KEYS) == set(_CLASS_RECORDS) >= names
         assert ("sum_a2_6_h" in names) == bool(e.graph.tags)
         audited = {}
         for name in sorted(names):
@@ -469,7 +507,7 @@ def test_summaries_equal_a_fold_of_the_records(e, threads, monkeypatch, tmp_path
                 histogram[r.value] = histogram.get(r.value, 0) + 1
             nonzero = [(r.subject, r.value) for r in records if r.value != 0]
             positive = [(r.subject, r.value) for r in records if r.value > 0]
-            summary = theorems._SUMS[name][1](a)
+            summary = a.summary(theorems.SUM_KEYS[name])
             assert type(summary) is ClassSummary
             assert summary == class_summary_of(records)
             assert summary.histogram == histogram
@@ -478,7 +516,7 @@ def test_summaries_equal_a_fold_of_the_records(e, threads, monkeypatch, tmp_path
             assert list(summary.positive) == positive[: theorems.WITNESS_CAP]
             assert all(type(w) is tuple for w in summary.nonzero + summary.positive)
             square = name.startswith("sum_lk_sq")
-            assert theorems._SUMS[name][0](a) == sum(
+            assert a.class_sum(theorems.SUM_KEYS[name]) == sum(
                 r.value * r.value if square else r.value for r in records
             )
             audited[id(summary)] = summary.audited  # S_a2(7) is S_a2(n) at n = 7
@@ -543,8 +581,8 @@ def test_parallel_and_serial_sums_agree():
     e = random_rectilinear_embedding(6, seed=4)
     serial = EmbeddingAnalysis(e, seed=0, threads=1)
     parallel = EmbeddingAnalysis(e, seed=0, threads=2)
-    assert serial.sum_a2(6) == parallel.sum_a2(6)
-    assert serial.sum_lk_sq(3, 3) == parallel.sum_lk_sq(3, 3)
+    for key in (("a2", 6), ("lk2", 3, 3)):
+        assert serial.class_sum(key) == parallel.class_sum(key)
     assert [r.value for r in serial.knot_records(6)] == [
         r.value for r in parallel.knot_records(6)
     ]
@@ -599,9 +637,9 @@ def test_k331_identity_and_its_classes_are_pinned(threads):
     e = random_k331_embedding(3)
     reports, a = verify_embedding(e, analysis=EmbeddingAnalysis(e, seed=0, audit=True, threads=threads))
     assert [r.to_json() for r in reports] == [K331_REPORT]
-    h = k331_h_subgraph(e.graph)
-    summaries = [a.knot_summary(5), a.knot_summary(6, h), a.knot_summary(7), a.link_summary(3, 4)]
-    assert summaries == K331_SUMMARIES
+    keys = [("a2", 5), ("a2", 6, "h"), ("a2", 7), ("lk2", 3, 4)]
+    assert [a.summary(key) for key in keys] == K331_SUMMARIES
+    assert a.summary(("a2", 6, k331_h_subgraph(e.graph))) is a.summary(("a2", 6, "h"))
     assert (a.audited_knots, a.audited_links) == (78, 9)
 
 
@@ -752,7 +790,7 @@ def test_threads_above_one_need_fork(monkeypatch, capsys):
     assert "os.fork" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("threads", [0, -3])
+@pytest.mark.parametrize("threads", [0, -3, 1.5, 2.0])
 def test_thread_count_below_one_is_refused(threads):
     with pytest.raises(ValueError, match="threads"):
         EmbeddingAnalysis(moment_curve_embedding(6), threads=threads)
