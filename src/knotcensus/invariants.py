@@ -16,13 +16,19 @@ of that value on the first accepted diagram of at most
   the first component passes over the second.
 
 A disagreement is an engine defect, raised as InvariantContractError.
-Most audited subjects share their diagram with another (on moment K7,
-1,031 audited knots restrict to 151 distinct diagrams), so one
-`shard_values` call keeps each audit route's value in a dict keyed by
-an exact byte encoding of the diagram (`_diagram_key`) and runs the
-route once per distinct diagram; every subject's value is still
-compared.  The dict is freed on return, and each forked shard has its
-own, so nothing is cached across calls or processes.
+Most audited knots share their diagram with another (on moment K7, the
+1,031 audited knots of the 5-, 6- and 7-cycle classes have 151 distinct
+diagrams), so `fox_a2`'s values are kept in a memo that lives as long
+as the `theorems.EmbeddingAnalysis` that owns it, and the route runs
+once per distinct diagram of the analysis; every subject's value is
+still compared.  The memo is keyed from the walk that reads the value:
+`_a2_at` lists the knot's Gauss arrows as they close, one int each, an
+exact encoding at any crossing count (`_diagram_key`).  Only on a miss
+is the knot restricted to a `LinkDiagram`, and that diagram's key must
+equal the walk's; a hit relies on the walk's key alone.  A forked
+shard inherits the memo as it stands at the fork, and its additions
+are dropped with it.  Links are restricted and counted afresh: keying
+a link costs more than its one-sided count.
 
 Both fast paths read a crossing table, never a diagram.  One loop
 (`shard_values`) reads every value: for each record subject, a cycle or
@@ -37,8 +43,8 @@ value is its two-arrow count, taken as the Gauss arrows close
 edges with the other's (`_lk_at`).  Every value, the one subject of
 the `invariant` command included, is read at the frames where the
 embedding's whole graph is generic.  A `LinkDiagram` is restricted from
-the first table only to be audited, or for the crossing count that
-`invariant` reports.
+the first table only to be audited (a knot only on a memo miss), or for
+the crossing count that `invariant` reports.
 
 The two-arrow pattern `_a2_at` counts was calibrated against a Conway
 skein oracle; that oracle, exponential in the crossing number, and the
@@ -48,7 +54,6 @@ suite's reference and are not part of the package.
 
 from __future__ import annotations
 
-from itertools import chain
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -188,9 +193,9 @@ class InvariantRecord(NamedTuple):
     of at most AUDIT_CROSSING_LIMIT crossings at that first frame, whose
     value the independent audit route then also gave: for a knot, a2 of
     the Fox minor at t = 1 + eps (`fox_a2`), for a link the one-sided
-    crossing count.  The route may have run on an equal diagram of an
-    earlier subject of the same `shard_values` call; the value was
-    compared all the same.
+    crossing count.  A knot's route may have run on an equal diagram of
+    an earlier subject of the same analysis, found by the key its walk
+    built; the value was compared all the same.
     """
 
     subject: tuple
@@ -198,41 +203,66 @@ class InvariantRecord(NamedTuple):
     audited: bool
 
 
-def _diagram_key(d: LinkDiagram) -> bytes:
-    """`d`'s passages and signs as one byte string: its component count,
-    each component's passage count, each passage as twice its crossing
-    id plus its over flag, then each sign (-1 as 255).  It reads back to
-    `d`, so two diagrams share a key only if they are equal.  Every
-    number fits a byte up to 127 crossings; the audit stops at
-    AUDIT_CROSSING_LIMIT.
+def _arrow_code(start: int, end: int, over: int, sign: int) -> int:
+    """One Gauss arrow of a knot as one non-negative int: four times the
+    Cantor pairing (`edge_code`) of the walk positions where it opens and
+    closes, plus twice the over flag of its first pass, plus 1 if its
+    sign is positive.  It is one-to-one at every crossing count."""
+    return 4 * edge_code(start, end) + 2 * over + (sign > 0)
+
+
+def _diagram_key(d: LinkDiagram) -> tuple[int, ...]:
+    """The audit memo's key of a knot diagram: its arrows in closing
+    order, each as `_arrow_code`.  The starts, in that order, number the
+    crossings by first encounter, so the key reads back to `d`'s
+    passages and signs: two knot diagrams share a key only if they are
+    equal.  `_a2_at` builds the same key from the walk it reads.
     """
-    passages, signs = d
-    return bytes((
-        len(passages), *map(len, passages),
-        *[2 * cid + over for cid, over in chain.from_iterable(passages)],
-        *map((255).__and__, signs),
-    ))
+    (passages,) = d.passages
+    opened: dict[int, tuple[int, int]] = {}
+    key = []
+    for pos, (cid, over) in enumerate(passages):
+        first = opened.pop(cid, None)
+        if first is None:
+            opened[cid] = (pos, over)
+        else:
+            key.append(_arrow_code(first[0], pos, first[1], d.signs[cid]))
+    return tuple(key)
 
 
-def _audit(memo: dict[bytes, int], d: LinkDiagram, knot: bool, value: int) -> None:
-    """Check a fast-path `value` of `d` against its audit route.
+def _audit_knot(
+    memo: dict[tuple, int], table: CrossingTable, cycle: tuple, key: tuple, value: int
+) -> None:
+    """Check a knot's fast-path `value` against `fox_a2`.
 
-    The route's value is kept in `memo` by `_diagram_key`, so `fox_a2`
-    or `one_sided_linking_number` runs once per distinct diagram; every
-    `value` is still compared.
+    `key` is the `_diagram_key` its walk at `table` built.  On a hit the
+    memo's value is compared, with no diagram built.  On a miss the
+    cycle is restricted from `table`, its diagram's key must equal the
+    walk's, and `fox_a2`'s value is kept for every later subject with
+    that key.
     """
-    key = _diagram_key(d)
     expected = memo.get(key)
     if expected is None:
-        expected = memo[key] = fox_a2(d) if knot else one_sided_linking_number(d)
+        d = table.restrict((cycle,))
+        if _diagram_key(d) != key:
+            raise InvariantContractError(
+                f"the walk's diagram key of {cycle} != its restricted diagram's"
+            )
+        expected = memo[key] = fox_a2(d)
     if expected != value:
-        raise InvariantContractError(
-            f"gauss-formula a2 {value} != Alexander a2 {expected}" if knot
-            else f"linking number {value} != one-sided count {expected}"
-        )
+        raise InvariantContractError(f"gauss-formula a2 {value} != Alexander a2 {expected}")
 
 
-def _a2_at(passes, walk: list[int], fac: list[int], opened: list, closed: list) -> int:
+def _audit_link(d: LinkDiagram, value: int) -> None:
+    """Check a link's fast-path `value` against the one-sided count of `d`."""
+    expected = one_sided_linking_number(d)
+    if expected != value:
+        raise InvariantContractError(f"linking number {value} != one-sided count {expected}")
+
+
+def _a2_at(
+    passes, walk: list[int], fac: list[int], opened: list, closed: list, arrows: list | None = None
+) -> int:
     """The calibrated two-arrow count of one cycle at one table: its a2.
 
     `walk` lists the cycle's directed edge codes in walk order and `fac`
@@ -250,8 +280,12 @@ def _a2_at(passes, walk: list[int], fac: list[int], opened: list, closed: list) 
     `opened`, indexed by crossing id, is None throughout on entry and on
     return; `closed` lists (start, sign) of the over-first arrows in
     closing order, the first `shut` of its entries.  Both are as long as
-    the table has crossings.  Raises ValueError unless every kept
-    crossing is passed once over and once under.
+    the table has crossings.  Given an `arrows` list, the walk appends
+    each arrow as it closes, as `_arrow_code` of its start and end
+    positions, first pass's over flag and sign: the audit memo's key of
+    the cycle's diagram at this table (`_diagram_key`), whose length is
+    its crossing count.  Raises ValueError unless every kept crossing is
+    passed once over and once under.
     """
     pos = closes = total = shut = 0
     for code in walk:
@@ -266,6 +300,8 @@ def _a2_at(passes, walk: list[int], fac: list[int], opened: list, closed: list) 
                     start, first_over, s, since = first
                     if first_over == over:
                         raise ValueError("every crossing must be passed once over and once under")
+                    if arrows is not None:
+                        arrows.append(_arrow_code(start, pos, first_over, s))
                     if first_over:
                         closed[shut] = (start, s)
                         shut += 1
@@ -300,20 +336,27 @@ def _lk_at(passes, walk: list[int], fac: list[int], opened: list, closed: list) 
 
 
 def shard_values(
-    tables: Sequence[tuple[int, CrossingTable]], subjects: Sequence[tuple], audit: bool = False
+    tables: Sequence[tuple[int, CrossingTable]],
+    subjects: Sequence[tuple],
+    audit: bool = False,
+    memo: dict[tuple, int] | None = None,
 ) -> tuple[list[int], bytearray]:
     """The values of `subjects` in order, and a byte per subject: 1 if audited.
 
     A subject is a cycle's vertex tuple (its a2) or a disjoint pair of
     them (its lk), read in the accepted `tables`, (frame index, table)
     pairs from `accepted_tables`.  Its walk is coded once, from its
-    first vertex, and read at every table.  With `audit`, its diagram is
-    restricted from the first table right after that table's value and,
-    if it has at most AUDIT_CROSSING_LIMIT crossings, the value is
-    checked against the independent route's (`_audit`).  That route runs
-    once per distinct diagram of the call: its values are kept in a
-    dict by `_diagram_key` that lives as long as the call.  Every
-    further table must give the first table's value, or
+    first vertex, and read at every table.  With `audit`, a subject of
+    at most AUDIT_CROSSING_LIMIT crossings at the first table has its
+    value checked against the independent route's.  A knot's walk there
+    builds its diagram's key and crossing count (`_a2_at`); `fox_a2`'s
+    value is looked up in `memo` by that key, and only on a miss is the
+    knot restricted, its diagram's key checked against the walk's and
+    the route run (`_audit_knot`).  A memo hit relies on the walk's key.
+    A link is restricted, and its one-sided count taken, every time.
+    `memo` maps keys to `fox_a2` values; the caller passes the one it
+    keeps for an analysis, and without one a memo lives as long as the
+    call.  Every further table must give the first table's value, or
     InvariantContractError is raised.
     """
     (first_index, first), rest = tables[0], tables[1:]
@@ -329,7 +372,8 @@ def shard_values(
     closed = [None] * len(opened)
     values = []
     audited = bytearray(len(subjects))
-    memo: dict[bytes, int] = {}
+    if memo is None:
+        memo = {}
     for i, subject in enumerate(subjects):
         knot = type(subject[0]) is int
         walked, against = (subject, subject) if knot else subject
@@ -345,12 +389,19 @@ def shard_values(
             a = b
         walk.append(walk.pop(0))  # from the first vertex
         read = _a2_at if knot else _lk_at
-        value = read(first.passes, walk, fac, opened, closed)
-        if audit:
-            d = first.restrict((subject,) if knot else subject)
-            if d.crossing_count <= AUDIT_CROSSING_LIMIT:
+        if knot:
+            arrows = [] if audit else None
+            value = read(first.passes, walk, fac, opened, closed, arrows)
+            if audit and len(arrows) <= AUDIT_CROSSING_LIMIT:
                 audited[i] = 1
-                _audit(memo, d, knot, value)
+                _audit_knot(memo, first, subject, tuple(arrows), value)
+        else:
+            value = read(first.passes, walk, fac, opened, closed)
+            if audit:
+                d = first.restrict(subject)
+                if d.crossing_count <= AUDIT_CROSSING_LIMIT:
+                    audited[i] = 1
+                    _audit_link(d, value)
         for index, table in rest:
             v = read(table.passes, walk, fac, opened, closed)
             if v != value:

@@ -276,14 +276,14 @@ def crossing_table(
 
 
 def check_frame_budget(verify_frames: int, retry_limit: int) -> None:
-    """Raise ValueError unless verify_frames >= 1 and retry_limit >= 1.
+    """Raise ValueError unless verify_frames and retry_limit are integers
+    of at least 1.
 
     Every value is reproduced on at least one further accepted frame.
     """
-    if verify_frames < 1:
-        raise ValueError(f"verify_frames must be at least 1, got {verify_frames}")
-    if retry_limit < 1:
-        raise ValueError(f"retry_limit must be at least 1, got {retry_limit}")
+    for name, value in (("verify_frames", verify_frames), ("retry_limit", retry_limit)):
+        if not isinstance(value, int) or value < 1:
+            raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
 
 
 def accepted_tables(

@@ -204,7 +204,11 @@ class EmbeddingAnalysis:
 
     Values are read from whole-graph crossing tables at the embedding's
     accepted frames, built on the first request for records and freed
-    with the analysis.  Forked shard processes inherit those tables.
+    with the analysis.  With `audit`, the audit route's value of each
+    distinct knot diagram is kept in one memo for the analysis's
+    lifetime (see `shard_values`), shared by all its classes.  Forked
+    shard processes inherit the tables and the memo as it stands at the
+    fork; what a shard adds to its copy is dropped when it exits.
     """
 
     def __init__(
@@ -231,6 +235,7 @@ class EmbeddingAnalysis:
         self.allow_large = allow_large
         self._summaries: dict[tuple, ClassSummary] = {}
         self._projection: GraphProjection | None = None
+        self._audit_memo: dict[tuple, int] = {}
 
     @property
     def n(self) -> int:
@@ -273,13 +278,15 @@ class EmbeddingAnalysis:
         gives the contract violation of a (subject, value) or None; it is
         tried on the histogram's distinct values, and only on a violation
         are the subjects scanned, in canonical order, for the first one
-        to raise.  Nothing is cached.
+        to raise.  Nothing is cached here but the audit memo's additions.
         """
         if self._projection is None:
             self._projection = GraphProjection(
                 self.embedding, self.seed, self.verify_frames, self.retry_limit
             )
-        evaluate = partial(shard_values, self._projection.tables, audit=self.audit)
+        evaluate = partial(
+            shard_values, self._projection.tables, audit=self.audit, memo=self._audit_memo
+        )
         values, audited = _evaluate(evaluate, subjects, self.threads)
         histogram = Counter(values)
         if check is not None and any(check(None, v) for v in histogram):

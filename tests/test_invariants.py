@@ -5,7 +5,7 @@ reference in `oracle.py`."""
 from __future__ import annotations
 
 from itertools import combinations, permutations
-from math import prod
+from math import isqrt, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from knotcensus.errors import GenericityFailure, InvariantContractError
 from knotcensus.geometry import (
     moment_curve_embedding,
+    random_k331_embedding,
     random_polyline_embedding,
     random_rectilinear_embedding,
 )
@@ -568,30 +569,56 @@ def test_audit_catches_a_wrong_fast_path_value(monkeypatch):
         EmbeddingAnalysis(moment_curve_embedding(6), audit=True).link_records(3, 3)
 
 
+def _audited_diagram(table: CrossingTable, subject: tuple) -> LinkDiagram | None:
+    """The diagram of a cycle or pair at `table`, if the audit reads it."""
+    d = table.restrict((subject,) if type(subject[0]) is int else subject)
+    return d if d.crossing_count <= invariants.AUDIT_CROSSING_LIMIT else None
+
+
 def _repeat_in_second_half(table: CrossingTable, subjects: list) -> tuple:
     """The first subject in the second half of `subjects` whose audited
     diagram at `table` an earlier subject of that half also has, and
     that diagram."""
     seen = set()
     for s in subjects[len(subjects) // 2:]:
-        d = table.restrict((s,) if type(s[0]) is int else s)
-        if d.crossing_count <= invariants.AUDIT_CROSSING_LIMIT:
+        d = _audited_diagram(table, s)
+        if d is not None:
             if d in seen:
                 return s, d
             seen.add(d)
     raise AssertionError("no audited diagram repeats")
 
 
+def _seen_in_first_half(table: CrossingTable, earlier: list, subjects: list) -> tuple:
+    """The first of `subjects` with crossings whose audited diagram at
+    `table` a subject of the first half of `earlier` also has, and that
+    diagram."""
+    seen = {_audited_diagram(table, s) for s in earlier[: len(earlier) // 2]}
+    for s in subjects:
+        d = _audited_diagram(table, s)
+        if d is not None and d.crossing_count and d in seen:
+            return s, d
+    raise AssertionError("no audited diagram is shared")
+
+
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("knot", [True, False], ids=["knot", "link"])
-def test_audit_compares_a_value_whose_diagram_was_audited_before(monkeypatch, knot, threads):
+@pytest.mark.parametrize("case", ["knot", "link", "cross-class"])
+def test_audit_compares_a_value_whose_diagram_was_audited_before(monkeypatch, case, threads):
     # One value is made wrong by one: that of a subject whose diagram an
     # earlier subject of the same shard (the second of two) already had
-    # audited, so the audit route's value comes from the memo.
+    # audited, so the audit route's value comes from the memo.  Across
+    # classes, the subject is a 7-cycle and the earlier one a 6-cycle of
+    # the first shard, which the calling process evaluates: the memo
+    # lives as long as the analysis, and a forked shard inherits it.
     e = moment_curve_embedding(7)
     tables = GraphProjection(e, 0, 1, FRAME_RETRY_LIMIT).tables
-    subjects = enumerate_cycles(e.graph, 6) if knot else enumerate_disjoint_pairs(e.graph, 3, 3)
-    target, d = _repeat_in_second_half(tables[0][1], subjects)
+    knot = case != "link"
+    sixes = enumerate_cycles(e.graph, 6)
+    if case == "cross-class":
+        target, d = _seen_in_first_half(tables[0][1], sixes, enumerate_cycles(e.graph, 7))
+    else:
+        subjects = sixes if knot else enumerate_disjoint_pairs(e.graph, 3, 3)
+        target, d = _repeat_in_second_half(tables[0][1], subjects)
     walked, against = (target, target) if knot else target
     walk, factor = coded_walk(walked)[0], coded_walk(against)[1]
     name = "_a2_at" if knot else "_lk_at"
@@ -601,10 +628,23 @@ def test_audit_compares_a_value_whose_diagram_was_audited_before(monkeypatch, kn
         wrong = w == walk and all(fac[c] == f for c, f in factor.items())
         return read(passes, w, fac, *buffers) + wrong
 
+    routed = []
+
+    def recorded(diagram):
+        routed.append(diagram)
+        return fox_a2(diagram)
+
     monkeypatch.setattr(invariants, name, planted)
+    monkeypatch.setattr(invariants, "fox_a2", recorded)
     a = EmbeddingAnalysis(e, seed=0, threads=threads, audit=True)
+    if case == "cross-class":
+        a.summary(("a2", 6))
+        assert d in routed
+        routed.clear()
     with pytest.raises(InvariantContractError) as info:
-        a.summary(("a2", 6) if knot else ("lk2", 3, 3))
+        a.summary(("a2", 7) if case == "cross-class" else ("a2", 6) if knot else ("lk2", 3, 3))
+    if case == "cross-class":
+        assert d not in routed
     if knot:
         value = fox_a2(d)
         assert str(info.value) == f"gauss-formula a2 {value + 1} != Alexander a2 {value}"
@@ -613,8 +653,123 @@ def test_audit_compares_a_value_whose_diagram_was_audited_before(monkeypatch, kn
         assert str(info.value) == f"linking number {value + 1} != one-sided count {value}"
 
 
+# ---------------------------------------------------------------------------
+# The audit memo's key, built by the walk that reads a2
+
+
+def _walk_key(table: CrossingTable, cycle: tuple) -> tuple[int, ...]:
+    """The memo key that `_a2_at` builds walking `cycle` at `table`."""
+    walk, factor = coded_walk(cycle)
+    fac = [0] * len(table.passes)
+    for code, f in factor.items():
+        fac[code] = f
+    key: list[int] = []
+    invariants._a2_at(table.passes, walk, fac, [None] * table.crossings,
+                      [None] * table.crossings, key)
+    return tuple(key)
+
+
+def _assert_walk_keys_equal_diagram_keys(table: CrossingTable, cycles) -> int:
+    """Check every cycle's walk key at `table` against its restricted
+    diagram's; return how many the audit reads."""
+    audited = 0
+    for c in cycles:
+        d = table.restrict((c,))
+        key = _walk_key(table, c)
+        assert key == invariants._diagram_key(d), c
+        assert len(key) == d.crossing_count, c
+        audited += d.crossing_count <= invariants.AUDIT_CROSSING_LIMIT
+    return audited
+
+
 @pytest.mark.parametrize(
-    "verify_frames,retry_limit", [(-1, FRAME_RETRY_LIMIT), (0, FRAME_RETRY_LIMIT), (1, 0), (1, -4)]
+    "e",
+    [moment_curve_embedding(6), moment_curve_embedding(7), moment_curve_embedding(8),
+     random_rectilinear_embedding(7, seed=0), random_rectilinear_embedding(8, seed=0),
+     random_polyline_embedding(7, 0), random_k331_embedding(1)],
+    ids=["moment6", "moment7", "moment8", "random7", "random8", "polyline7", "k331"],
+)
+def test_walk_key_equals_the_restricted_diagrams_key(e):
+    # Every knot of every length at the first accepted table: the walk's
+    # key is the restricted diagram's, and its length the crossing count
+    # the audit limit is read from.
+    _, table = GraphProjection(e, 0, 1, FRAME_RETRY_LIMIT).tables[0]
+    cycles = [c for k in range(3, e.n + 1) for c in enumerate_cycles(e.graph, k)]
+    assert _assert_walk_keys_equal_diagram_keys(table, cycles) > 0
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from([6, 7]), st.integers(0, 10**6), st.booleans(), st.integers(0, 3))
+def test_walk_key_equals_the_restricted_diagrams_key_on_random_embeddings(n, seed, bent, frame_seed):
+    # Random straight or fully bent polyline K6-K7, at both accepted tables.
+    if bent:
+        e = random_polyline_embedding(n, f"key:{seed}", bent_edges=n * (n - 1) // 2)
+    else:
+        e = random_rectilinear_embedding(n, seed=f"key:{seed}")
+    cycles = [c for k in range(3, n + 1) for c in enumerate_cycles(e.graph, k)]
+    for _, table in GraphProjection(e, frame_seed, 1, FRAME_RETRY_LIMIT).tables:
+        _assert_walk_keys_equal_diagram_keys(table, cycles)
+
+
+def _decoded(key: tuple[int, ...]) -> LinkDiagram:
+    """The knot diagram that `key` encodes: each arrow's two positions
+    from the inverse Cantor pairing, crossings numbered by first pass."""
+    arrows = []
+    for x in key:
+        z = x >> 2
+        w = (isqrt(8 * z + 1) - 1) // 2
+        end = z - w * (w + 1) // 2
+        arrows.append((w - end, end, x >> 1 & 1, 1 if x & 1 else -1))
+    passages: list = [None] * (2 * len(arrows))
+    signs = []
+    for cid, (start, end, over, sign) in enumerate(sorted(arrows)):
+        passages[start], passages[end] = (cid, over), (cid, 1 - over)
+        signs.append(sign)
+    return LinkDiagram((tuple(passages),), tuple(signs))
+
+
+def test_diagram_key_is_exact_above_127_crossings():
+    # The (2, 131) torus knot, with one crossing's sign flipped and,
+    # separately, one crossing's over and under exchanged: each key reads
+    # back to its own diagram, and the walk of its laid-out table builds it.
+    d = torus_2k_diagram(131, 1)
+    (passages,) = d.passages
+    flipped = d._replace(signs=(-1,) + d.signs[1:])
+    swapped = d._replace(passages=((passages[131], *passages[1:131], passages[0],
+                                    *passages[132:]),))
+    keys = set()
+    for diagram in (d, flipped, swapped):
+        key = invariants._diagram_key(diagram)
+        assert len(key) == diagram.crossing_count == 131
+        assert _decoded(key) == diagram
+        table, cycle = diagram_table(diagram)
+        assert _walk_key(table, cycle) == key
+        keys.add(key)
+    assert len(keys) == 3
+
+
+def test_a_corrupt_walk_key_is_refused_on_a_memo_miss(monkeypatch):
+    # The walk flips the sign of its first arrow: unaudited reads never
+    # see it, and the first audited miss with a crossing refuses it.
+    read = invariants._a2_at
+
+    def corrupt(passes, walk, fac, opened, closed, arrows=None):
+        value = read(passes, walk, fac, opened, closed, arrows)
+        if arrows:
+            arrows[0] ^= 1
+        return value
+
+    monkeypatch.setattr(invariants, "_a2_at", corrupt)
+    e = moment_curve_embedding(7)
+    EmbeddingAnalysis(e).knot_records(7)
+    with pytest.raises(InvariantContractError, match="walk's diagram key of .* != its restricted"):
+        EmbeddingAnalysis(e, audit=True).knot_records(7)
+
+
+@pytest.mark.parametrize(
+    "verify_frames,retry_limit",
+    [(-1, FRAME_RETRY_LIMIT), (0, FRAME_RETRY_LIMIT), (1, 0), (1, -4),
+     (1.5, FRAME_RETRY_LIMIT), (2.0, FRAME_RETRY_LIMIT), (1, 1.5), (1, 2.0)],
 )
 def test_bad_frame_budget_is_refused(verify_frames, retry_limit):
     budget = {"verify_frames": verify_frames, "retry_limit": retry_limit}

@@ -8,6 +8,7 @@ import re
 import signal
 import sys
 import types
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -22,7 +23,12 @@ from knotcensus.graphs import (
     enumerate_disjoint_pairs,
     k331_h_subgraph,
 )
-from knotcensus.invariants import AUDIT_CROSSING_LIMIT, InvariantRecord, stick_bound_a2
+from knotcensus.invariants import (
+    AUDIT_CROSSING_LIMIT,
+    InvariantRecord,
+    _diagram_key,
+    stick_bound_a2,
+)
 from knotcensus.geometry import (
     SpatialEmbedding,
     embedding_from_json,
@@ -31,6 +37,7 @@ from knotcensus.geometry import (
     random_polyline_embedding,
     random_rectilinear_embedding,
 )
+from knotcensus.projection import CrossingTable
 from knotcensus.theorems import (
     CATALOG,
     ClassSummary,
@@ -399,9 +406,9 @@ def test_a_class_is_evaluated_once(monkeypatch):
     calls = []
     real = theorems.shard_values
 
-    def counted(tables, subjects, audit=False):
+    def counted(tables, subjects, audit=False, memo=None):
         calls.extend(subjects)
-        return real(tables, subjects, audit)
+        return real(tables, subjects, audit, memo)
 
     monkeypatch.setattr(theorems, "shard_values", counted)
     e = moment_curve_embedding(7)
@@ -459,7 +466,9 @@ _CLASS_RECORDS = {
 def _log_audits(monkeypatch, log) -> None:
     """Make every `shard_values` call, here or in a forked shard, write
     one line to the unbuffered file `log`: its pid, the `fox_a2` calls it
-    made and the distinct audited knot diagrams among its subjects."""
+    made, the distinct audited knot diagrams among its subjects that the
+    analysis's memo did not hold when it began, and whether the memo
+    gained exactly their keys."""
     real_fox, real_values = invariants.fox_a2, theorems.shard_values
     calls = [0]
 
@@ -467,13 +476,15 @@ def _log_audits(monkeypatch, log) -> None:
         calls[0] += 1
         return real_fox(d)
 
-    def logged(tables, subjects, audit=False):
+    def logged(tables, subjects, audit=False, memo=None):
         calls[0] = 0
-        out = real_values(tables, subjects, audit)
+        before = set(memo)
+        out = real_values(tables, subjects, audit, memo)
         first = tables[0][1]
         knots = {first.restrict((s,)) for s in subjects if type(s[0]) is int}
-        distinct = sum(d.crossing_count <= AUDIT_CROSSING_LIMIT for d in knots)
-        log.write(f"{os.getpid()} {calls[0]} {distinct}\n".encode())
+        new = {_diagram_key(d) for d in knots if d.crossing_count <= AUDIT_CROSSING_LIMIT} - before
+        gained = set(memo) - before == new
+        log.write(f"{os.getpid()} {calls[0]} {len(new)} {int(gained)}\n".encode())
         return out
 
     monkeypatch.setattr(invariants, "fox_a2", counted)
@@ -491,7 +502,8 @@ def test_summaries_equal_a_fold_of_the_records(e, threads, monkeypatch, tmp_path
     # Audited, so each record's value and flag must also be the
     # unmemoized per-record reference's, and each `shard_values` call, in
     # whichever process, must run `fox_a2` once per distinct audited knot
-    # diagram.
+    # diagram that the analysis's memo, as that process holds it, lacks.
+    # Serially, that is once per distinct diagram of the whole analysis.
     path = tmp_path / "audits.log"
     with open(path, "ab", buffering=0) as log:
         _log_audits(monkeypatch, log)
@@ -526,9 +538,42 @@ def test_summaries_equal_a_fold_of_the_records(e, threads, monkeypatch, tmp_path
             ]
         assert sum(audited.values()) == a.audited_knots + a.audited_links > 0
     lines = [tuple(map(int, line.split())) for line in path.read_text().splitlines()]
-    assert [calls for _, calls, _ in lines] == [distinct for _, _, distinct in lines]
-    assert sum(distinct for _, _, distinct in lines) > 0
-    assert (len({pid for pid, _, _ in lines}) > 1) == (threads > 1)
+    assert [calls for _, calls, _, _ in lines] == [new for _, _, new, _ in lines]
+    assert all(gained for *_, gained in lines)
+    assert sum(new for _, _, new, _ in lines) > 0
+    assert (len({pid for pid, *_ in lines}) > 1) == (threads > 1)
+    if threads == 1:
+        assert sum(calls for _, calls, _, _ in lines) == len(a._audit_memo)
+
+
+def test_knots_are_restricted_only_on_a_memo_miss(monkeypatch):
+    # Serial audited moment K7: the 1,031 audited knots of the 5-, 6- and
+    # 7-cycle classes have 151 distinct diagrams.  Each is restricted,
+    # keyed against its walk and routed once for the whole analysis;
+    # every audited link is restricted.
+    counts = Counter()
+
+    def counted(name, real):
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    real_restrict = CrossingTable.restrict
+
+    def restrict(table, cycles):
+        counts[f"restrict{len(cycles)}"] += 1
+        return real_restrict(table, cycles)
+
+    monkeypatch.setattr(CrossingTable, "restrict", restrict)
+    monkeypatch.setattr(invariants, "_diagram_key", counted("key", invariants._diagram_key))
+    monkeypatch.setattr(invariants, "fox_a2", counted("fox", invariants.fox_a2))
+    e = moment_curve_embedding(7)
+    _, a = verify_embedding(e, analysis=EmbeddingAnalysis(e, seed=0, audit=True))
+    assert (a.audited_knots, a.audited_links) == (1031, 175)
+    assert counts == {"restrict1": 151, "key": 151, "fox": 151, "restrict2": 175}
+    assert len(a._audit_memo) == 151
 
 
 def _witness(r) -> dict:
@@ -665,14 +710,14 @@ def _planted(monkeypatch, subject, fail):
     """
     real = theorems.shard_values
 
-    def values(tables, subjects, audit=False):
+    def values(tables, subjects, audit=False, memo=None):
         out, audited = [], bytearray()
         for s in subjects:
             walks = (s,) if type(s[0]) is int else s
             if walks == subject and (planted := fail(walks)) is not None:
                 value, flag = planted
             else:
-                (value,), (flag,) = real(tables, [s], audit)
+                (value,), (flag,) = real(tables, [s], audit, memo)
             out.append(value)
             audited.append(flag)
         return out, audited
