@@ -6,11 +6,12 @@ knots and links; `rn-table` prints the guaranteed positive-knot counts;
 `invariant` computes a2 or lk for one cycle or pair, read at the frames
 where the whole graph is generic, as `verify` and `census` read it.
 
-Output is byte-deterministic for a fixed command line (sorted JSON keys,
-no timestamps unless --timestamps is given; it stamps JSON only, and
-with --format csv it is a usage error).  Exit codes: 0 all checks
-passed, 1 an identity or contract check failed, 2 usage error, 3 random
-sampling or projection retries were exhausted.
+Each command hands one document and its CSV rows to `_write`, which
+writes either.  Output is byte-deterministic for a fixed command line
+(sorted JSON keys, no timestamps unless --timestamps is given; it stamps
+JSON only, and with --format csv it is a usage error).  Exit codes: 0
+all checks passed, 1 an identity or contract check failed, 2 usage
+error, 3 random sampling or projection retries were exhausted.
 """
 
 from __future__ import annotations
@@ -169,14 +170,6 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _stamp(args, doc: dict) -> dict:
-    if args.timestamps:
-        from datetime import datetime, timezone
-
-        doc["generated_at"] = datetime.now(timezone.utc).isoformat()
-    return doc
-
-
 def _csv_cell(v) -> str:
     if isinstance(v, list):
         # A cycle or a pair, one quoted cell in --cycle/--pair syntax.
@@ -196,6 +189,20 @@ def _csv_lines(rows: list[dict], columns: list[str]) -> str:
     return "\n".join(out) + "\n"
 
 
+def _write(args, doc: dict, rows: list[dict], columns: list[str]) -> None:
+    """Write a command's output: `doc` as canonical JSON, stamped under
+    --timestamps, or with --format csv `rows` under `columns`."""
+    if args.format == "csv":
+        text = _csv_lines(rows, columns)
+    else:
+        if args.timestamps:
+            from datetime import datetime, timezone
+
+            doc["generated_at"] = datetime.now(timezone.utc).isoformat()
+        text = dumps_canonical(doc)
+    _emit(args, text)
+
+
 def _analysis(e, args) -> EmbeddingAnalysis:
     return EmbeddingAnalysis(
         e,
@@ -210,21 +217,17 @@ def _analysis(e, args) -> EmbeddingAnalysis:
 
 def _cmd_embed(args) -> int:
     e = _load_embedding(args)
-    doc = _stamp(args, embedding_to_json(e))
-    if args.format == "csv":
-        if not e.rectilinear:
-            raise ValueError("csv lists vertices only and would drop the edge waypoints; "
-                             "use --format json")
-        if e.graph.tags:
-            raise ValueError("csv lists vertices only and would drop the tripartite graph; "
-                             "use --format json")
-        rows = [
-            {"vertex": v, "x": x, "y": y, "z": z}
-            for v, (x, y, z) in sorted(e.vertex_positions.items())
-        ]
-        _emit(args, _csv_lines(rows, ["vertex", "x", "y", "z"]))
-    else:
-        _emit(args, dumps_canonical(doc))
+    if args.format == "csv" and not e.rectilinear:
+        raise ValueError("csv lists vertices only and would drop the edge waypoints; "
+                         "use --format json")
+    if args.format == "csv" and e.graph.tags:
+        raise ValueError("csv lists vertices only and would drop the tripartite graph; "
+                         "use --format json")
+    rows = [
+        {"vertex": v, "x": x, "y": y, "z": z}
+        for v, (x, y, z) in sorted(e.vertex_positions.items())
+    ]
+    _write(args, embedding_to_json(e), rows, ["vertex", "x", "y", "z"])
     return 0
 
 
@@ -245,22 +248,19 @@ def _cmd_verify(args) -> int:
         }
         with open(args.witness_bundle, "w", encoding="utf-8") as fh:
             fh.write(dumps_canonical(bundle))
-    if args.format == "csv":
-        rows = [
-            {"identity_id": r.identity_id, "n": r.n, "lhs": r.lhs, "rhs": r.rhs, "pass": r.passed}
-            for r in reports
-        ]
-        _emit(args, _csv_lines(rows, ["identity_id", "n", "lhs", "rhs", "pass"]))
-    else:
-        doc = _stamp(args, {
-            "n": e.n,
-            "rectilinear": e.rectilinear,
-            "identities": docs,
-            "audited_knots": a.audited_knots,
-            "audited_links": a.audited_links,
-            "pass": all_passed,
-        })
-        _emit(args, dumps_canonical(doc))
+    doc = {
+        "n": e.n,
+        "rectilinear": e.rectilinear,
+        "identities": docs,
+        "audited_knots": a.audited_knots,
+        "audited_links": a.audited_links,
+        "pass": all_passed,
+    }
+    rows = [
+        {"identity_id": r.identity_id, "n": r.n, "lhs": r.lhs, "rhs": r.rhs, "pass": r.passed}
+        for r in reports
+    ]
+    _write(args, doc, rows, ["identity_id", "n", "lhs", "rhs", "pass"])
     return 0 if all_passed else 1
 
 
@@ -268,24 +268,20 @@ def _cmd_census(args) -> int:
     e = _load_embedding(args)
     a = _analysis(e, args)
     rep = census(e, analysis=a)
-    doc = rep.to_json()
-    if args.format == "csv":
-        rows = [{"key": "n", "value": rep.n},
-                {"key": "rectilinear", "value": rep.rectilinear},
-                {"key": "hopf_count", "value": rep.hopf_count},
-                {"key": "positive_a2_count", "value": rep.positive_a2_count}]
-        rows += [
-            {"key": f"a2_histogram[{k}]", "value": v}
-            for k, v in sorted(rep.a2_histogram.items())
-        ]
-        rows += [
-            {"key": f"lk_histogram[{k}]", "value": v}
-            for k, v in sorted(rep.lk_histogram.items())
-        ]
-        rows.append({"key": "pass", "value": rep.passed})
-        _emit(args, _csv_lines(rows, ["key", "value"]))
-    else:
-        _emit(args, dumps_canonical(_stamp(args, doc)))
+    rows = [{"key": "n", "value": rep.n},
+            {"key": "rectilinear", "value": rep.rectilinear},
+            {"key": "hopf_count", "value": rep.hopf_count},
+            {"key": "positive_a2_count", "value": rep.positive_a2_count}]
+    rows += [
+        {"key": f"a2_histogram[{k}]", "value": v}
+        for k, v in sorted(rep.a2_histogram.items())
+    ]
+    rows += [
+        {"key": f"lk_histogram[{k}]", "value": v}
+        for k, v in sorted(rep.lk_histogram.items())
+    ]
+    rows.append({"key": "pass", "value": rep.passed})
+    _write(args, rep.to_json(), rows, ["key", "value"])
     return 0 if rep.passed else 1
 
 
@@ -293,11 +289,7 @@ def _cmd_rn_table(args) -> int:
     if args.start < 7 or args.stop < args.start:
         raise ValueError("need 7 <= start <= stop")
     rows = [{"n": n, "r_n": r_n(n)} for n in range(args.start, args.stop + 1)]
-    if args.format == "csv":
-        _emit(args, _csv_lines(rows, ["n", "r_n"]))
-    else:
-        doc = _stamp(args, {"table": rows})
-        _emit(args, dumps_canonical(doc))
+    _write(args, {"table": rows}, rows, ["n", "r_n"])
     return 0
 
 
@@ -326,7 +318,8 @@ def _cmd_invariant(args) -> int:
         if not is_cycle_of(e.graph, c):
             raise ValueError(f"cycle {c} is not in the graph")
     g = GraphProjection(e, args.seed, args.verify_frames, args.frame_retries)
-    (value,), audited = shard_values(g.tables, [cycles[0] if args.cycle else cycles], args.audit)
+    memo = {} if args.audit else None
+    (value,), audited = shard_values(g.tables, [cycles[0] if args.cycle else cycles], memo)
     fidx, first = g.tables[0]
     if args.cycle:
         doc = {"kind": "knot", "cycle": list(cycles[0]), "a2": value}
@@ -334,10 +327,7 @@ def _cmd_invariant(args) -> int:
         doc = {"kind": "link", "pair": [list(c) for c in cycles], "lk": value}
     doc.update({"crossings": first.restrict(cycles).crossing_count, "frame_index": fidx,
                 "audited": bool(audited[0])})
-    if args.format == "csv":
-        _emit(args, _csv_lines([doc], list(doc.keys())))
-    else:
-        _emit(args, dumps_canonical(_stamp(args, doc)))
+    _write(args, doc, [doc], list(doc))
     return 0
 
 

@@ -324,7 +324,8 @@ def random_k331_embedding(seed, coord_range: int = 50) -> SpatialEmbedding:
 # JSON interchange
 
 
-def _coord_to_json(c: Fraction):
+def rational_to_json(c: Fraction | int):
+    """An exact rational as JSON: an int, or [numerator, denominator]."""
     return int(c) if c.denominator == 1 else [c.numerator, c.denominator]
 
 
@@ -350,11 +351,11 @@ def embedding_to_json(e: SpatialEmbedding) -> dict:
         "graph": kind,
         "n": e.n,
         "vertices": [
-            [_coord_to_json(c) for c in e.vertex_positions[v]] for v in e.graph.vertices
+            [rational_to_json(c) for c in e.vertex_positions[v]] for v in e.graph.vertices
         ],
     }
     paths = {
-        f"{i}-{j}": [[_coord_to_json(c) for c in p] for p in path]
+        f"{i}-{j}": [[rational_to_json(c) for c in p] for p in path]
         for (i, j), path in sorted(e.edge_paths.items())
     }
     if paths:

@@ -21,9 +21,11 @@ Most audited knots share their diagram with another (on moment K7, the
 diagrams), so `fox_a2`'s values are kept in a memo that lives as long
 as the `theorems.EmbeddingAnalysis` that owns it, and the route runs
 once per distinct diagram of the analysis; every subject's value is
-still compared.  The memo is keyed from the walk that reads the value:
-`_a2_at` lists the knot's Gauss arrows as they close, one int each, an
-exact encoding at any crossing count (`_diagram_key`).  Only on a miss
+still compared.  The memo is the read loop's one audit argument: an
+unaudited analysis keeps none.  It is keyed from the walk that reads
+the value: `_a2_at` lists the knot's Gauss arrows as they close, one
+int each, exact at any crossing count, and `_memo_key` packs them into
+a few bytes an arrow.  Only on a miss
 is the knot restricted to a `LinkDiagram`, and that diagram's key must
 equal the walk's; a hit relies on the walk's key alone.  A forked
 shard inherits the memo as it stands at the fork, and its additions
@@ -54,6 +56,7 @@ suite's reference and are not part of the package.
 
 from __future__ import annotations
 
+import marshal
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -211,12 +214,20 @@ def _arrow_code(start: int, end: int, over: int, sign: int) -> int:
     return 4 * edge_code(start, end) + 2 * over + (sign > 0)
 
 
-def _diagram_key(d: LinkDiagram) -> tuple[int, ...]:
-    """The audit memo's key of a knot diagram: its arrows in closing
-    order, each as `_arrow_code`.  The starts, in that order, number the
-    crossings by first encounter, so the key reads back to `d`'s
-    passages and signs: two knot diagrams share a key only if they are
-    equal.  `_a2_at` builds the same key from the walk it reads.
+def _memo_key(codes: list[int]) -> bytes:
+    """The audit memo's key of arrow codes: their exact marshal.  Version
+    2 writes each int by value; later ones write an int object met twice
+    as a back-reference, so equal lists could give unequal keys."""
+    return marshal.dumps(tuple(codes), 2)
+
+
+def _diagram_key(d: LinkDiagram) -> bytes:
+    """The audit memo's key of a knot diagram: the `_memo_key` of its
+    arrows in closing order, each as `_arrow_code`.  The starts, in that
+    order, number the crossings by first encounter, so the key reads
+    back to `d`'s passages and signs: two knot diagrams share a key only
+    if they are equal.  `_a2_at` lists the same codes from the walk it
+    reads.
     """
     (passages,) = d.passages
     opened: dict[int, tuple[int, int]] = {}
@@ -227,11 +238,11 @@ def _diagram_key(d: LinkDiagram) -> tuple[int, ...]:
             opened[cid] = (pos, over)
         else:
             key.append(_arrow_code(first[0], pos, first[1], d.signs[cid]))
-    return tuple(key)
+    return _memo_key(key)
 
 
 def _audit_knot(
-    memo: dict[tuple, int], table: CrossingTable, cycle: tuple, key: tuple, value: int
+    memo: dict[bytes, int], table: CrossingTable, cycle: tuple, key: bytes, value: int
 ) -> None:
     """Check a knot's fast-path `value` against `fox_a2`.
 
@@ -282,10 +293,10 @@ def _a2_at(
     closing order, the first `shut` of its entries.  Both are as long as
     the table has crossings.  Given an `arrows` list, the walk appends
     each arrow as it closes, as `_arrow_code` of its start and end
-    positions, first pass's over flag and sign: the audit memo's key of
-    the cycle's diagram at this table (`_diagram_key`), whose length is
-    its crossing count.  Raises ValueError unless every kept crossing is
-    passed once over and once under.
+    positions, first pass's over flag and sign: as many codes as its
+    crossings, whose `_memo_key` is the audit memo's key of the cycle's
+    diagram at this table (`_diagram_key`).  Raises ValueError unless
+    every kept crossing is passed once over and once under.
     """
     pos = closes = total = shut = 0
     for code in walk:
@@ -338,25 +349,25 @@ def _lk_at(passes, walk: list[int], fac: list[int], opened: list, closed: list) 
 def shard_values(
     tables: Sequence[tuple[int, CrossingTable]],
     subjects: Sequence[tuple],
-    audit: bool = False,
-    memo: dict[tuple, int] | None = None,
+    memo: dict[bytes, int] | None = None,
 ) -> tuple[list[int], bytearray]:
     """The values of `subjects` in order, and a byte per subject: 1 if audited.
 
     A subject is a cycle's vertex tuple (its a2) or a disjoint pair of
     them (its lk), read in the accepted `tables`, (frame index, table)
     pairs from `accepted_tables`.  Its walk is coded once, from its
-    first vertex, and read at every table.  With `audit`, a subject of
-    at most AUDIT_CROSSING_LIMIT crossings at the first table has its
-    value checked against the independent route's.  A knot's walk there
-    builds its diagram's key and crossing count (`_a2_at`); `fox_a2`'s
-    value is looked up in `memo` by that key, and only on a miss is the
-    knot restricted, its diagram's key checked against the walk's and
-    the route run (`_audit_knot`).  A memo hit relies on the walk's key.
-    A link is restricted, and its one-sided count taken, every time.
-    `memo` maps keys to `fox_a2` values; the caller passes the one it
-    keeps for an analysis, and without one a memo lives as long as the
-    call.  Every further table must give the first table's value, or
+    first vertex, and read at every table.  A `memo` is the one audit
+    argument: given a dict, the call audits and keeps `fox_a2`'s values
+    there, by diagram key; given None, it only reads.  When auditing, a
+    subject of at most AUDIT_CROSSING_LIMIT crossings at the first table
+    has its value checked against the independent route's.  A knot's
+    walk there lists its arrow codes, as many as its crossings
+    (`_a2_at`); `fox_a2`'s value is looked up in `memo` by their
+    `_memo_key`, and only on a miss is the knot restricted, its
+    diagram's key checked against the walk's and the route run
+    (`_audit_knot`).  A memo hit relies on the walk's key.  A link is
+    restricted, and its one-sided count taken, every time.  Every
+    further table must give the first table's value, or
     InvariantContractError is raised.
     """
     (first_index, first), rest = tables[0], tables[1:]
@@ -372,8 +383,7 @@ def shard_values(
     closed = [None] * len(opened)
     values = []
     audited = bytearray(len(subjects))
-    if memo is None:
-        memo = {}
+    audit = memo is not None
     for i, subject in enumerate(subjects):
         knot = type(subject[0]) is int
         walked, against = (subject, subject) if knot else subject
@@ -394,7 +404,7 @@ def shard_values(
             value = read(first.passes, walk, fac, opened, closed, arrows)
             if audit and len(arrows) <= AUDIT_CROSSING_LIMIT:
                 audited[i] = 1
-                _audit_knot(memo, first, subject, tuple(arrows), value)
+                _audit_knot(memo, first, subject, _memo_key(arrows), value)
         else:
             value = read(first.passes, walk, fac, opened, closed)
             if audit:

@@ -282,7 +282,7 @@ def check_frame_budget(verify_frames: int, retry_limit: int) -> None:
     Every value is reproduced on at least one further accepted frame.
     """
     for name, value in (("verify_frames", verify_frames), ("retry_limit", retry_limit)):
-        if not isinstance(value, int) or value < 1:
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
 
 

@@ -2,15 +2,17 @@
 
 Every aggregate here is read from one `ClassSummary` per cycle class,
 folded straight from the class's values as `invariants.shard_values`
-reads them (each frame-verified, optionally audited), with no record
-built: a value histogram, an audited count and the first nonzero and
-positive (subject, value) pairs, so a report can name the cycles behind
-its numbers.  A class is named by a key, and `SUM_KEYS` maps each report
-sum to one; `EmbeddingAnalysis.summary(key)` and `class_sum(key)` are the
-one route every row and the census read a class through.
+reads them (each frame-verified, and audited when the analysis keeps an
+audit memo), with no record built: a value histogram, an audited count
+and the first nonzero and positive (subject, value) pairs, so a report
+can name the cycles behind its numbers.  A class is named by a key, and
+`SUM_KEYS` maps each report sum to one; `EmbeddingAnalysis.summary(key)`
+and `class_sum(key)` are the one route every row and the census read a
+class through.
 All arithmetic is exact: sums are Python integers, the one halved
 coefficient is checked for integrality rather than rounded, and pass
-means lhs equals rhs, nothing weaker.
+means lhs equals rhs, nothing weaker.  A report writes a rational side
+as an embedding writes a coordinate (`geometry.rational_to_json`).
 
 `CATALOG` has one row per identity below, for K_n with straight or bent
 edges unless marked (H is the bipartite subgraph of the tripartite
@@ -52,7 +54,7 @@ from math import comb, factorial, inf
 from typing import NamedTuple
 
 from .errors import InvariantContractError, IdentityViolation, ScaleLimitExceeded
-from .geometry import SpatialEmbedding
+from .geometry import SpatialEmbedding, rational_to_json
 from .graphs import (
     SimpleGraph,
     enumerate_cycles,
@@ -206,9 +208,10 @@ class EmbeddingAnalysis:
     accepted frames, built on the first request for records and freed
     with the analysis.  With `audit`, the audit route's value of each
     distinct knot diagram is kept in one memo for the analysis's
-    lifetime (see `shard_values`), shared by all its classes.  Forked
-    shard processes inherit the tables and the memo as it stands at the
-    fork; what a shard adds to its copy is dropped when it exits.
+    lifetime (see `shard_values`), shared by all its classes; without
+    `audit` the analysis keeps no memo, and its reads audit nothing.
+    Forked shard processes inherit the tables and the memo as it stands
+    at the fork; what a shard adds to its copy is dropped when it exits.
     """
 
     def __init__(
@@ -221,7 +224,7 @@ class EmbeddingAnalysis:
         audit: bool = False,
         allow_large: bool = False,
     ):
-        if not isinstance(threads, int) or threads < 1:
+        if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
             raise ValueError(f"threads must be an integer of at least 1, got {threads!r}")
         if threads > 1 and not hasattr(os, "fork"):
             raise ValueError("threads above 1 need os.fork, which this platform lacks")
@@ -235,7 +238,7 @@ class EmbeddingAnalysis:
         self.allow_large = allow_large
         self._summaries: dict[tuple, ClassSummary] = {}
         self._projection: GraphProjection | None = None
-        self._audit_memo: dict[tuple, int] = {}
+        self._audit_memo: dict[bytes, int] | None = {} if audit else None
 
     @property
     def n(self) -> int:
@@ -284,9 +287,7 @@ class EmbeddingAnalysis:
             self._projection = GraphProjection(
                 self.embedding, self.seed, self.verify_frames, self.retry_limit
             )
-        evaluate = partial(
-            shard_values, self._projection.tables, audit=self.audit, memo=self._audit_memo
-        )
+        evaluate = partial(shard_values, self._projection.tables, memo=self._audit_memo)
         values, audited = _evaluate(evaluate, subjects, self.threads)
         histogram = Counter(values)
         if check is not None and any(check(None, v) for v in histogram):
@@ -353,12 +354,6 @@ class EmbeddingAnalysis:
 # Reports
 
 
-def _json_value(v):
-    if isinstance(v, Fraction):
-        return int(v) if v.denominator == 1 else [v.numerator, v.denominator]
-    return v
-
-
 class IdentityReport(NamedTuple):
     """Both sides of one identity, with the sums that built them.
 
@@ -381,8 +376,8 @@ class IdentityReport(NamedTuple):
             "identity_id": self.identity_id,
             "n": self.n,
             "sums": dict(sorted(self.sums.items())),
-            "lhs": _json_value(self.lhs),
-            "rhs": _json_value(self.rhs),
+            "lhs": rational_to_json(self.lhs),
+            "rhs": rational_to_json(self.rhs),
             "pass": self.passed,
             "witnesses": list(self.witnesses),
             **(self.extra or {}),

@@ -188,7 +188,8 @@ def curve_invariant(
     """
     walks = curve_walks(curves)
     tables, _, _ = accepted_tables(partial(curve_table, curves), seed, verify_frames, retry_limit)
-    (value,), audited = shard_values(tables, [walks[0] if len(walks) == 1 else walks], audit)
+    memo = {} if audit else None
+    (value,), audited = shard_values(tables, [walks[0] if len(walks) == 1 else walks], memo)
     index, first = tables[0]
     return value, first.restrict(walks).crossing_count, index, bool(audited[0])
 

@@ -59,7 +59,30 @@ GOLDEN = {
     # and {"omitted": 892}, the one known run where the census cap binds.
     ("census", "--n", "9", "--seed", "0"): (
         20080, "18f2b8f060eb3c84c114ea4ac3b3355998ef48bf9a705b7323936e9a83a8c3be"),
+    # Recorded while each command still branched on --format and wrote
+    # its own document, before the one writer replaced those branches.
+    ("embed", "--n", "6", "--seed", "5"): (
+        310, "7f04cd2caedf05939025df2821222688c4ae44946edd73b1b6e1f23b934d8047"),
+    ("embed", "--n", "7", "--kind", "polyline", "--seed", "0"): (
+        763, "ad6d4c88c4810a0808466454153c4de8f98815f98938fc3c6d1d86b2d3987c2c"),
+    ("embed", "--n", "6", "--kind", "moment", "--format", "csv"): (
+        70, "811458a8085d573a7e19d0458df043b1ef8ac41098ae243d87185f14f79d4e63"),
+    ("census", "--n", "7", "--kind", "moment", "--format", "csv"): (
+        150, "b0c340212734262bd7b1d42d4ce6154e6c6eca1694ea416a0c1153faf8665287"),
+    ("rn-table",): (
+        427, "7549d21e795bc665caf98d96f48f207fabaa2cb08758a62e17dfaba376957ad8"),
+    ("rn-table", "--format", "csv"): (
+        71, "3ae8291d9cfb539a7707a3abc468df45f31886750890879ec0efbd5bedbb8656"),
 }
+
+# One run of each command; each is run in JSON and in CSV.
+_COMMANDS = [
+    ("embed", "--n", "6", "--kind", "moment"),
+    ("verify", "--n", "6", "--kind", "moment"),
+    ("census", "--n", "7", "--kind", "moment"),
+    ("rn-table",),
+    ("invariant", "--n", "7", "--kind", "moment", "--cycle", "1,3,5,7,2,4,6", "--audit"),
+]
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
@@ -67,3 +90,15 @@ def test_stdout_matches_recorded_digest(argv, capsys):
     assert cli.main(list(argv)) == 0
     out = capsys.readouterr().out.encode()
     assert (len(out), hashlib.sha256(out).hexdigest()) == GOLDEN[argv]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv", _COMMANDS, ids=lambda a: a[0])
+def test_out_file_holds_exactly_the_stdout_bytes(argv, fmt, capsys, tmp_path):
+    argv = [*argv, "--format", fmt]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    path = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == out.encode()

@@ -94,7 +94,8 @@ def _fields(r) -> tuple:
 def _loop(tables, walks, audit=False) -> tuple[int, bool]:
     """(value, audited) of one walk or pair read by `shard_values`, as
     the reference `cycle_invariant` gives it."""
-    (value,), audited = shard_values(tables, [walks[0] if len(walks) == 1 else walks], audit)
+    memo = {} if audit else None
+    (value,), audited = shard_values(tables, [walks[0] if len(walks) == 1 else walks], memo)
     return value, bool(audited[0])
 
 

@@ -4,6 +4,7 @@ reference in `oracle.py`."""
 
 from __future__ import annotations
 
+import marshal
 from itertools import combinations, permutations
 from math import isqrt, prod
 
@@ -657,16 +658,17 @@ def test_audit_compares_a_value_whose_diagram_was_audited_before(monkeypatch, ca
 # The audit memo's key, built by the walk that reads a2
 
 
-def _walk_key(table: CrossingTable, cycle: tuple) -> tuple[int, ...]:
-    """The memo key that `_a2_at` builds walking `cycle` at `table`."""
+def _walk_codes(table: CrossingTable, cycle: tuple) -> list[int]:
+    """The arrow codes `_a2_at` lists walking `cycle` at `table`, which
+    the memo key is built from."""
     walk, factor = coded_walk(cycle)
     fac = [0] * len(table.passes)
     for code, f in factor.items():
         fac[code] = f
-    key: list[int] = []
+    codes: list[int] = []
     invariants._a2_at(table.passes, walk, fac, [None] * table.crossings,
-                      [None] * table.crossings, key)
-    return tuple(key)
+                      [None] * table.crossings, codes)
+    return codes
 
 
 def _assert_walk_keys_equal_diagram_keys(table: CrossingTable, cycles) -> int:
@@ -675,9 +677,9 @@ def _assert_walk_keys_equal_diagram_keys(table: CrossingTable, cycles) -> int:
     audited = 0
     for c in cycles:
         d = table.restrict((c,))
-        key = _walk_key(table, c)
-        assert key == invariants._diagram_key(d), c
-        assert len(key) == d.crossing_count, c
+        codes = _walk_codes(table, c)
+        assert invariants._memo_key(codes) == invariants._diagram_key(d), c
+        assert len(codes) == d.crossing_count, c
         audited += d.crossing_count <= invariants.AUDIT_CROSSING_LIMIT
     return audited
 
@@ -711,11 +713,12 @@ def test_walk_key_equals_the_restricted_diagrams_key_on_random_embeddings(n, see
         _assert_walk_keys_equal_diagram_keys(table, cycles)
 
 
-def _decoded(key: tuple[int, ...]) -> LinkDiagram:
-    """The knot diagram that `key` encodes: each arrow's two positions
-    from the inverse Cantor pairing, crossings numbered by first pass."""
+def _decoded(key: bytes) -> LinkDiagram:
+    """The knot diagram that `key` encodes: its arrow codes unmarshalled,
+    each arrow's two positions from the inverse Cantor pairing, crossings
+    numbered by first pass."""
     arrows = []
-    for x in key:
+    for x in marshal.loads(key):
         z = x >> 2
         w = (isqrt(8 * z + 1) - 1) // 2
         end = z - w * (w + 1) // 2
@@ -740,12 +743,45 @@ def test_diagram_key_is_exact_above_127_crossings():
     keys = set()
     for diagram in (d, flipped, swapped):
         key = invariants._diagram_key(diagram)
-        assert len(key) == diagram.crossing_count == 131
+        assert len(marshal.loads(key)) == diagram.crossing_count == 131
         assert _decoded(key) == diagram
         table, cycle = diagram_table(diagram)
-        assert _walk_key(table, cycle) == key
+        assert invariants._memo_key(_walk_codes(table, cycle)) == key
         keys.add(key)
     assert len(keys) == 3
+
+
+def test_equal_code_lists_of_distinct_int_objects_share_a_key():
+    # Marshal's default version writes an int object met twice as a
+    # reference to the first; the key must not depend on which objects
+    # the codes are, only on their values, however large.
+    big = 2**70 + 5
+    same = [5000, 5000, big, big]
+    assert same[0] is same[1] and same[2] is same[3]
+    distinct = [int(str(x)) for x in same]
+    assert distinct == same and distinct[0] is not distinct[1] and distinct[2] is not distinct[3]
+    key = invariants._memo_key(same)
+    assert invariants._memo_key(distinct) == key
+    assert marshal.loads(key) == tuple(same)
+
+
+def test_the_memo_is_the_one_audit_argument():
+    # A dict audits and keeps `fox_a2`'s value of each audited knot
+    # diagram; no memo reads the same values and audits nothing; an
+    # unaudited analysis keeps no memo.
+    e = moment_curve_embedding(7)
+    tables = GraphProjection(e, 0, 1, FRAME_RETRY_LIMIT).tables
+    first = tables[0][1]
+    subjects = enumerate_cycles(e.graph, 6) + enumerate_disjoint_pairs(e.graph, 3, 3)
+    memo = {}
+    values, audited = shard_values(tables, subjects, memo)
+    assert 0 < audited.count(1)
+    knots = {first.restrict((s,)) for s, flag in zip(subjects, audited) if flag and len(s) == 6}
+    assert memo == {invariants._diagram_key(d): fox_a2(d) for d in knots}
+    assert any(flag for s, flag in zip(subjects, audited) if len(s) == 2)
+    assert shard_values(tables, subjects) == (values, bytearray(len(subjects)))
+    assert EmbeddingAnalysis(e)._audit_memo is None
+    assert EmbeddingAnalysis(e, audit=True)._audit_memo == {}
 
 
 def test_a_corrupt_walk_key_is_refused_on_a_memo_miss(monkeypatch):
@@ -769,7 +805,8 @@ def test_a_corrupt_walk_key_is_refused_on_a_memo_miss(monkeypatch):
 @pytest.mark.parametrize(
     "verify_frames,retry_limit",
     [(-1, FRAME_RETRY_LIMIT), (0, FRAME_RETRY_LIMIT), (1, 0), (1, -4),
-     (1.5, FRAME_RETRY_LIMIT), (2.0, FRAME_RETRY_LIMIT), (1, 1.5), (1, 2.0)],
+     (1.5, FRAME_RETRY_LIMIT), (2.0, FRAME_RETRY_LIMIT), (1, 1.5), (1, 2.0),
+     (True, FRAME_RETRY_LIMIT), (False, FRAME_RETRY_LIMIT), (1, True), (1, False)],
 )
 def test_bad_frame_budget_is_refused(verify_frames, retry_limit):
     budget = {"verify_frames": verify_frames, "retry_limit": retry_limit}

@@ -406,9 +406,9 @@ def test_a_class_is_evaluated_once(monkeypatch):
     calls = []
     real = theorems.shard_values
 
-    def counted(tables, subjects, audit=False, memo=None):
+    def counted(tables, subjects, memo=None):
         calls.extend(subjects)
-        return real(tables, subjects, audit, memo)
+        return real(tables, subjects, memo)
 
     monkeypatch.setattr(theorems, "shard_values", counted)
     e = moment_curve_embedding(7)
@@ -476,10 +476,10 @@ def _log_audits(monkeypatch, log) -> None:
         calls[0] += 1
         return real_fox(d)
 
-    def logged(tables, subjects, audit=False, memo=None):
+    def logged(tables, subjects, memo=None):
         calls[0] = 0
         before = set(memo)
-        out = real_values(tables, subjects, audit, memo)
+        out = real_values(tables, subjects, memo)
         first = tables[0][1]
         knots = {first.restrict((s,)) for s in subjects if type(s[0]) is int}
         new = {_diagram_key(d) for d in knots if d.crossing_count <= AUDIT_CROSSING_LIMIT} - before
@@ -710,14 +710,14 @@ def _planted(monkeypatch, subject, fail):
     """
     real = theorems.shard_values
 
-    def values(tables, subjects, audit=False, memo=None):
+    def values(tables, subjects, memo=None):
         out, audited = [], bytearray()
         for s in subjects:
             walks = (s,) if type(s[0]) is int else s
             if walks == subject and (planted := fail(walks)) is not None:
                 value, flag = planted
             else:
-                (value,), (flag,) = real(tables, [s], audit, memo)
+                (value,), (flag,) = real(tables, [s], memo)
             out.append(value)
             audited.append(flag)
         return out, audited
@@ -835,7 +835,7 @@ def test_threads_above_one_need_fork(monkeypatch, capsys):
     assert "os.fork" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("threads", [0, -3, 1.5, 2.0])
+@pytest.mark.parametrize("threads", [0, -3, 1.5, 2.0, True, False])
 def test_thread_count_below_one_is_refused(threads):
     with pytest.raises(ValueError, match="threads"):
         EmbeddingAnalysis(moment_curve_embedding(6), threads=threads)
